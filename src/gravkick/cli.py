@@ -9,6 +9,7 @@ to the human-readable message, and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import math
@@ -74,20 +75,25 @@ def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
 
 
 def _decomposition_curves(built: BuiltScenario, n: int = FIG2_SAMPLES):
-    """The two scaled branch pointers and their normalized sum, natural units."""
+    """The two branch pointers and their normalized sum, natural units.
+
+    The branches are sqrt(2) w_X psi(p - delta_X), w_X = conj(post_X) pre_X exp(i phi_X)
+    turned to make w_B real: beta psi_B and -alpha psi_A for the paper postselection.
+    Each curve is its modulus signed by its real part.
+    """
+    s = built.scenario
     sigma = built.hbar / built.width
-    alpha = abs(built.scenario.pre.amp_a)
-    beta = abs(built.scenario.pre.amp_b)
-    d_a = built.scenario.delta_a / sigma
-    d_b = built.scenario.delta_b / sigma
+    d_a, d_b = s.delta_a / sigma, s.delta_b / sigma
+    w_a = complex(s.post.amp_a).conjugate() * (complex(s.pre.amp_a) * cmath.exp(1j * s.phi_a))
+    w_b = complex(s.post.amp_b).conjugate() * (complex(s.pre.amp_b) * cmath.exp(1j * s.phi_b))
+    probability, _, _ = protocol.gaussian_postselection(w_a, w_b, d_a, d_b, 1.0)
+    scale = math.sqrt(2.0) * cmath.exp(-1j * cmath.phase(w_b))
     psi = gaussian(0.0, 1.0, 1.0)
     p = np.linspace(-4.0, 4.0, n)
-    branch_b = beta * psi(p - d_b)
-    branch_a = -alpha * psi(p - d_a)
-    pointer_overlap = math.exp(-((d_a - d_b) ** 2) / 8.0)
-    norm = math.sqrt((1.0 - 2.0 * alpha * beta * pointer_overlap) / 2.0)
-    total = (branch_b + branch_a) / math.sqrt(2.0) / norm
-    return p, branch_b, branch_a, total
+    branch_b = scale * w_b * psi(p - d_b)
+    branch_a = scale * w_a * psi(p - d_a)
+    total = (branch_b + branch_a) / math.sqrt(2.0) / math.sqrt(probability)
+    return p, *(np.copysign(np.abs(z), z.real) for z in (branch_b, branch_a, total))
 
 
 def _decomposition_files(built: BuiltScenario) -> tuple[str, str]:
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="sample repeated postselected runs")
     _add_config_args(p_mc)
-    p_mc.add_argument("--workers", type=int, default=1, help="parallel workers (same output)")
+    p_mc.add_argument("--workers", type=int, default=1, help="accepted; the work runs serially")
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep of feasibility cases")
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, help="FIELD=start:stop:count")
     p_sweep.add_argument("--axis2", help="second axis FIELD=start:stop:count")
     p_sweep.add_argument("--svg", action="store_true", help="heatmap of |ratio| (two axes)")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel workers (same output)")
+    p_sweep.add_argument("--workers", type=int, default=1, help="accepted; the work runs serially")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig2 = sub.add_parser("fig2", help="render the decomposition figure")

@@ -9,12 +9,13 @@ grid sweeps exact.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .protocol import gaussian_postselection
 from .units import G, HBAR
 
 SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
@@ -91,11 +92,6 @@ def amplitudes_for_gain(gain: float, kick_ratio: float) -> tuple[float, float]:
     return t * beta, beta
 
 
-def postselection_probability(alpha: float, beta: float, pointer_overlap: float) -> float:
-    """(1 - 2 alpha beta I) / 2 for the sign-flip postselection of a Gaussian probe."""
-    return (1.0 - 2.0 * alpha * beta * pointer_overlap) / 2.0
-
-
 @dataclass(frozen=True)
 class FeasibilityCase:
     params: ProtocolParams
@@ -118,22 +114,21 @@ class FeasibilityCase:
 def evaluate_case(params: ProtocolParams) -> FeasibilityCase:
     """All derived quantities for one parameter point.
 
-    The postselection probability uses the closed Gaussian-pointer form with
-    the exact displaced-pointer overlap, which at these kick scales is the
-    first-order value.
+    The postselection probability is the exact Gaussian-probe acceptance for
+    the paper weights (-alpha/sqrt(2), beta/sqrt(2)).
     """
     d_a = delta_kick(G, params.M, params.m, params.T, params.x_A)
     d_b = delta_kick(G, params.M, params.m, params.T, params.x_B)
-    sigma = HBAR / params.W
-    pointer_overlap = math.exp(-((d_a - d_b) ** 2) / (8.0 * sigma * sigma))
     alpha, beta = amplitudes_for_gain(params.g, d_b / d_a)
+    root2 = math.sqrt(2.0)
+    ps_prob, _, _ = gaussian_postselection(-alpha / root2, beta / root2, d_a, d_b, HBAR / params.W)
     return FeasibilityCase(
         params=params,
         delta_a=d_a,
         delta_b=d_b,
         ratio=feasibility_ratio(params),
         tau=spreading_time(params.m, params.W),
-        ps_prob=postselection_probability(alpha, beta, pointer_overlap),
+        ps_prob=ps_prob,
         separation_ok=params.separation_ok,
     )
 
@@ -173,8 +168,8 @@ def sweep(
 ) -> list[FeasibilityCase]:
     """Dense 1- or 2-axis grid of cases, row-major over the axes.
 
-    Rows are independent; with workers > 1 they are evaluated in a thread
-    pool and reassembled by index, so output order never depends on timing.
+    `workers` is accepted and ignored: the cases are evaluated serially,
+    because a thread pool measured slower than the serial loop.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -188,23 +183,10 @@ def sweep(
             raise ValueError("each axis needs at least 2 points")
 
     grids = [np.linspace(start, stop, count) for _, start, stop, count in axes]
-    points: list[dict[str, float]] = []
-    if len(axes) == 1:
-        points = [{fields[0]: float(v)} for v in grids[0]]
-    else:
-        points = [
-            {fields[0]: float(u), fields[1]: float(v)}
-            for u in grids[0]
-            for v in grids[1]
-        ]
-
-    def build(overrides: dict[str, float]) -> FeasibilityCase:
-        return evaluate_case(replace(base, **overrides))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(build, points))
-    return [build(pt) for pt in points]
+    return [
+        evaluate_case(replace(base, **{f: float(v) for f, v in zip(fields, values)}))
+        for values in itertools.product(*grids)
+    ]
 
 
 def sweep_csv(cases: list[FeasibilityCase]) -> str:

@@ -4,13 +4,12 @@ Each trial is a Bernoulli acceptance at the exact postselection probability
 followed, when accepted, by one momentum draw from the conditional
 distribution (inverse CDF on the grid).  Randomness is counter-based: trials
 are grouped into fixed blocks and block b draws from Philox(key=seed,
-counter=b << 64), so serial and data-parallel executions are bit-identical.
+counter=b << 64), so a block's stream depends only on the seed and b.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,37 +104,24 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
-    """Simulate cfg.trials runs; deterministic given cfg.seed for any worker count."""
+    """Simulate cfg.trials runs; deterministic given cfg.seed.  `workers` is
+    accepted and ignored: a thread pool measured no faster than this loop."""
     result = protocol.run(cfg.scenario, n=cfg.grid_points)
     probability = result.probability
     sampler = _Sampler.from_conditional(result.conditional)
     edges = np.linspace(sampler.p[0], sampler.p[-1], cfg.bins + 1)
 
-    n_blocks = (cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-
-    def run_block(block: int) -> tuple[int, float, float, np.ndarray]:
+    accepted, total, total_sq = 0, 0.0, 0.0
+    counts = np.zeros(cfg.bins, dtype=np.int64)
+    for block in range((cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
         u = _block_rng(cfg.seed, block).random(2 * nb)
         accepted_mask = u[:nb] < probability
         samples = sampler.draw(u[nb:][accepted_mask])
-        counts, _ = np.histogram(samples, bins=edges)
-        return int(accepted_mask.sum()), float(samples.sum()), float(np.sum(samples**2)), counts
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, range(n_blocks)))
-    else:
-        partials = [run_block(b) for b in range(n_blocks)]
-
-    accepted = 0
-    total = 0.0
-    total_sq = 0.0
-    counts = np.zeros(cfg.bins, dtype=np.int64)
-    for n_acc, s1, s2, c in partials:
-        accepted += n_acc
-        total += s1
-        total_sq += s2
-        counts += c
+        accepted += int(accepted_mask.sum())
+        total += float(samples.sum())
+        total_sq += float(np.sum(samples**2))
+        counts += np.histogram(samples, bins=edges)[0]
 
     mean = total / accepted if accepted >= 1 else None
     std_error = None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
-    Moments,
+    GaussianPacket,
     Wavepacket,
     displace,
     moments,
@@ -129,6 +129,34 @@ def evolve(
     )
 
 
+def gaussian_postselection(
+    w_a: complex, w_b: complex, d_a: float, d_b: float, sigma: float
+) -> tuple[float, float, float]:
+    """P, mean and std of w_a psi(p - d_a) + w_b psi(p - d_b), psi a Gaussian of std sigma.
+
+    With s = w_a + w_b, c = Re(conj(w_a) w_b), n = |w_a|^2 + |w_b|^2, D = d_a - d_b
+    and e = I - 1 = expm1(-D^2 / (8 sigma^2)), I the overlap of the two pointers:
+        P      = |s|^2 + 2 c e
+        mean P = Re[conj(s) (w_a d_a + w_b d_b)] + c (d_a + d_b) e
+        var    = sigma^2 + D^2 [(|s|^2 n - Re[(w_a - w_b) conj(s)]^2) / 4 + c e n / 2] / P^2
+    No term subtracts numbers of order one, as (1 - 2 alpha beta I) / 2 does, so
+    near-orthogonal postselection (s -> 0) keeps full relative precision.
+    Mean and std are nan when P is exactly 0.
+    """
+    s = w_a + w_b
+    s2, n = abs(s) ** 2, abs(w_a) ** 2 + abs(w_b) ** 2
+    c = (w_a.conjugate() * w_b).real
+    gap = d_a - d_b
+    e = math.expm1(-(gap / sigma) * (gap / sigma) / 8.0)
+    probability = s2 + 2.0 * c * e
+    if probability == 0.0:  # exact destructive interference leaves no state
+        return probability, math.nan, math.nan
+    mean = ((s.conjugate() * (w_a * d_a + w_b * d_b)).real + c * (d_a + d_b) * e) / probability
+    u = ((w_a - w_b) * s.conjugate()).real
+    spread = gap * gap * ((s2 * n - u * u) / 4.0 + c * e * n / 2.0) / probability / probability
+    return probability, mean, math.sqrt(sigma * sigma + spread)
+
+
 def postselect(
     joint: JointState,
     final: SourceState,
@@ -138,25 +166,33 @@ def postselect(
 
     The unnormalized conditional pointer is
         conj(final_A) amp_A psi_A + conj(final_B) amp_B psi_B;
-    its squared norm is the postselection probability.  Probabilities below
-    1e-30 raise PostselectionImpossible instead of returning a garbage state.
+    its squared norm is the postselection probability.  The conditional is
+    rendered on the grid; two Gaussian pointers of one width take P, mean and
+    std from `gaussian_postselection`, other pointers from the grid.
+    Probabilities below 1e-30 raise PostselectionImpossible instead of
+    returning a garbage state.
     """
     w_a = complex(final.amp_a).conjugate() * complex(joint.amp_a)
     w_b = complex(final.amp_b).conjugate() * complex(joint.amp_b)
-    unnorm = superpose([(w_a, joint.pointer_a), (w_b, joint.pointer_b)], n=n)
-    probability = float(np.trapezoid(np.abs(unnorm.amps) ** 2, unnorm.p))
+    ptr_a, ptr_b = joint.pointer_a, joint.pointer_b
+    unnorm = superpose([(w_a, ptr_a), (w_b, ptr_b)], n=n)
+    closed = (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
+              and ptr_a.sigma == ptr_b.sigma)
+    if closed:
+        probability, mean, std = gaussian_postselection(
+            w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
+    else:
+        probability = float(np.trapezoid(np.abs(unnorm.amps) ** 2, unnorm.p))
     if probability < MIN_POSTSELECT_PROBABILITY:
         raise PostselectionImpossible(
             f"postselection numerically impossible (probability {probability!r})"
         )
     conditional = normalize(unnorm)
-    mom: Moments = moments(conditional)
+    if not closed:
+        mom = moments(conditional)
+        mean, std = mom.mean, mom.std
     return PostselectedResult(
-        conditional=conditional,
-        probability=probability,
-        mean_kick=mom.mean,
-        std=mom.std,
-    )
+        conditional=conditional, probability=probability, mean_kick=mean, std=std)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 from gravkick.cli import main
 
+from . import oracles
 from .refvals import (
     AMP_GAIN,
     CASE_A_MASS,
@@ -269,6 +270,42 @@ class TestFig2Command:
         assert at_zero[2] == pytest.approx(
             -math.sqrt(0.19) * amp * math.exp(-0.49 / 4), abs=1e-8
         )
+
+    def test_svg_follows_configured_postselection(self, tmp_path):
+        doc = {
+            "units": "natural",
+            "source": {"beta": 0.9},
+            "kicks": {"delta_A": 0.7, "delta_B": 0.1},
+            "postselection": {"amp_A": 0.6, "amp_B": 0.8},
+            "phases": {"phi_A": 0.4, "phi_B": -1.1},
+        }
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "bundle"
+        assert main(["simulate", str(config), "--svg", "--out", str(out)]) == 0
+
+        coeffs = [
+            0.6 * math.sqrt(0.19) * complex(math.cos(0.4), math.sin(0.4)),
+            0.8 * 0.9 * complex(math.cos(-1.1), math.sin(-1.1)),
+        ]
+        centers = [0.7, 0.1]
+        norm2, _, _ = oracles.superposition_stats(coeffs, centers)
+
+        def modulus(p):
+            amp = sum(c * oracles.gauss_amp(p, x0, 1.0) for c, x0 in zip(coeffs, centers))
+            return np.abs(amp) / math.sqrt(norm2)
+
+        from gravkick.cli import _decomposition_curves
+        from gravkick.config import build_scenario
+
+        p, _, _, total = _decomposition_curves(build_scenario(doc))
+        expected = modulus(p)
+        peak = expected.max()
+        assert np.max(np.abs(np.abs(total) - expected)) <= 1e-9 * peak
+        lines = (out / "fig2_curves.csv").read_text().splitlines()[1:]
+        data = np.array([[float(x) for x in line.split(",")] for line in lines])
+        # the file holds 9 significant digits
+        assert np.max(np.abs(np.abs(data[:, 3]) - modulus(data[:, 0]))) <= 1e-8 * peak
 
 
 class TestErrorChannels:

@@ -22,6 +22,7 @@ from gravkick.feasibility import (
 )
 from gravkick.units import G, HBAR, UnitSystem, convert
 
+from . import oracles
 from .refvals import CASE_A_MASS, CASE_B_RATIO, DELTA_KICK_EXAMPLE, TAU_CASE_B, TAU_CESIUM
 
 RNG = np.random.default_rng(5150)
@@ -250,6 +251,22 @@ class TestSweep:
         serial = sweep(case_b_params(), axes, workers=1)
         parallel = sweep(case_b_params(), axes, workers=8)
         assert [c.csv_row() for c in serial] == [c.csv_row() for c in parallel]
+
+
+class TestAcceptance:
+    @pytest.mark.parametrize("gain", [1e5, 1e6, 1e7])
+    @pytest.mark.parametrize("make_params", [case_a_params, case_b_params], ids=["caseA", "caseB"])
+    def test_ps_prob_matches_mpmath(self, make_params, gain):
+        # (1 - 2 alpha beta I)/2 cancels as the gain grows; the reference takes
+        # the paper weights (-alpha/sqrt(2), beta/sqrt(2)) at their float values.
+        params = replace(make_params(), g=gain)
+        case = evaluate_case(params)
+        alpha, beta = amplitudes_for_gain(gain, case.delta_b / case.delta_a)
+        reference, _, _ = oracles.two_gaussian_stats_mp(
+            -alpha / math.sqrt(2.0), beta / math.sqrt(2.0), case.delta_a, case.delta_b,
+            HBAR / params.W,
+        )
+        assert case.ps_prob == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 class TestCsvFormat:

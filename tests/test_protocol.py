@@ -1,10 +1,13 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravkick.config import build_scenario, load_preset
 from gravkick.protocol import (
     ClassicalModel,
     PostselectionImpossible,
@@ -12,6 +15,7 @@ from gravkick.protocol import (
     SourceState,
     classical_mean_kick,
     evolve,
+    gaussian_postselection,
     paper_postselection,
     postselect,
     prepare_initial,
@@ -200,6 +204,100 @@ class TestPostselect:
     def test_csv_rows(self):
         rows = dict(run(fig2_scenario()).csv_rows())
         assert set(rows) == {"probability", "mean_kick", "std"}
+
+
+def pointer_weights(scenario: Scenario) -> tuple[complex, complex]:
+    """w_X = conj(post_X) pre_X exp(i phi_X), rounded as the program rounds them."""
+    return tuple(
+        complex(post).conjugate() * (complex(pre) * cmath.exp(1j * phi))
+        for post, pre, phi in (
+            (scenario.post.amp_a, scenario.pre.amp_a, scenario.phi_a),
+            (scenario.post.amp_b, scenario.pre.amp_b, scenario.phi_b),
+        )
+    )
+
+
+def paper_scenario(beta: float, delta_a: float, delta_b: float) -> Scenario:
+    return fig2_scenario(
+        pre=SourceState(complex(math.sqrt(1 - beta**2)), complex(beta)),
+        delta_a=delta_a,
+        delta_b=delta_b,
+    )
+
+
+def random_phase_scenario(rng) -> Scenario:
+    phi_a, phi_b = rng.uniform(-math.pi, math.pi, size=2)
+    d_a, d_b = rng.uniform(-3.0, 3.0, size=2)
+    return Scenario(
+        pre=random_source(rng),
+        post=random_source(rng),
+        probe=gaussian(0.0, 1.0, 1.0),
+        delta_a=d_a,
+        delta_b=d_b,
+        phi_a=phi_a,
+        phi_b=phi_b,
+    )
+
+
+MP_BATCH_RNG = np.random.default_rng(314159)
+MP_CASES = [
+    ("amplification preset", build_scenario(load_preset("amplification")).scenario),
+    ("gap 1e-6, d_A 1e-8", paper_scenario(math.sqrt(0.5) + 1e-6, 1e-8, 1e-9)),
+    ("gap 1e-9, d_A 1e-12", paper_scenario(math.sqrt(0.5) + 1e-9, 1e-12, 1e-13)),
+    ("d_A 1e4 sigma", paper_scenario(0.9, 1e4, 1e3)),
+    ("d_A 1e5 sigma", paper_scenario(0.9, 1e5, 1e4)),
+] + [(f"complex phases {i}", random_phase_scenario(MP_BATCH_RNG)) for i in range(20)]
+
+
+class TestGaussianPostselection:
+    @pytest.mark.parametrize("scenario", [c[1] for c in MP_CASES], ids=[c[0] for c in MP_CASES])
+    def test_matches_mpmath(self, scenario):
+        w_a, w_b = pointer_weights(scenario)
+        sigma = scenario.probe.sigma
+        args = (w_a, w_b, scenario.delta_a, scenario.delta_b, sigma)
+        prob, mean, std = gaussian_postselection(*args)
+        ref_prob, ref_mean, ref_std = oracles.two_gaussian_stats_mp(*args)
+        assert prob == pytest.approx(ref_prob, rel=1e-12, abs=0.0)
+        assert abs(mean - ref_mean) <= 1e-12 * max(abs(ref_mean), 1e-6 * sigma)
+        assert std == pytest.approx(ref_std, rel=1e-12, abs=0.0)
+
+    def test_oracle_matches_quadrature(self):
+        scenario = random_phase_scenario(np.random.default_rng(7))
+        w_a, w_b = pointer_weights(scenario)
+        mp_stats = oracles.two_gaussian_stats_mp(w_a, w_b, scenario.delta_a, scenario.delta_b, 1.0)
+        quad_stats = oracles.superposition_stats(
+            [w_a, w_b], [scenario.delta_a, scenario.delta_b]
+        )
+        assert mp_stats == pytest.approx(quad_stats, abs=1e-9)
+
+    def test_separated_pointers_on_default_grid(self):
+        # The pointers no longer overlap (I = 0), so P = (alpha^2 + beta^2)/2 and
+        # the conditional is the branch mixture.  The default 2048-point grid
+        # spaces its samples more than 4 sigma apart here and cannot resolve it.
+        alpha, beta, d_a, d_b = math.sqrt(0.19), 0.9, 1e4, 1e3
+        result = run(paper_scenario(beta, d_a, d_b))
+        assert result.probability == pytest.approx(0.5, rel=1e-12)
+        assert result.mean_kick == pytest.approx(alpha**2 * d_a + beta**2 * d_b, rel=1e-12)
+        assert result.std**2 == pytest.approx(
+            1.0 + (alpha * beta * (d_a - d_b)) ** 2, rel=1e-12
+        )
+
+    def test_grid_probe_agrees_with_closed_form(self):
+        probe = to_grid(gaussian(0.0, 1.0, 1.0), -12.0, 12.0, n=2048)
+        rng = np.random.default_rng(2718)
+        for scenario in [fig2_scenario()] + [random_phase_scenario(rng) for _ in range(10)]:
+            grid = run(replace(scenario, probe=probe))
+            closed = gaussian_postselection(
+                *pointer_weights(scenario), scenario.delta_a, scenario.delta_b, 1.0
+            )
+            assert (grid.probability, grid.mean_kick, grid.std) == pytest.approx(
+                closed, abs=1e-10
+            )
+
+    def test_zero_probability_has_no_moments(self):
+        prob, mean, std = gaussian_postselection(-0.5, 0.5, 0.3, 0.3, 1.0)
+        assert prob == 0.0
+        assert math.isnan(mean) and math.isnan(std)
 
 
 class TestClassicalBaseline:
