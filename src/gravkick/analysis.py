@@ -78,16 +78,6 @@ class WeakValueReport:
     gain: float  # amplification factor g in delta_ef = -g * delta_a
     postselection_overlap: complex
 
-    def csv_rows(self) -> list[tuple[str, object]]:
-        return [
-            ("projector_weak_value_re", self.projector_weak_value.real),
-            ("projector_weak_value_im", self.projector_weak_value.imag),
-            ("delta_ef", self.effective_kick),
-            ("gain", self.gain),
-            ("postselection_overlap_re", self.postselection_overlap.real),
-            ("postselection_overlap_im", self.postselection_overlap.imag),
-        ]
-
 
 def weak_value_report(
     pre: protocol.SourceState,
@@ -121,16 +111,6 @@ class ValidityReport:
     exact_mean: float
     abs_error: float
     regime: Regime
-
-    def csv_rows(self) -> list[tuple[str, object]]:
-        return [
-            ("kick_ratio_a", self.kick_ratio_a),
-            ("kick_ratio_b", self.kick_ratio_b),
-            ("first_order_mean", self.first_order_mean),
-            ("exact_mean", self.exact_mean),
-            ("abs_error", self.abs_error),
-            ("regime", self.regime.value),
-        ]
 
 
 def classify_regime(kick_ratio: float) -> Regime:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
     GaussianPacket,
+    GridPacket,
+    Moments,
     Wavepacket,
     displace,
     moments,
@@ -95,10 +97,15 @@ class JointState:
 
 @dataclass(frozen=True)
 class PostselectedResult:
-    conditional: Wavepacket  # normalized
     probability: float
     mean_kick: float
     std: float
+    render: Callable[[], Wavepacket] = field(compare=False, repr=False)
+
+    @cached_property
+    def conditional(self) -> Wavepacket:
+        """The normalized conditional probe state, rendered on first read."""
+        return self.render()
 
     def csv_rows(self) -> list[tuple[str, float]]:
         return [
@@ -166,33 +173,38 @@ def postselect(
 
     The unnormalized conditional pointer is
         conj(final_A) amp_A psi_A + conj(final_B) amp_B psi_B;
-    its squared norm is the postselection probability.  The conditional is
-    rendered on the grid; two Gaussian pointers of one width take P, mean and
-    std from `gaussian_postselection`, other pointers from the grid.
-    Probabilities below 1e-30 raise PostselectionImpossible instead of
-    returning a garbage state.
+    its squared norm is the postselection probability.  Two Gaussian pointers
+    of one width take P, mean and std from `gaussian_postselection`; other
+    pointers are rendered on the grid and take them from one `moments` pass.
+    The conditional state is rendered (and normalized) only when a caller
+    first reads `conditional`.  Probabilities below 1e-30 raise
+    PostselectionImpossible instead of returning a garbage state.
     """
     w_a = complex(final.amp_a).conjugate() * complex(joint.amp_a)
     w_b = complex(final.amp_b).conjugate() * complex(joint.amp_b)
     ptr_a, ptr_b = joint.pointer_a, joint.pointer_b
-    unnorm = superpose([(w_a, ptr_a), (w_b, ptr_b)], n=n)
-    closed = (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
-              and ptr_a.sigma == ptr_b.sigma)
-    if closed:
+    if (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
+            and ptr_a.sigma == ptr_b.sigma):
         probability, mean, std = gaussian_postselection(
             w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
+
+        def render() -> Wavepacket:
+            return normalize(superpose([(w_a, ptr_a), (w_b, ptr_b)], n=n))
     else:
-        probability = float(np.trapezoid(np.abs(unnorm.amps) ** 2, unnorm.p))
+        unnorm = superpose([(w_a, ptr_a), (w_b, ptr_b)], n=n)
+        try:
+            mom = moments(unnorm)
+        except ValueError:  # identically zero: the branches cancel exactly
+            mom = Moments(norm=0.0, mean=math.nan, std=math.nan)
+        probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
+
+        def render() -> Wavepacket:
+            return GridPacket(p=unnorm.p, amps=unnorm.amps / mom.norm)
     if probability < MIN_POSTSELECT_PROBABILITY:
         raise PostselectionImpossible(
             f"postselection numerically impossible (probability {probability!r})"
         )
-    conditional = normalize(unnorm)
-    if not closed:
-        mom = moments(conditional)
-        mean, std = mom.mean, mom.std
-    return PostselectedResult(
-        conditional=conditional, probability=probability, mean_kick=mean, std=std)
+    return PostselectedResult(probability=probability, mean_kick=mean, std=std, render=render)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravkick
 from gravkick.cli import main
 
 from . import oracles
@@ -89,6 +92,13 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "fig2", "--out", str(out), "--svg"]) == 0
         assert (out / "fig2.svg").exists()
         assert (out / "fig2_curves.csv").exists()
+
+
+class TestGridRenders:
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_fig2_renders_the_conditional_once(self, tmp_path, superpose_calls, command):
+        assert main([command, "--scenario", "fig2", "--out", str(tmp_path / "bundle")]) == 0
+        assert len(superpose_calls) == 1
 
 
 class TestFeasibility:
@@ -380,10 +390,14 @@ def test_presets_list(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # run the copy of the package these tests import, whether or not PYTHONPATH names it
+    src = str(Path(gravkick.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "gravkick", "presets", "list"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
     assert "fig2" in result.stdout

@@ -22,7 +22,7 @@ from gravkick.protocol import (
     run,
     source_overlap,
 )
-from gravkick.wavepacket import gaussian, moments, to_grid
+from gravkick.wavepacket import displace, gaussian, moments, normalize, superpose, to_grid
 
 from . import oracles
 from .refvals import (
@@ -165,10 +165,12 @@ class TestPostselect:
             assert run(scenario).probability == pytest.approx(expected, abs=1e-8)
 
     def test_impossible_postselection_is_an_error(self):
-        # equal amplitudes, no kicks, orthogonal sign-flip: exact destructive interference
-        joint = prepare_initial(SourceState.from_amplitudes(1.0, 1.0), gaussian(0.0, 1.0))
-        with pytest.raises(PostselectionImpossible):
-            postselect(joint, SourceState.from_amplitudes(-1.0, 1.0))
+        # equal amplitudes, no kicks, orthogonal sign-flip: exact destructive interference;
+        # the grid probe's state is identically zero, which `moments` rejects as a plain ValueError
+        for probe in (gaussian(0.0, 1.0), to_grid(gaussian(0.0, 1.0))):
+            joint = prepare_initial(SourceState.from_amplitudes(1.0, 1.0), probe)
+            with pytest.raises(PostselectionImpossible):
+                postselect(joint, SourceState.from_amplitudes(-1.0, 1.0))
 
     def test_completeness_randomized(self):
         probe = gaussian(0.0, 1.0, 1.0)
@@ -204,6 +206,27 @@ class TestPostselect:
     def test_csv_rows(self):
         rows = dict(run(fig2_scenario()).csv_rows())
         assert set(rows) == {"probability", "mean_kick", "std"}
+
+    def test_conditional_rendered_once_on_first_read(self, superpose_calls):
+        result = run(fig2_scenario(), n=65536)
+        assert len(superpose_calls) == 0
+        assert result.conditional.p.size == 65536
+        assert len(superpose_calls) == 1
+        assert result.conditional is result.conditional
+        assert len(superpose_calls) == 1
+
+    @pytest.mark.parametrize("preset", ["fig2", "amplification"])
+    def test_lazy_conditional_matches_eager_render(self, preset):
+        built = build_scenario(load_preset(preset))
+        s = built.scenario
+        w_a, w_b = pointer_weights(s)
+        eager = normalize(superpose(
+            [(w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b))],
+            n=built.grid_points,
+        ))
+        lazy = run(s, n=built.grid_points).conditional
+        assert np.array_equal(lazy.p, eager.p)
+        assert np.array_equal(lazy.amps, eager.amps)
 
 
 def pointer_weights(scenario: Scenario) -> tuple[complex, complex]:
