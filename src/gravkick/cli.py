@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,22 +78,21 @@ def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
 def _decomposition_curves(built: BuiltScenario, n: int = FIG2_SAMPLES):
     """The two branch pointers and their normalized sum, natural units.
 
-    The branches are sqrt(2) w_X psi(p - delta_X), w_X = conj(post_X) pre_X exp(i phi_X)
-    turned to make w_B real: beta psi_B and -alpha psi_A for the paper postselection.
-    Each curve is its modulus signed by its real part.
+    The branches are sqrt(2) w_X psi_X, the weighted pointers of `protocol.run` on the
+    scenario in units of the probe's sigma, turned to make w_B real: beta psi_B and
+    -alpha psi_A for the paper postselection.  Each curve is its modulus signed by its
+    real part.
     """
     s = built.scenario
-    sigma = built.hbar / built.width
-    d_a, d_b = s.delta_a / sigma, s.delta_b / sigma
-    w_a = complex(s.post.amp_a).conjugate() * (complex(s.pre.amp_a) * cmath.exp(1j * s.phi_a))
-    w_b = complex(s.post.amp_b).conjugate() * (complex(s.pre.amp_b) * cmath.exp(1j * s.phi_b))
-    probability, _, _ = protocol.gaussian_postselection(w_a, w_b, d_a, d_b, 1.0)
+    sigma = s.probe.sigma
+    result = protocol.run(
+        replace(s, probe=gaussian(), delta_a=s.delta_a / sigma, delta_b=s.delta_b / sigma))
+    (w_a, psi_a), (w_b, psi_b) = result.terms
     scale = math.sqrt(2.0) * cmath.exp(-1j * cmath.phase(w_b))
-    psi = gaussian(0.0, 1.0, 1.0)
     p = np.linspace(-4.0, 4.0, n)
-    branch_b = scale * w_b * psi(p - d_b)
-    branch_a = scale * w_a * psi(p - d_a)
-    total = (branch_b + branch_a) / math.sqrt(2.0) / math.sqrt(probability)
+    branch_b = scale * w_b * psi_b(p)
+    branch_a = scale * w_a * psi_a(p)
+    total = (branch_b + branch_a) / math.sqrt(2.0) / math.sqrt(result.probability)
     return p, *(np.copysign(np.abs(z), z.real) for z in (branch_b, branch_a, total))
 
 
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     assert isinstance(conditional, GridPacket)
     shown = GridPacket(p=conditional.p / unit, amps=conditional.amps * math.sqrt(unit))
     buf = io.StringIO()
-    to_csv(shown, buf, units=display.value, width=built.width)
+    to_csv(shown, buf, units=display.value, width=built.scenario.probe.width)
 
     files = {"summary.csv": summary_csv(rows), "wavefunction.csv": buf.getvalue()}
     if args.svg:
@@ -196,14 +196,7 @@ def cmd_montecarlo(args) -> int:
     if built.mc is None:
         raise ConfigError("montecarlo needs a montecarlo section (trials, seed)",
                           field="montecarlo")
-    cfg = montecarlo.RunConfig(
-        scenario=built.scenario,
-        trials=built.mc.trials,
-        seed=built.mc.seed,
-        bins=built.mc.bins,
-        grid_points=built.grid_points,
-    )
-    stats = montecarlo.run_ensemble(cfg, workers=args.workers)
+    stats = montecarlo.run_ensemble(built.mc, workers=args.workers)
     exact = protocol.run(built.scenario, n=built.grid_points)
     rows = stats.summary_rows() + [
         ("seed", built.mc.seed),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import jsonschema
@@ -18,8 +18,9 @@ import jsonschema
 from . import protocol
 from .analysis import effective_kick
 from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
+from .montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
 from .units import G, HBAR, UnitSystem
-from .wavepacket import GaussianPacket, gaussian
+from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket, gaussian
 
 _COMPLEX_ENTRY = {
     "oneOf": [
@@ -171,26 +172,17 @@ def _as_complex(entry) -> complex:
 
 
 @dataclass(frozen=True)
-class McSettings:
-    trials: int
-    seed: int
-    bins: int = 64
-
-
-@dataclass(frozen=True)
 class BuiltScenario:
     """A validated config resolved into protocol-ready objects."""
 
     scenario: protocol.Scenario
     units: UnitSystem
-    hbar: float
-    width: float  # probe W in the active unit system
     grid_points: int
     alpha: float | None  # real source amplitudes when available
     beta: float | None
     gain: float | None
     params: ProtocolParams | None  # physical parameters for SI scenarios
-    mc: McSettings | None
+    mc: RunConfig | None
     description: str = ""
 
 
@@ -208,15 +200,11 @@ def build_scenario(doc: dict) -> BuiltScenario:
     units = UnitSystem(units_name)
 
     probe_sec = doc.get("probe", {})
-    if units == UnitSystem.SI:
-        if "W" not in probe_sec:
-            raise ConfigError("SI scenarios need probe.W in meters", field="probe.W")
-        hbar = HBAR
-    else:
-        hbar = 1.0
+    if units == UnitSystem.SI and "W" not in probe_sec:
+        raise ConfigError("SI scenarios need probe.W in meters", field="probe.W")
     width = float(probe_sec.get("W", 1.0))
-    grid_points = int(probe_sec.get("grid_points", 2048))
-    probe: GaussianPacket = gaussian(0.0, width, hbar)
+    grid_points = int(probe_sec.get("grid_points", DEFAULT_GRID_POINTS))
+    probe: GaussianPacket = gaussian(0.0, width, HBAR if units == UnitSystem.SI else 1.0)
 
     params: ProtocolParams | None = None
     gain = doc["source"].get("gain")
@@ -230,7 +218,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
             x_A=float(kicks["x_A"]),
             x_B=float(kicks["x_B"]),
             W=width,
-            g=float(gain if gain is not None else 0.0),
+            g=float(gain if gain is not None else 0.0),  # a beta source sets g below
             T=kicks.get("T"),
         )
         delta_a = delta_kick(G, params.M, params.m, params.T, params.x_A)
@@ -278,33 +266,35 @@ def build_scenario(doc: dict) -> BuiltScenario:
 
     if gain is None and alpha is not None and beta != alpha and delta_a != 0.0:
         gain = -effective_kick(alpha, beta, delta_a, delta_b) / delta_a
+    gain = gain if gain is None or math.isfinite(gain) else None
+    if params is not None and "gain" not in doc["source"]:
+        if gain is None or gain < 0.0:
+            raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",
+                              field="source.beta")
+        params = replace(params, g=gain)
 
+    scenario = protocol.Scenario(
+        pre=pre,
+        post=post,
+        probe=probe,
+        delta_a=delta_a,
+        delta_b=delta_b,
+        phi_a=phi_a,
+        phi_b=phi_b,
+    )
     mc = None
     if "montecarlo" in doc:
         sec = doc["montecarlo"]
-        mc = McSettings(
-            trials=int(sec["trials"]),
-            seed=int(sec["seed"]),
-            bins=int(sec.get("bins", 64)),
-        )
+        mc = RunConfig(scenario=scenario, trials=int(sec["trials"]), seed=int(sec["seed"]),
+                       bins=int(sec.get("bins", DEFAULT_HISTOGRAM_BINS)), grid_points=grid_points)
 
     return BuiltScenario(
-        scenario=protocol.Scenario(
-            pre=pre,
-            post=post,
-            probe=probe,
-            delta_a=delta_a,
-            delta_b=delta_b,
-            phi_a=phi_a,
-            phi_b=phi_b,
-        ),
+        scenario=scenario,
         units=units,
-        hbar=hbar,
-        width=width,
         grid_points=grid_points,
         alpha=alpha,
         beta=beta,
-        gain=gain if gain is None or math.isfinite(gain) else None,
+        gain=gain,
         params=params,
         mc=mc,
         description=doc.get("description", ""),

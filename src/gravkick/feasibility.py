@@ -143,6 +143,8 @@ def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -
         raise ValueError(f"cannot solve for {unknown!r}; solvable fields: {SOLVABLE_FIELDS}")
     if target_ratio == 0.0:
         raise ValueError("the ratio is a nonzero monomial; target 0 has no solution")
+    if params.g == 0.0 and unknown != "g":
+        raise ValueError(f"the ratio vanishes at g = 0; no {unknown} reaches the target")
     target = abs(target_ratio)
     p = params
     known = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .wavepacket import GridPacket
+from .wavepacket import DEFAULT_GRID_POINTS, GridPacket
 
 BLOCK_TRIALS = 8192
 DEFAULT_HISTOGRAM_BINS = 64
@@ -27,7 +27,7 @@ class RunConfig:
     trials: int
     seed: int
     bins: int = DEFAULT_HISTOGRAM_BINS
-    grid_points: int = 2048
+    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
         if self.trials < 1:

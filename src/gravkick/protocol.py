@@ -13,12 +13,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
     GaussianPacket,
-    GridPacket,
     Moments,
     Wavepacket,
     displace,
@@ -100,12 +98,14 @@ class PostselectedResult:
     probability: float
     mean_kick: float
     std: float
-    render: Callable[[], Wavepacket] = field(compare=False, repr=False)
+    # the weighted branch pointers (w_X, psi_X) and the grid size of `conditional`
+    terms: tuple[tuple[complex, Wavepacket], ...] = field(compare=False, repr=False)
+    n: int = field(compare=False, repr=False)
 
     @cached_property
     def conditional(self) -> Wavepacket:
         """The normalized conditional probe state, rendered on first read."""
-        return self.render()
+        return normalize(superpose(list(self.terms), n=self.n))
 
     def csv_rows(self) -> list[tuple[str, float]]:
         return [
@@ -176,35 +176,32 @@ def postselect(
     its squared norm is the postselection probability.  Two Gaussian pointers
     of one width take P, mean and std from `gaussian_postselection`; other
     pointers are rendered on the grid and take them from one `moments` pass.
-    The conditional state is rendered (and normalized) only when a caller
-    first reads `conditional`.  Probabilities below 1e-30 raise
+    The result keeps the weighted pointers and renders (and normalizes) the
+    conditional state from them only when a caller first reads `conditional`;
+    grid pointers are rendered again then.  Probabilities below 1e-30 raise
     PostselectionImpossible instead of returning a garbage state.
     """
     w_a = complex(final.amp_a).conjugate() * complex(joint.amp_a)
     w_b = complex(final.amp_b).conjugate() * complex(joint.amp_b)
     ptr_a, ptr_b = joint.pointer_a, joint.pointer_b
+    terms = ((w_a, ptr_a), (w_b, ptr_b))
     if (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
             and ptr_a.sigma == ptr_b.sigma):
         probability, mean, std = gaussian_postselection(
             w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
-
-        def render() -> Wavepacket:
-            return normalize(superpose([(w_a, ptr_a), (w_b, ptr_b)], n=n))
     else:
-        unnorm = superpose([(w_a, ptr_a), (w_b, ptr_b)], n=n)
+        unnorm = superpose(list(terms), n=n)
         try:
             mom = moments(unnorm)
         except ValueError:  # identically zero: the branches cancel exactly
             mom = Moments(norm=0.0, mean=math.nan, std=math.nan)
         probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
-
-        def render() -> Wavepacket:
-            return GridPacket(p=unnorm.p, amps=unnorm.amps / mom.norm)
     if probability < MIN_POSTSELECT_PROBABILITY:
         raise PostselectionImpossible(
             f"postselection numerically impossible (probability {probability!r})"
         )
-    return PostselectedResult(probability=probability, mean_kick=mean, std=std, render=render)
+    return PostselectedResult(probability=probability, mean_kick=mean, std=std,
+                              terms=terms, n=n)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 
 import gravkick
 from gravkick.cli import main
+from gravkick.config import load_preset
 
 from . import oracles
 from .refvals import (
@@ -130,7 +131,52 @@ class TestFeasibility:
         )
         assert code != 0
         assert not out.exists()
-        assert "no solution" in capsys.readouterr().err or True
+        err = capsys.readouterr().err
+        assert "no solution" in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "runtime"
+
+    def test_solve_at_zero_gain_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**load_preset("caseB"), "source": {"gain": 0}}))
+        out = tmp_path / "bundle"
+        code = main(["feasibility", str(config), "--solve", "M", "--target", "1e-3",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "g = 0" in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "runtime"
+        # the gain itself stays solvable
+        assert main(["feasibility", str(config), "--solve", "g", "--target", "1e-3",
+                     "--out", str(out)]) == 0
+        solved = as_float(read_summary(out / "summary.csv"), "solved_g")
+        assert solved == pytest.approx(100 * 1e-3 / abs(CASE_B_RATIO), rel=1e-8)
+
+    def test_beta_source_realises_its_gain(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**load_preset("caseB"), "source": {"beta": 0.9}}))
+        feas, sim = tmp_path / "feas", tmp_path / "sim"
+        assert main(["feasibility", str(config), "--out", str(feas)]) == 0
+        assert main(["simulate", str(config), "--units", "natural", "--out", str(sim)]) == 0
+        rows, exact = read_summary(feas / "summary.csv"), read_summary(sim / "summary.csv")
+        assert as_float(rows, "ps_prob") == pytest.approx(
+            as_float(exact, "postselection_probability"), rel=1e-8)
+        gain = as_float(exact, "gain")
+        assert gain > 0
+        assert as_float(rows, "g") == pytest.approx(gain, rel=1e-8)
+        # natural-unit delta_a is delta_A / sigma
+        assert as_float(rows, "ratio") == pytest.approx(
+            -gain * as_float(exact, "delta_a"), rel=1e-8)
+
+    def test_beta_source_with_negative_gain_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**load_preset("caseB"), "source": {"beta": 0.999}}))
+        out = tmp_path / "bundle"
+        assert main(["feasibility", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert record["field"] == "source.beta"
 
     def test_natural_config_rejected(self, tmp_path, capsys):
         code = main(["feasibility", "--scenario", "fig2", "--out", str(tmp_path / "x")])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gravkick import protocol
 from gravkick.config import (
     ConfigError,
     PRESET_NAMES,
@@ -12,7 +13,10 @@ from gravkick.config import (
     preset_descriptions,
     validate_config,
 )
+from gravkick.feasibility import evaluate_case
+from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
 from gravkick.units import UnitSystem
+from gravkick.wavepacket import DEFAULT_GRID_POINTS
 
 from .refvals import AMP_GAIN, FIG2_ALPHA
 
@@ -84,7 +88,7 @@ class TestAssembly:
         built = build_scenario(minimal_natural())
         assert built.alpha == pytest.approx(FIG2_ALPHA, abs=1e-15)
         assert built.units is UnitSystem.NATURAL
-        assert built.hbar == 1.0
+        assert built.scenario.probe.hbar == 1.0
 
     def test_gain_derived_from_amplitudes(self):
         doc = minimal_natural(source={"beta": 0.7074067811865474})
@@ -118,6 +122,30 @@ class TestAssembly:
         built = build_scenario(load_preset("fig2"))
         assert built.mc.trials == 100000
         assert built.mc.seed == 42
+
+    def test_montecarlo_section_builds_the_run_config(self):
+        doc = minimal_natural(montecarlo={"trials": 10, "seed": 3})
+        built = build_scenario(doc)
+        assert built.mc == RunConfig(scenario=built.scenario, trials=10, seed=3,
+                                     bins=DEFAULT_HISTOGRAM_BINS, grid_points=DEFAULT_GRID_POINTS)
+        assert build_scenario(minimal_natural()).mc is None
+
+    def test_beta_source_carries_its_gain_into_params(self):
+        built = build_scenario({**load_preset("caseB"), "source": {"beta": 0.9}})
+        s = built.scenario
+        assert built.params.g == built.gain > 0
+        case = evaluate_case(built.params)
+        assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
+        assert case.ratio == pytest.approx(-built.gain * s.delta_a / s.probe.sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("source", [
+        {"beta": 0.999},  # realises gain -0.058
+        {"alpha": 0.7071067811865476, "beta": 0.7071067811865476},  # no gain at all
+    ])
+    def test_si_beta_source_without_a_nonnegative_gain_rejected(self, source):
+        with pytest.raises(ConfigError, match="gain") as exc:
+            build_scenario({**load_preset("caseB"), "source": source})
+        assert exc.value.field == "source.beta"
 
     def test_preset_listing(self):
         names = [name for name, _ in preset_descriptions()]

@@ -183,6 +183,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="target 0"):
             solve_parameter(case_b_params(), "T", 0.0)
 
+    def test_zero_gain_solves_only_for_the_gain(self):
+        params = replace(case_b_params(), g=0.0)
+        for field in ("M", "m", "W", "T", "x_A"):
+            with pytest.raises(ValueError, match="g = 0"):
+                solve_parameter(params, field, 1e-3)
+        solved = solve_parameter(params, "g", 1e-3)
+        assert abs(feasibility_ratio(replace(params, g=solved))) == pytest.approx(1e-3, rel=1e-12)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="solve"):
             solve_parameter(case_b_params(), "x_B", 1e-3)
