@@ -16,7 +16,6 @@ from .analysis import (
     weak_value_report,
 )
 from .feasibility import (
-    FeasibilityCase,
     ProtocolParams,
     amplitudes_for_gain,
     delta_kick,

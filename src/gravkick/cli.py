@@ -70,9 +70,7 @@ def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
         return 1.0
     if built.params is None:
         raise ConfigError("natural-unit scenarios have no SI anchor; cannot convert")
-    if display == UnitSystem.NATURAL:
-        return convert(1.0, "momentum", UnitSystem.NATURAL, UnitSystem.SI, built.params.W)
-    return 1.0 / convert(1.0, "momentum", UnitSystem.NATURAL, UnitSystem.SI, built.params.W)
+    return convert(1.0, "momentum", UnitSystem.NATURAL, UnitSystem.SI, built.params.W)
 
 
 def _decomposition_curves(built: BuiltScenario, n: int = FIG2_SAMPLES):
@@ -168,23 +166,16 @@ def cmd_feasibility(args) -> int:
     if (args.solve is None) != (args.target is None):
         raise ConfigError("--solve and --target must be given together")
 
-    case = evaluate_case(built.params)
-    p = built.params
-    rows: list[tuple[str, object]] = [
-        ("M", p.M), ("m", p.m), ("T", p.T), ("x_A", p.x_A), ("x_B", p.x_B),
-        ("W", p.W), ("g", p.g),
-        ("delta_a", case.delta_a), ("delta_b", case.delta_b),
-        ("ratio", case.ratio), ("tau", case.tau), ("ps_prob", case.ps_prob),
-        ("valid_flag", case.separation_ok),
-    ]
+    cases = evaluate_case(built.params)
+    rows: list[tuple[str, object]] = list(zip(cases.dtype.names, cases.tolist()[0]))
     if args.solve is not None:
-        solved = solve_parameter(p, args.solve, args.target)
+        solved = solve_parameter(built.params, args.solve, args.target)
         rows.append((f"solved_{args.solve}", solved))
         rows.append(("solve_target", args.target))
 
     files = {
         "summary.csv": summary_csv(rows),
-        "sweep.csv": sweep_csv([case]),
+        "sweep.csv": sweep_csv(cases),
     }
     write_bundle(_out_dir(args), files)
     print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
@@ -240,7 +231,7 @@ def cmd_sweep(args) -> int:
         if len(axes) != 2:
             raise ConfigError("--svg heatmaps need two axes")
         (f1, s1, e1, c1), (f2, s2, e2, c2) = axes
-        z = np.abs(np.array([case.ratio for case in cases])).reshape(c1, c2)
+        z = np.abs(cases.ratio).reshape(c1, c2)
         files["sweep.svg"] = svg.heatmap(
             np.linspace(s1, e1, c1),
             np.linspace(s2, e2, c2),

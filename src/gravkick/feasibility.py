@@ -4,12 +4,13 @@ Everything here is SI.  The headline quantity is the ratio of the amplified
 first-order momentum transfer to the probe's initial momentum uncertainty,
   ratio = -g G M m W T / (hbar x_A^2),
 a monomial in every input, which is what makes single-parameter solving and
-grid sweeps exact.
+grid sweeps exact.  A grid is evaluated as numpy columns: each parameter
+field holds a float or one column of grid points, and the formulas below take
+either.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,6 +23,11 @@ SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
 SWEEP_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g")
 
 SWEEP_CSV_HEADER = "M,m,T,xA,xB,W,g,deltaA,deltaB,ratio,tau,ps_prob,valid_flag"
+# Record fields of `evaluate_case` and `sweep`, in sweep.csv column order.  `T` is read as
+# cases["T"]: the attribute `.T` of a record array is its transpose.
+CASE_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g",
+               "delta_a", "delta_b", "ratio", "tau", "ps_prob", "valid_flag")
+_CSV_ROW = ",".join(["%.8e"] * 12) + ",%d"
 
 # Below x_A = 10 W the "separations much larger than packet widths" modeling
 # assumption starts to fail; cases are flagged, not rejected.
@@ -30,21 +36,25 @@ SEPARATION_FACTOR = 10.0
 
 def delta_kick(G_newton: float, M: float, m: float, T: float, x: float) -> float:
     """Momentum kick G M m T / x^2 accumulated over the interaction time."""
-    if x <= 0:
+    if np.any(x <= 0):
         raise ValueError("branch distance must be positive")
     return G_newton * M * m * T / (x * x)
 
 
 def spreading_time(m: float, W: float) -> float:
     """Time m W^2 / (2 hbar) for the position width to grow by sqrt(2)."""
-    if m <= 0 or W <= 0:
+    if np.any((m <= 0) | (W <= 0)):
         raise ValueError("mass and width must be positive")
     return m * W * W / (2.0 * HBAR)
 
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Physical inputs, SI.  T defaults to the spreading time of (m, W)."""
+    """Physical inputs, SI.  T defaults to the spreading time of (m, W).
+
+    A field may also hold a numpy column, one value per grid point; every
+    check then holds at each point.
+    """
 
     M: float  # source mass [kg]
     m: float  # probe mass [kg]
@@ -58,11 +68,11 @@ class ProtocolParams:
         if self.T is None:
             object.__setattr__(self, "T", spreading_time(self.m, self.W))
         for name in ("M", "m", "x_A", "x_B", "W", "T"):
-            if getattr(self, name) <= 0:
+            if np.any(getattr(self, name) <= 0):
                 raise ValueError(f"{name} must be positive")
-        if self.g < 0:
+        if np.any(self.g < 0):
             raise ValueError("amplification factor must be non-negative")
-        if self.x_B <= self.x_A:
+        if np.any(self.x_B <= self.x_A):
             raise ValueError("x_B must exceed x_A")
 
     @property
@@ -83,54 +93,36 @@ def amplitudes_for_gain(gain: float, kick_ratio: float) -> tuple[float, float]:
     `kick_ratio` is delta_b / delta_a in (0, 1).  Inverting the first-order
     kick formula gives alpha/beta = (kick_ratio + gain) / (1 + gain) exactly.
     """
-    if not 0.0 < kick_ratio < 1.0:
+    if not np.all((0.0 < kick_ratio) & (kick_ratio < 1.0)):
         raise ValueError("kick ratio delta_b/delta_a must lie in (0, 1)")
-    if gain < 0:
+    if np.any(gain < 0):
         raise ValueError("gain must be non-negative")
     t = (kick_ratio + gain) / (1.0 + gain)
-    beta = 1.0 / math.sqrt(1.0 + t * t)
+    beta = 1.0 / np.sqrt(1.0 + t * t)
     return t * beta, beta
 
 
-@dataclass(frozen=True)
-class FeasibilityCase:
-    params: ProtocolParams
-    delta_a: float
-    delta_b: float
-    ratio: float
-    tau: float
-    ps_prob: float
-    separation_ok: bool
-
-    def csv_row(self) -> str:
-        p = self.params
-        cells = [
-            p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g,
-            self.delta_a, self.delta_b, self.ratio, self.tau, self.ps_prob,
-        ]
-        return ",".join(f"{c:.8e}" for c in cells) + f",{int(self.separation_ok)}"
-
-
-def evaluate_case(params: ProtocolParams) -> FeasibilityCase:
-    """All derived quantities for one parameter point.
+def evaluate_case(params: ProtocolParams) -> np.recarray:
+    """All derived quantities, one record per point of `params` (one for float fields).
 
     The postselection probability is the exact Gaussian-probe acceptance for
-    the paper weights (-alpha/sqrt(2), beta/sqrt(2)).
+    the paper weights (-alpha/sqrt(2), beta/sqrt(2)), one closed-form call per
+    record.
     """
-    d_a = delta_kick(G, params.M, params.m, params.T, params.x_A)
-    d_b = delta_kick(G, params.M, params.m, params.T, params.x_B)
-    alpha, beta = amplitudes_for_gain(params.g, d_b / d_a)
+    p = params
+    d_a = delta_kick(G, p.M, p.m, p.T, p.x_A)
+    d_b = delta_kick(G, p.M, p.m, p.T, p.x_B)
+    values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, d_a, d_b, feasibility_ratio(p),
+              spreading_time(p.m, p.W), math.nan, p.separation_ok)
+    cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
+    alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
     root2 = math.sqrt(2.0)
-    ps_prob, _, _ = gaussian_postselection(-alpha / root2, beta / root2, d_a, d_b, HBAR / params.W)
-    return FeasibilityCase(
-        params=params,
-        delta_a=d_a,
-        delta_b=d_b,
-        ratio=feasibility_ratio(params),
-        tau=spreading_time(params.m, params.W),
-        ps_prob=ps_prob,
-        separation_ok=params.separation_ok,
-    )
+    cases["ps_prob"] = [
+        gaussian_postselection(-a / root2, b / root2, da, db, HBAR / w)[0]
+        for a, b, da, db, w in zip(alpha.tolist(), beta.tolist(), cases.delta_a.tolist(),
+                                   cases.delta_b.tolist(), cases.W.tolist())
+    ]
+    return cases
 
 
 def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -> float:
@@ -167,11 +159,12 @@ def sweep(
     base: ProtocolParams,
     axes: list[Axis],
     workers: int = 1,
-) -> list[FeasibilityCase]:
-    """Dense 1- or 2-axis grid of cases, row-major over the axes.
+) -> np.recarray:
+    """Dense 1- or 2-axis grid of cases, row-major over the axes (outer axis slowest).
 
-    `workers` is accepted and ignored: the cases are evaluated serially,
-    because a thread pool measured slower than the serial loop.
+    Each swept field becomes one column over the grid; the other fields,
+    T included, keep the base point's value.  `workers` is accepted and
+    ignored: the columns are evaluated in one pass.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -184,14 +177,12 @@ def sweep(
         if count < 2:
             raise ValueError("each axis needs at least 2 points")
 
-    grids = [np.linspace(start, stop, count) for _, start, stop, count in axes]
-    return [
-        evaluate_case(replace(base, **{f: float(v) for f, v in zip(fields, values)}))
-        for values in itertools.product(*grids)
-    ]
+    grids = np.meshgrid(*(np.linspace(start, stop, count) for _, start, stop, count in axes),
+                        indexing="ij")
+    return evaluate_case(replace(base, **{f: grid.ravel() for f, grid in zip(fields, grids)}))
 
 
-def sweep_csv(cases: list[FeasibilityCase]) -> str:
+def sweep_csv(cases: np.recarray) -> str:
     lines = [SWEEP_CSV_HEADER]
-    lines.extend(case.csv_row() for case in cases)
+    lines.extend(_CSV_ROW % row for row in cases.tolist())
     return "\n".join(lines) + "\n"

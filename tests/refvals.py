@@ -51,3 +51,7 @@ DELTA_KICK_EXAMPLE = 2.08571875e-32
 
 # One natural momentum unit (hbar / W) at W = 1e-5 m
 MOMENTUM_UNIT_W_1E5 = 1.054571817e-29
+
+# sha256 of sweep.csv from `sweep --scenario caseB --axis M=1e-15:1e-13:6
+# --axis2 x_A=2e-7:1e-6:5`, written by the per-point sweep before the column rewrite
+SWEEP_CSV_SHA256_CASE_B = "3add0efc2cd48d3ef1319318dcafdedfcc6345961c26bcb019e0b88a4d9a9e7d"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from .refvals import (
     CASE_B_RATIO,
     FIG2_DELTA_EF,
     FIG2_MEAN,
+    SWEEP_CSV_SHA256_CASE_B,
 )
 
 
@@ -278,6 +280,28 @@ class TestSweep:
         assert len(lines) == 1 + 12
         svg_text = (out / "sweep.svg").read_text()
         assert svg_text.count("<rect") >= 12
+
+    def test_csv_bytes_frozen(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:6",
+                     "--axis2", "x_A=2e-7:1e-6:5", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == SWEEP_CSV_SHA256_CASE_B
+
+    @pytest.mark.parametrize("axis, message", [
+        ("x_A=4e-7:2e-6:5", "x_B must exceed x_A"),
+        ("g=10:-10:5", "amplification factor must be non-negative"),
+        ("M=1e-14:0:5", "M must be positive"),
+    ])
+    def test_point_refusal_is_a_runtime_error(self, tmp_path, capsys, axis, message):
+        out = tmp_path / "bundle"
+        code = main(["sweep", "--scenario", "caseB", "--axis", "W=5e-8:2e-7:3",
+                     "--axis2", axis, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "runtime"
 
     def test_bad_axis_spec(self, tmp_path, capsys):
         code = main(

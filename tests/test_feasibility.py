@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravkick import feasibility
 from gravkick.analysis import effective_kick
 from gravkick.feasibility import (
     SWEEP_CSV_HEADER,
-    FeasibilityCase,
     ProtocolParams,
     amplitudes_for_gain,
     delta_kick,
@@ -236,8 +236,8 @@ class TestSweep:
     def test_two_axis_row_major_order(self):
         cases = sweep(case_b_params(), [("M", 1e-15, 1e-14, 10), ("x_A", 4e-7, 1.2e-6, 10)])
         assert len(cases) == 100
-        ms = [c.params.M for c in cases]
-        xs = [c.params.x_A for c in cases]
+        ms = cases.M.tolist()
+        xs = cases.x_A.tolist()
         assert ms == sorted(ms)  # outer axis slowest
         assert xs[:10] == sorted(xs[:10])  # inner axis fastest within a block
         assert ms[0] != ms[-1] and xs[0] == xs[10]
@@ -258,7 +258,33 @@ class TestSweep:
         axes = [("M", 1e-15, 1e-14, 6), ("W", 5e-8, 5e-7, 5)]
         serial = sweep(case_b_params(), axes, workers=1)
         parallel = sweep(case_b_params(), axes, workers=8)
-        assert [c.csv_row() for c in serial] == [c.csv_row() for c in parallel]
+        assert sweep_csv(serial) == sweep_csv(parallel)
+
+    def test_one_call_evaluates_the_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(feasibility, "evaluate_case",
+                            lambda params: calls.append(params) or evaluate_case(params))
+        cases = sweep(case_b_params(), [("M", 1e-15, 1e-14, 4), ("g", 10.0, 1e3, 3)])
+        assert len(calls) == 1 and len(cases) == 12
+        assert cases["T"].tolist() == [case_b_params().T] * 12
+
+    def test_columns_match_single_points(self):
+        # each record is the one-row case of its own point, field for field
+        base = case_a_params()
+        cases = sweep(base, [("m", 1e-25, 4e-25, 5), ("g", 1e3, 1e7, 4)])
+        for case in cases:
+            point = replace(base, m=float(case.m), g=float(case.g))
+            assert case.tolist() == evaluate_case(point)[0].tolist()
+
+    @pytest.mark.parametrize("axis, message", [
+        (("x_A", 4e-7, 2e-6, 5), "x_B must exceed x_A"),
+        (("g", 10.0, -10.0, 5), "amplification factor must be non-negative"),
+        (("M", 1e-14, 0.0, 5), "M must be positive"),
+    ])
+    def test_point_refusals_kept(self, axis, message):
+        for axes in ([axis], [("W", 5e-8, 2e-7, 3), axis], [axis, ("W", 5e-8, 2e-7, 3)]):
+            with pytest.raises(ValueError, match=message):
+                sweep(case_b_params(), axes)
 
 
 class TestAcceptance:
@@ -268,7 +294,7 @@ class TestAcceptance:
         # (1 - 2 alpha beta I)/2 cancels as the gain grows; the reference takes
         # the paper weights (-alpha/sqrt(2), beta/sqrt(2)) at their float values.
         params = replace(make_params(), g=gain)
-        case = evaluate_case(params)
+        (case,) = evaluate_case(params)
         alpha, beta = amplitudes_for_gain(gain, case.delta_b / case.delta_a)
         reference, _, _ = oracles.two_gaussian_stats_mp(
             -alpha / math.sqrt(2.0), beta / math.sqrt(2.0), case.delta_a, case.delta_b,
@@ -279,7 +305,7 @@ class TestAcceptance:
 
 class TestCsvFormat:
     def test_header_and_digits(self):
-        text = sweep_csv([evaluate_case(case_b_params())])
+        text = sweep_csv(evaluate_case(case_b_params()))
         lines = text.splitlines()
         assert lines[0] == SWEEP_CSV_HEADER
         cells = lines[1].split(",")
@@ -292,7 +318,7 @@ class TestCsvFormat:
             assert len(mantissa.replace(".", "")) == 9
 
     def test_case_row_values(self):
-        case = evaluate_case(case_b_params())
+        (case,) = evaluate_case(case_b_params())
         assert case.tau == pytest.approx(TAU_CASE_B, rel=1e-12)
         assert case.ratio == pytest.approx(CASE_B_RATIO, rel=1e-12)
         assert case.delta_a == pytest.approx(DELTA_KICK_EXAMPLE, rel=1e-12)
