@@ -166,7 +166,8 @@ def cmd_feasibility(args) -> int:
     if (args.solve is None) != (args.target is None):
         raise ConfigError("--solve and --target must be given together")
 
-    cases = evaluate_case(built.params)
+    s = built.scenario
+    cases = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
     rows: list[tuple[str, object]] = list(zip(cases.dtype.names, cases.tolist()[0]))
     if args.solve is not None:
         solved = solve_parameter(built.params, args.solve, args.target)
@@ -219,7 +220,8 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(args.axis)]
     if args.axis2:
         axes.append(_parse_axis(args.axis2))
-    cases = sweep(built.params, axes, workers=args.workers)
+    s = built.scenario
+    cases = sweep(built.params, axes, args.workers, s.post, (s.phi_a, s.phi_b))
 
     files = {"sweep.csv": sweep_csv(cases)}
     rows: list[tuple[str, object]] = [("rows", len(cases))]

@@ -11,12 +11,13 @@ either.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .protocol import gaussian_postselection
+from .protocol import SourceState, gaussian_postselection, paper_postselection
 from .units import G, HBAR
 
 SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
@@ -102,12 +103,18 @@ def amplitudes_for_gain(gain: float, kick_ratio: float) -> tuple[float, float]:
     return t * beta, beta
 
 
-def evaluate_case(params: ProtocolParams) -> np.recarray:
+def evaluate_case(
+    params: ProtocolParams,
+    final: SourceState | None = None,
+    phases: tuple[float, float] = (0.0, 0.0),
+) -> np.recarray:
     """All derived quantities, one record per point of `params` (one for float fields).
 
-    The postselection probability is the exact Gaussian-probe acceptance for
-    the paper weights (-alpha/sqrt(2), beta/sqrt(2)), one closed-form call per
-    record.
+    ps_prob is the exact Gaussian-probe acceptance, one closed-form call per
+    record, of the weights w_X = conj(final_X) (amp_X e^{i phi_X}) grouped as
+    `protocol.evolve` and `protocol.postselect` group them: amp = (alpha, beta)
+    realises the record's gain, `final` and `phases` are the scenario's, and
+    `final` defaults to the paper postselection with those phases.
     """
     p = params
     d_a = delta_kick(G, p.M, p.m, p.T, p.x_A)
@@ -116,9 +123,12 @@ def evaluate_case(params: ProtocolParams) -> np.recarray:
               spreading_time(p.m, p.W), math.nan, p.separation_ok)
     cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
     alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
-    root2 = math.sqrt(2.0)
+    final = final if final is not None else paper_postselection(*phases)
+    post_a, post_b = complex(final.amp_a).conjugate(), complex(final.amp_b).conjugate()
+    turn_a, turn_b = (cmath.exp(1j * phi) for phi in phases)
     cases["ps_prob"] = [
-        gaussian_postselection(-a / root2, b / root2, da, db, HBAR / w)[0]
+        gaussian_postselection(post_a * (complex(a) * turn_a), post_b * (complex(b) * turn_b),
+                               da, db, HBAR / w)[0]
         for a, b, da, db, w in zip(alpha.tolist(), beta.tolist(), cases.delta_a.tolist(),
                                    cases.delta_b.tolist(), cases.W.tolist())
     ]
@@ -159,12 +169,15 @@ def sweep(
     base: ProtocolParams,
     axes: list[Axis],
     workers: int = 1,
+    final: SourceState | None = None,
+    phases: tuple[float, float] = (0.0, 0.0),
 ) -> np.recarray:
     """Dense 1- or 2-axis grid of cases, row-major over the axes (outer axis slowest).
 
     Each swept field becomes one column over the grid; the other fields,
-    T included, keep the base point's value.  `workers` is accepted and
-    ignored: the columns are evaluated in one pass.
+    T included, keep the base point's value.  `final` and `phases` weight
+    ps_prob as in `evaluate_case`.  `workers` is accepted and ignored: the
+    columns are evaluated in one pass.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -179,7 +192,8 @@ def sweep(
 
     grids = np.meshgrid(*(np.linspace(start, stop, count) for _, start, stop, count in axes),
                         indexing="ij")
-    return evaluate_case(replace(base, **{f: grid.ravel() for f, grid in zip(fields, grids)}))
+    columns = {f: grid.ravel() for f, grid in zip(fields, grids)}
+    return evaluate_case(replace(base, **columns), final, phases)
 
 
 def sweep_csv(cases: np.recarray) -> str:

@@ -104,6 +104,14 @@ class TestGridRenders:
         assert len(superpose_calls) == 1
 
 
+# non-paper postselections of an SI document: real, and complex with interaction phases
+DOCUMENT_WEIGHTS = [
+    {"postselection": {"amp_A": 0.6, "amp_B": 0.8}},
+    {"postselection": {"amp_A": [0.3, -0.5], "amp_B": [0.7, 0.2]},
+     "phases": {"phi_A": 0.4, "phi_B": -1.1}},
+]
+
+
 class TestFeasibility:
     def test_case_b_ratio(self, tmp_path):
         out = tmp_path / "bundle"
@@ -169,6 +177,21 @@ class TestFeasibility:
         # natural-unit delta_a is delta_A / sigma
         assert as_float(rows, "ratio") == pytest.approx(
             -gain * as_float(exact, "delta_a"), rel=1e-8)
+
+    @pytest.mark.parametrize("extra", DOCUMENT_WEIGHTS, ids=["real", "complex-phased"])
+    def test_ps_prob_follows_the_document_postselection(self, tmp_path, extra):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**load_preset("caseB"), **extra}))
+        feas, sim, grid = tmp_path / "feas", tmp_path / "sim", tmp_path / "grid"
+        assert main(["feasibility", str(config), "--out", str(feas)]) == 0
+        assert main(["simulate", str(config), "--out", str(sim)]) == 0
+        assert main(["sweep", str(config), "--axis", "M=1e-15:1e-14:10", "--out", str(grid)]) == 0
+        exact = as_float(read_summary(sim / "summary.csv"), "postselection_probability")
+        assert as_float(read_summary(feas / "summary.csv"), "ps_prob") == pytest.approx(
+            exact, rel=1e-8)
+        # the last sweep row is the document's own point
+        last = (grid / "sweep.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[11]) == pytest.approx(exact, rel=1e-8)
 
     def test_beta_source_with_negative_gain_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

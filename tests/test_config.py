@@ -138,6 +138,17 @@ class TestAssembly:
         assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
         assert case.ratio == pytest.approx(-built.gain * s.delta_a / s.probe.sigma, rel=1e-12)
 
+    @pytest.mark.parametrize("extra", [
+        {"postselection": {"amp_A": 0.6, "amp_B": 0.8}},
+        {"postselection": {"amp_A": [0.3, -0.5], "amp_B": [0.7, 0.2]},
+         "phases": {"phi_A": 0.4, "phi_B": -1.1}},
+    ], ids=["real", "complex-phased"])
+    def test_feasibility_weights_come_from_the_document(self, extra):
+        built = build_scenario({**load_preset("caseB"), **extra})
+        s = built.scenario
+        (case,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
+        assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
+
     @pytest.mark.parametrize("source", [
         {"beta": 0.999},  # realises gain -0.058
         {"alpha": 0.7071067811865476, "beta": 0.7071067811865476},  # no gain at all

@@ -263,7 +263,7 @@ class TestSweep:
     def test_one_call_evaluates_the_grid(self, monkeypatch):
         calls = []
         monkeypatch.setattr(feasibility, "evaluate_case",
-                            lambda params: calls.append(params) or evaluate_case(params))
+                            lambda *args: calls.append(args) or evaluate_case(*args))
         cases = sweep(case_b_params(), [("M", 1e-15, 1e-14, 4), ("g", 10.0, 1e3, 3)])
         assert len(calls) == 1 and len(cases) == 12
         assert cases["T"].tolist() == [case_b_params().T] * 12
