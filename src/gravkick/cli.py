@@ -54,6 +54,12 @@ def _out_dir(args) -> str:
     return args.out or os.environ.get("GRAVKICK_OUT") or "gravkick-out"
 
 
+def _emit_bundle(args, files: dict[str, str]) -> int:
+    write_bundle(_out_dir(args), files)
+    print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
+    return 0
+
+
 def _resolve_doc(args) -> dict:
     if args.scenario and args.config:
         raise ConfigError("give either a config file or --scenario, not both")
@@ -154,9 +160,7 @@ def cmd_simulate(args) -> int:
         curves_csv, image = _decomposition_files(built)
         files["fig2.svg"] = image
         files["fig2_curves.csv"] = curves_csv
-    write_bundle(_out_dir(args), files)
-    print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
-    return 0
+    return _emit_bundle(args, files)
 
 
 def cmd_feasibility(args) -> int:
@@ -178,9 +182,7 @@ def cmd_feasibility(args) -> int:
         "summary.csv": summary_csv(rows),
         "sweep.csv": sweep_csv(cases),
     }
-    write_bundle(_out_dir(args), files)
-    print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
-    return 0
+    return _emit_bundle(args, files)
 
 
 def cmd_montecarlo(args) -> int:
@@ -199,18 +201,19 @@ def cmd_montecarlo(args) -> int:
         "summary.csv": summary_csv(rows),
         "histogram.csv": stats.histogram_csv(),
     }
-    write_bundle(_out_dir(args), files)
-    print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
-    return 0
+    return _emit_bundle(args, files)
 
 
 def _parse_axis(text: str):
     try:
         field, rng = text.split("=", 1)
         start, stop, count = rng.split(":")
-        return (field.strip(), float(start), float(stop), int(count))
+        axis = (field.strip(), float(start), float(stop), int(count))
     except ValueError as exc:
         raise ConfigError(f"axis must look like FIELD=start:stop:count, got {text!r}") from exc
+    if not (math.isfinite(axis[1]) and math.isfinite(axis[2])):
+        raise ConfigError(f"axis bounds must be finite numbers, got {text!r}")
+    return axis
 
 
 def cmd_sweep(args) -> int:
@@ -242,9 +245,7 @@ def cmd_sweep(args) -> int:
             xlabel=f1,
             ylabel=f2,
         )
-    write_bundle(_out_dir(args), files)
-    print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
-    return 0
+    return _emit_bundle(args, files)
 
 
 def cmd_fig2(args) -> int:

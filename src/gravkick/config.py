@@ -134,10 +134,14 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _refuse_constant(literal: str):
+    raise ConfigError(f"invalid JSON: {literal} is not a finite number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -139,27 +139,26 @@ def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -
     """Invert |ratio| = g G M m W T / (hbar x_A^2) for one field.
 
     Returns the unique positive value of `unknown` that reproduces
-    |target_ratio|; every other field is read from `params`.
+    |target_ratio|; every other field is read from `params`.  |ratio| is
+    linear in M, m, W, T and g and goes as x_A^-2, so the field is rescaled by
+    the target over `feasibility_ratio`, taken at g = 1 so that the gain stays
+    solvable at g = 0.
     """
     if unknown not in SOLVABLE_FIELDS:
         raise ValueError(f"cannot solve for {unknown!r}; solvable fields: {SOLVABLE_FIELDS}")
     if target_ratio == 0.0:
         raise ValueError("the ratio is a nonzero monomial; target 0 has no solution")
+    if not math.isfinite(target_ratio):
+        raise ValueError(f"the target ratio must be finite, got {target_ratio!r}")
     if params.g == 0.0 and unknown != "g":
         raise ValueError(f"the ratio vanishes at g = 0; no {unknown} reaches the target")
-    target = abs(target_ratio)
-    p = params
-    known = {
-        "M": p.M, "m": p.m, "W": p.W, "T": p.T, "g": p.g,
-    }
+    unit_gain_ratio = abs(feasibility_ratio(replace(params, g=1.0)))
+    if unknown == "g":
+        return abs(target_ratio) / unit_gain_ratio
+    scale = abs(target_ratio) / (params.g * unit_gain_ratio)
     if unknown == "x_A":
-        product = G * p.g * p.M * p.m * p.W * p.T
-        return math.sqrt(product / (HBAR * target))
-    rest = G
-    for name, value in known.items():
-        if name != unknown:
-            rest *= value
-    return target * HBAR * p.x_A * p.x_A / rest
+        return params.x_A / math.sqrt(scale)
+    return getattr(params, unknown) * scale
 
 
 Axis = tuple[str, float, float, int]  # (field, start, stop, count)

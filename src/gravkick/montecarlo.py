@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .wavepacket import DEFAULT_GRID_POINTS, GridPacket
+from .wavepacket import DEFAULT_GRID_POINTS
 
 BLOCK_TRIALS = 8192
 DEFAULT_HISTOGRAM_BINS = 64
@@ -76,27 +76,14 @@ def stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Sampler:
-    """Piecewise-linear inverse CDF over the conditional grid."""
-
-    p: np.ndarray
-    cdf: np.ndarray
-
-    @classmethod
-    def from_conditional(cls, conditional: GridPacket) -> "_Sampler":
-        w = np.abs(conditional.amps) ** 2
-        masses = 0.5 * (w[:-1] + w[1:]) * conditional.dp
-        cdf = np.concatenate(([0.0], np.cumsum(masses)))
-        cdf /= cdf[-1]
-        return cls(p=conditional.p, cdf=cdf)
-
-    def draw(self, uniforms: np.ndarray) -> np.ndarray:
-        return np.interp(uniforms, self.cdf, self.p)
-
-    def bin_masses(self, edges: np.ndarray) -> np.ndarray:
-        """Probability mass between histogram edges, per the sampler's own CDF."""
-        return np.diff(np.interp(edges, self.p, self.cdf))
+def _conditional_cdf(cfg: RunConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """P, the conditional grid, its piecewise-linear CDF and the histogram edges."""
+    result = protocol.run(cfg.scenario, n=cfg.grid_points)
+    grid = result.conditional
+    w = np.abs(grid.amps) ** 2
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * grid.dp)))
+    cdf /= cdf[-1]
+    return result.probability, grid.p, cdf, np.linspace(grid.p[0], grid.p[-1], cfg.bins + 1)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -106,10 +93,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
     """Simulate cfg.trials runs; deterministic given cfg.seed.  `workers` is
     accepted and ignored: a thread pool measured no faster than this loop."""
-    result = protocol.run(cfg.scenario, n=cfg.grid_points)
-    probability = result.probability
-    sampler = _Sampler.from_conditional(result.conditional)
-    edges = np.linspace(sampler.p[0], sampler.p[-1], cfg.bins + 1)
+    probability, p, cdf, edges = _conditional_cdf(cfg)
 
     accepted, total, total_sq = 0, 0.0, 0.0
     counts = np.zeros(cfg.bins, dtype=np.int64)
@@ -117,7 +101,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
         nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
         u = _block_rng(cfg.seed, block).random(2 * nb)
         accepted_mask = u[:nb] < probability
-        samples = sampler.draw(u[nb:][accepted_mask])
+        samples = np.interp(u[nb:][accepted_mask], cdf, p)
         accepted += int(accepted_mask.sum())
         total += float(samples.sum())
         total_sq += float(np.sum(samples**2))
@@ -141,10 +125,8 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
 
 def expected_bin_masses(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Histogram edges and the exact per-bin masses the sampler targets."""
-    result = protocol.run(cfg.scenario, n=cfg.grid_points)
-    sampler = _Sampler.from_conditional(result.conditional)
-    edges = np.linspace(sampler.p[0], sampler.p[-1], cfg.bins + 1)
-    return edges, sampler.bin_masses(edges)
+    _, p, cdf, edges = _conditional_cdf(cfg)
+    return edges, np.diff(np.interp(edges, p, cdf))
 
 
 def required_trials(delta_ef: float, delta_p: float, p_ps: float, k_sigma: float) -> int:

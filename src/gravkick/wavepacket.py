@@ -213,8 +213,9 @@ def superpose(
 # --- CSV serialization (header `p,re,im`, metadata comment line) ---
 
 
-def to_csv(psi: Wavepacket, dest: TextIO | str, units: str = "natural", width: float = 1.0) -> None:
-    """Write a wavepacket as CSV rows `p,re,im` with a unit metadata comment."""
+def to_csv(psi: Wavepacket, dest: TextIO, units: str = "natural", width: float = 1.0) -> None:
+    """Write a wavepacket to the text stream `dest` as CSV rows `p,re,im` with a unit
+    metadata comment."""
     grid = to_grid(psi)
     if units not in ("natural", "si"):
         raise ValueError(f"units must be 'natural' or 'si', got {units!r}")
@@ -223,20 +224,12 @@ def to_csv(psi: Wavepacket, dest: TextIO | str, units: str = "natural", width: f
     buf.write("p,re,im\n")
     for p, a in zip(grid.p.tolist(), grid.amps.tolist()):
         buf.write(f"{p!r},{a.real!r},{a.imag!r}\n")
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        dest.write(buf.getvalue())
+    dest.write(buf.getvalue())
 
 
-def from_csv(src: TextIO | str) -> tuple[GridPacket, dict]:
-    """Read a wavepacket written by `to_csv`; returns (packet, metadata)."""
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = src.read().splitlines()
+def from_csv(src: TextIO) -> tuple[GridPacket, dict]:
+    """Read a wavepacket written by `to_csv` from a text stream; returns (packet, metadata)."""
+    lines = src.read().splitlines()
     meta: dict = {}
     rows = []
     for line in lines:

@@ -55,3 +55,22 @@ MOMENTUM_UNIT_W_1E5 = 1.054571817e-29
 # sha256 of sweep.csv from `sweep --scenario caseB --axis M=1e-15:1e-13:6
 # --axis2 x_A=2e-7:1e-6:5`, written by the per-point sweep before the column rewrite
 SWEEP_CSV_SHA256_CASE_B = "3add0efc2cd48d3ef1319318dcafdedfcc6345961c26bcb019e0b88a4d9a9e7d"
+
+# sha256 of bundle members that the shared SVG frame, the sampler CDF and the
+# ratio-based solve write, each frozen from the code before those rewrites:
+# `fig2` (fig2.svg, fig2.csv), `sweep.svg` of the caseB 6x5 sweep above with --svg,
+# `montecarlo --scenario fig2` (histogram.csv), `simulate --scenario fig2`
+# (wavefunction.csv), and caseB `feasibility --solve F --target 1e-3` (summary.csv).
+FIG2_SVG_SHA256 = "cae92cc77fa94d610efe5333298878f4234d82159b6499153f8d4c1510c32a3a"
+FIG2_CSV_SHA256 = "c4a5775818c5ab83460a0e9be7903ef1b22e2a6532a5b034c0c7386d8bd46f19"
+SWEEP_SVG_SHA256_CASE_B = "b6cf50a7e3857cce178efb85def9aa3c45712739d1e2a312b49cca8de9a8d21b"
+HISTOGRAM_CSV_SHA256_FIG2 = "8fb293d931da19a06510f3c332df0b3887b7334b873923f777114fcdf74dbd7b"
+WAVEFUNCTION_CSV_SHA256_FIG2 = "e28f742de5cba603d0800710da2a3ffa6e39577a804425e81dafe6ce8cf200b1"
+SOLVE_SUMMARY_SHA256_CASE_B = {
+    "M": "8e760bfe60c845140b9477629cf9127ac2011e2e696c0f52f8bca0c43aca6131",
+    "m": "05c898335df7b79029fbf11dfeffebda0339475b3b79e61261299d5062f51500",
+    "W": "aa00a7eafc73a1a20b5a2ea4e9089933aedef90e63a70093f04c7446b7621a78",
+    "T": "370616603c7243b33d8995f3d86c698017efc49c747f58a95ce81fe137224681",
+    "x_A": "d1aeea919a748cc8cea9f3c9274c46d6221ac9e727376dfa4453b43229257cd5",
+    "g": "fba0118a738a92e0e877104aabc5abbae7d5ab810113105eeeb1a62922470b32",
+}

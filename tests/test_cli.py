@@ -19,9 +19,15 @@ from .refvals import (
     AMP_GAIN,
     CASE_A_MASS,
     CASE_B_RATIO,
+    FIG2_CSV_SHA256,
     FIG2_DELTA_EF,
     FIG2_MEAN,
+    FIG2_SVG_SHA256,
+    HISTOGRAM_CSV_SHA256_FIG2,
+    SOLVE_SUMMARY_SHA256_CASE_B,
     SWEEP_CSV_SHA256_CASE_B,
+    SWEEP_SVG_SHA256_CASE_B,
+    WAVEFUNCTION_CSV_SHA256_FIG2,
 )
 
 
@@ -37,6 +43,19 @@ def as_float(rows, key):
     return float(rows[key])
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_refused(code, out, capsys, kind, message):
+    """Exit code, no bundle, and a one-line JSON error record of `kind` naming `message`."""
+    assert code == {"config": 2, "runtime": 1}[kind]
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert message in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == kind
+
+
 class TestSimulate:
     def test_fig2_summary_values(self, tmp_path):
         out = tmp_path / "bundle"
@@ -46,6 +65,11 @@ class TestSimulate:
         assert as_float(rows, "delta_ef") == pytest.approx(FIG2_DELTA_EF, abs=1e-8)
         assert rows["regime"] == "strong"
         assert (out / "wavefunction.csv").exists()
+
+    def test_wavefunction_bytes_frozen(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["simulate", "--scenario", "fig2", "--out", str(out)]) == 0
+        assert sha256(out / "wavefunction.csv") == WAVEFUNCTION_CSV_SHA256_FIG2
 
     def test_amplification_gain(self, tmp_path):
         out = tmp_path / "bundle"
@@ -162,6 +186,20 @@ class TestFeasibility:
         solved = as_float(read_summary(out / "summary.csv"), "solved_g")
         assert solved == pytest.approx(100 * 1e-3 / abs(CASE_B_RATIO), rel=1e-8)
 
+    @pytest.mark.parametrize("field", sorted(SOLVE_SUMMARY_SHA256_CASE_B))
+    def test_solve_summary_bytes_frozen(self, tmp_path, field):
+        out = tmp_path / "bundle"
+        assert main(["feasibility", "--scenario", "caseB", "--solve", field, "--target", "1e-3",
+                     "--out", str(out)]) == 0
+        assert sha256(out / "summary.csv") == SOLVE_SUMMARY_SHA256_CASE_B[field]
+
+    @pytest.mark.parametrize("field, target", [("M", "nan"), ("x_A", "inf"), ("g", "-inf")])
+    def test_non_finite_target_refused(self, tmp_path, capsys, field, target):
+        out = tmp_path / "bundle"
+        code = main(["feasibility", "--scenario", "caseB", "--solve", field, f"--target={target}",
+                     "--out", str(out)])
+        assert_refused(code, out, capsys, "runtime", "must be finite")
+
     def test_beta_source_realises_its_gain(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**load_preset("caseB"), "source": {"beta": 0.9}}))
@@ -229,6 +267,11 @@ class TestMontecarlo:
         lines = (out / "histogram.csv").read_text().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 1 + 64
+
+    def test_histogram_bytes_frozen(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["montecarlo", "--scenario", "fig2", "--out", str(out)]) == 0
+        assert sha256(out / "histogram.csv") == HISTOGRAM_CSV_SHA256_FIG2
 
     def test_single_trial_marker(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -311,6 +354,18 @@ class TestSweep:
         digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
         assert digest == SWEEP_CSV_SHA256_CASE_B
 
+    def test_svg_bytes_frozen(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:6",
+                     "--axis2", "x_A=2e-7:1e-6:5", "--svg", "--out", str(out)]) == 0
+        assert sha256(out / "sweep.svg") == SWEEP_SVG_SHA256_CASE_B
+
+    @pytest.mark.parametrize("axis", ["g=10:inf:3", "g=nan:1e3:3", "M=-inf:1e-14:4"])
+    def test_non_finite_bound_refused(self, tmp_path, capsys, axis):
+        out = tmp_path / "bundle"
+        code = main(["sweep", "--scenario", "caseB", "--axis", axis, "--out", str(out)])
+        assert_refused(code, out, capsys, "config", "must be finite")
+
     @pytest.mark.parametrize("axis, message", [
         ("x_A=4e-7:2e-6:5", "x_B must exceed x_A"),
         ("g=10:-10:5", "amplification factor must be non-negative"),
@@ -374,6 +429,12 @@ class TestFig2Command:
             -math.sqrt(0.19) * amp * math.exp(-0.49 / 4), abs=1e-8
         )
 
+    def test_bytes_frozen(self, tmp_path):
+        target = tmp_path / "fig2.svg"
+        assert main(["fig2", "--out", str(target)]) == 0
+        assert sha256(target) == FIG2_SVG_SHA256
+        assert sha256(tmp_path / "fig2.csv") == FIG2_CSV_SHA256
+
     def test_svg_follows_configured_postselection(self, tmp_path):
         doc = {
             "units": "natural",
@@ -422,6 +483,16 @@ class TestErrorChannels:
         record = json.loads(err_lines[-1])
         assert record["error"] == "config"
         assert "kicks" in record["message"] or "root" in record["message"]
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_literal_is_a_config_error(self, tmp_path, capsys, literal):
+        text = json.dumps(load_preset("caseB")).replace('"T": 0.5', f'"T": {literal}')
+        assert literal in text
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        out = tmp_path / "bundle"
+        code = main(["feasibility", str(config), "--out", str(out)])
+        assert_refused(code, out, capsys, "config", f"{literal} is not a finite number")
 
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

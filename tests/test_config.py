@@ -83,6 +83,13 @@ class TestValidation:
             load_config(str(path))
 
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_named(self, tmp_path, literal):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_natural()).replace("0.7", literal))
+        with pytest.raises(ConfigError, match=f"^invalid JSON: {literal} is not"):
+            load_config(str(path))
+
 class TestAssembly:
     def test_alpha_derived_from_beta(self):
         built = build_scenario(minimal_natural())

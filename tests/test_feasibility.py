@@ -183,6 +183,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="target 0"):
             solve_parameter(case_b_params(), "T", 0.0)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, target):
+        for field in ("M", "x_A", "g"):
+            with pytest.raises(ValueError, match="must be finite"):
+                solve_parameter(case_b_params(), field, target)
+
     def test_zero_gain_solves_only_for_the_gain(self):
         params = replace(case_b_params(), g=0.0)
         for field in ("M", "m", "W", "T", "x_A"):
