@@ -5,7 +5,6 @@ feasibility estimates, and reproducible Monte Carlo experiment statistics.
 """
 
 from .analysis import (
-    KickOperator,
     Regime,
     ValidityReport,
     WeakValueReport,

@@ -27,14 +27,6 @@ class Regime(Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class KickOperator:
-    """Branch-diagonal momentum transfer operator: eigenvalues (delta_a, delta_b)."""
-
-    delta_a: float
-    delta_b: float
-
-
 def weak_value_projector(pre: protocol.SourceState, post: protocol.SourceState) -> complex:
     """Weak value <post|P_A|pre> / <post|pre> of the branch-A projector."""
     ov = protocol.source_overlap(post, pre)
@@ -46,15 +38,17 @@ def weak_value_projector(pre: protocol.SourceState, post: protocol.SourceState) 
 def weak_value_kick(
     pre: protocol.SourceState,
     post: protocol.SourceState,
-    op: KickOperator,
+    delta_a: float,
+    delta_b: float,
 ) -> complex:
-    """Weak value of the kick operator between pre- and postselected states."""
+    """Weak value of the branch-diagonal kick operator diag(delta_a, delta_b)
+    between pre- and postselected states."""
     ov = protocol.source_overlap(post, pre)
     if abs(ov) <= OVERLAP_FLOOR:
         raise ValueError("pre and post states are (numerically) orthogonal")
     num = (
-        complex(post.amp_a).conjugate() * complex(pre.amp_a) * op.delta_a
-        + complex(post.amp_b).conjugate() * complex(pre.amp_b) * op.delta_b
+        complex(post.amp_a).conjugate() * complex(pre.amp_a) * delta_a
+        + complex(post.amp_b).conjugate() * complex(pre.amp_b) * delta_b
     )
     return num / ov
 
@@ -90,7 +84,7 @@ def weak_value_report(
     For a real symmetric pointer only Re of the kick weak value shifts the
     momentum mean, so that is what `effective_kick` reports here.
     """
-    wv = weak_value_kick(pre, post, KickOperator(delta_a, delta_b))
+    wv = weak_value_kick(pre, post, delta_a, delta_b)
     d_ef = wv.real
     gain = -d_ef / delta_a if delta_a != 0.0 else math.nan
     return WeakValueReport(
@@ -131,9 +125,7 @@ def validity_check(
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("probe must have a finite positive momentum spread")
     exact = protocol.run(scenario, n=n).mean_kick
-    first = weak_value_kick(
-        scenario.pre, scenario.post, KickOperator(scenario.delta_a, scenario.delta_b)
-    ).real
+    first = weak_value_kick(scenario.pre, scenario.post, scenario.delta_a, scenario.delta_b).real
     ratio_a = abs(scenario.delta_a) / sigma
     ratio_b = abs(scenario.delta_b) / sigma
     return ValidityReport(

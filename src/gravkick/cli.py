@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from .config import (
     preset_descriptions,
 )
 from .feasibility import SOLVABLE_FIELDS, evaluate_case, solve_parameter, sweep, sweep_csv
-from .output import summary_csv, write_bundle, write_text_atomic
+from .output import summary_csv, table_csv, write_bundle, write_text_atomic
 from .protocol import PostselectionImpossible
 from .units import UnitSystem, convert
 from .wavepacket import GridPacket, gaussian, to_csv
@@ -39,6 +40,12 @@ FIG2_SAMPLES = 401
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1e-3" as a number, not an option: the stock pattern of older Pythons
+        # (3.11: ^-\d+$|^-\d*\.\d+$) misses exponent forms, and a ratio is negative.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message: str):  # also emit the machine-readable record
         print(json.dumps({"error": "usage", "message": message}), file=sys.stderr)
         super().error(message)
@@ -102,11 +109,8 @@ def _decomposition_curves(built: BuiltScenario, n: int = FIG2_SAMPLES):
 
 def _decomposition_files(built: BuiltScenario) -> tuple[str, str]:
     p, branch_b, branch_a, total = _decomposition_curves(built)
-    rows = ["p,beta_branch,neg_alpha_branch,postselected"]
-    rows.extend(
-        f"{pi:.8e},{bb:.8e},{ba:.8e},{tt:.8e}"
-        for pi, bb, ba, tt in zip(p, branch_b, branch_a, total)
-    )
+    curves_csv = table_csv("p,beta_branch,neg_alpha_branch,postselected", "%.8e,%.8e,%.8e,%.8e",
+                           zip(p.tolist(), branch_b.tolist(), branch_a.tolist(), total.tolist()))
     image = svg.line_plot(
         [
             ("beta branch", p, branch_b),
@@ -117,7 +121,7 @@ def _decomposition_files(built: BuiltScenario) -> tuple[str, str]:
         xlabel="p [hbar/W]",
         ylabel="amplitude",
     )
-    return "\n".join(rows) + "\n", image
+    return curves_csv, image
 
 
 def cmd_simulate(args) -> int:
@@ -260,11 +264,9 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    if args.action == "list":
-        for name, description in preset_descriptions():
-            print(f"{name}\t{description}")
-        return 0
-    raise ConfigError(f"unknown presets action {args.action!r}")
+    for name, description in preset_descriptions():  # "list", the only action
+        print(f"{name}\t{description}")
+    return 0
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:

@@ -19,7 +19,7 @@ from . import protocol
 from .analysis import effective_kick
 from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
 from .montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
-from .units import G, HBAR, UnitSystem
+from .units import HBAR, UnitSystem
 from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket, gaussian
 
 _COMPLEX_ENTRY = {
@@ -182,12 +182,8 @@ class BuiltScenario:
     scenario: protocol.Scenario
     units: UnitSystem
     grid_points: int
-    alpha: float | None  # real source amplitudes when available
-    beta: float | None
-    gain: float | None
     params: ProtocolParams | None  # physical parameters for SI scenarios
     mc: RunConfig | None
-    description: str = ""
 
 
 def build_scenario(doc: dict) -> BuiltScenario:
@@ -196,12 +192,10 @@ def build_scenario(doc: dict) -> BuiltScenario:
 
     kicks = doc["kicks"]
     explicit = "delta_A" in kicks
-    units_name = doc.get("units", "natural" if explicit else "si")
-    if explicit and units_name != "natural":
-        raise ConfigError("explicit kicks are stated in natural units", field="units")
-    if not explicit and units_name != "si":
-        raise ConfigError("physical kick parameters are stated in SI", field="units")
-    units = UnitSystem(units_name)
+    units = UnitSystem(doc.get("units", "natural" if explicit else "si"))
+    if (units == UnitSystem.NATURAL) != explicit:
+        raise ConfigError("explicit kicks are stated in natural units" if explicit
+                          else "physical kick parameters are stated in SI", field="units")
 
     probe_sec = doc.get("probe", {})
     if units == UnitSystem.SI and "W" not in probe_sec:
@@ -225,11 +219,9 @@ def build_scenario(doc: dict) -> BuiltScenario:
             g=float(gain if gain is not None else 0.0),  # a beta source sets g below
             T=kicks.get("T"),
         )
-        delta_a = delta_kick(G, params.M, params.m, params.T, params.x_A)
-        delta_b = delta_kick(G, params.M, params.m, params.T, params.x_B)
+        delta_a = delta_kick(params.M, params.m, params.T, params.x_A)
+        delta_b = delta_kick(params.M, params.m, params.T, params.x_B)
 
-    alpha: float | None
-    beta: float | None
     if gain is not None:
         if delta_a == 0.0 or not 0.0 < delta_b / delta_a < 1.0:
             raise ConfigError(
@@ -268,10 +260,10 @@ def build_scenario(doc: dict) -> BuiltScenario:
             _as_complex(post_sec["amp_A"]), _as_complex(post_sec["amp_B"])
         )
 
-    if gain is None and alpha is not None and beta != alpha and delta_a != 0.0:
-        gain = -effective_kick(alpha, beta, delta_a, delta_b) / delta_a
-    gain = gain if gain is None or math.isfinite(gain) else None
-    if params is not None and "gain" not in doc["source"]:
+    if params is not None and gain is None:
+        gain = (-effective_kick(alpha, beta, delta_a, delta_b) / delta_a
+                if beta != alpha and delta_a != 0.0 else math.nan)
+        gain = gain if math.isfinite(gain) else None
         if gain is None or gain < 0.0:
             raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",
                               field="source.beta")
@@ -292,14 +284,5 @@ def build_scenario(doc: dict) -> BuiltScenario:
         mc = RunConfig(scenario=scenario, trials=int(sec["trials"]), seed=int(sec["seed"]),
                        bins=int(sec.get("bins", DEFAULT_HISTOGRAM_BINS)), grid_points=grid_points)
 
-    return BuiltScenario(
-        scenario=scenario,
-        units=units,
-        grid_points=grid_points,
-        alpha=alpha,
-        beta=beta,
-        gain=gain,
-        params=params,
-        mc=mc,
-        description=doc.get("description", ""),
-    )
+    return BuiltScenario(scenario=scenario, units=units, grid_points=grid_points, params=params,
+                         mc=mc)

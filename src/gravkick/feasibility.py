@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .output import table_csv
 from .protocol import SourceState, gaussian_postselection, paper_postselection
 from .units import G, HBAR
 
@@ -35,11 +36,11 @@ _CSV_ROW = ",".join(["%.8e"] * 12) + ",%d"
 SEPARATION_FACTOR = 10.0
 
 
-def delta_kick(G_newton: float, M: float, m: float, T: float, x: float) -> float:
+def delta_kick(M: float, m: float, T: float, x: float) -> float:
     """Momentum kick G M m T / x^2 accumulated over the interaction time."""
     if np.any(x <= 0):
         raise ValueError("branch distance must be positive")
-    return G_newton * M * m * T / (x * x)
+    return G * M * m * T / (x * x)
 
 
 def spreading_time(m: float, W: float) -> float:
@@ -117,8 +118,8 @@ def evaluate_case(
     `final` defaults to the paper postselection with those phases.
     """
     p = params
-    d_a = delta_kick(G, p.M, p.m, p.T, p.x_A)
-    d_b = delta_kick(G, p.M, p.m, p.T, p.x_B)
+    d_a = delta_kick(p.M, p.m, p.T, p.x_A)
+    d_b = delta_kick(p.M, p.m, p.T, p.x_B)
     values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, d_a, d_b, feasibility_ratio(p),
               spreading_time(p.m, p.W), math.nan, p.separation_ok)
     cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
@@ -196,6 +197,4 @@ def sweep(
 
 
 def sweep_csv(cases: np.recarray) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    lines.extend(_CSV_ROW % row for row in cases.tolist())
-    return "\n".join(lines) + "\n"
+    return table_csv(SWEEP_CSV_HEADER, _CSV_ROW, cases.tolist())

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
+from .output import table_csv
 from .wavepacket import DEFAULT_GRID_POINTS
 
 BLOCK_TRIALS = 8192
@@ -56,12 +57,9 @@ class EnsembleStats:
         ]
 
     def histogram_csv(self) -> str:
-        lines = ["bin_left,bin_right,count"]
-        for left, right, count in zip(
-            self.histogram_edges[:-1], self.histogram_edges[1:], self.histogram_counts
-        ):
-            lines.append(f"{left:.8e},{right:.8e},{int(count)}")
-        return "\n".join(lines) + "\n"
+        edges = self.histogram_edges.tolist()
+        return table_csv("bin_left,bin_right,count", "%.8e,%.8e,%d",
+                         zip(edges[:-1], edges[1:], self.histogram_counts.tolist()))
 
 
 def stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:

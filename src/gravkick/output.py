@@ -24,10 +24,16 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def summary_csv(rows: list[tuple[str, object]]) -> str:
-    lines = ["quantity,value"]
-    lines.extend(f"{name},{format_value(value)}" for name, value in rows)
+def table_csv(header: str, row_format: str, rows) -> str:
+    """The header line, then `row_format % row` for each row, newline-terminated."""
+    lines = [header]
+    lines.extend(row_format % row for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def summary_csv(rows: list[tuple[str, object]]) -> str:
+    return table_csv("quantity,value", "%s,%s",
+                     ((name, format_value(value)) for name, value in rows))
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -107,13 +107,6 @@ class PostselectedResult:
         """The normalized conditional probe state, rendered on first read."""
         return normalize(superpose(list(self.terms), n=self.n))
 
-    def csv_rows(self) -> list[tuple[str, float]]:
-        return [
-            ("probability", self.probability),
-            ("mean_kick", self.mean_kick),
-            ("std", self.std),
-        ]
-
 
 def prepare_initial(source: SourceState, probe: Wavepacket) -> JointState:
     """Product state of the superposed source and the probe pointer."""

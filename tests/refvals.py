@@ -74,3 +74,23 @@ SOLVE_SUMMARY_SHA256_CASE_B = {
     "x_A": "d1aeea919a748cc8cea9f3c9274c46d6221ac9e727376dfa4453b43229257cd5",
     "g": "fba0118a738a92e0e877104aabc5abbae7d5ab810113105eeeb1a62922470b32",
 }
+
+# The SI documents behind the caseA/caseB values and digests above: the two SI
+# presets as they stood at x_A = 5 W and 4 W.  The tests that assert those values
+# read these documents, so the shipped presets can move without changing them.
+CASE_A_DOC = {
+    "units": "si",
+    "source": {"gain": 1000},
+    "probe": {"W": 1e-05},
+    "kicks": {"M": 2e-08, "m": 2.3e-25, "T": None, "x_A": 5e-05, "x_B": 0.000158113883008419},
+    "postselection": "paper-default",
+    "montecarlo": {"trials": 100000, "seed": 11, "bins": 64},
+}
+CASE_B_DOC = {
+    "units": "si",
+    "source": {"gain": 100},
+    "probe": {"W": 1e-07},
+    "kicks": {"M": 1e-14, "m": 1e-20, "T": 0.5, "x_A": 4e-07, "x_B": 1.2649110640673517e-06},
+    "postselection": "paper-default",
+    "montecarlo": {"trials": 100000, "seed": 11, "bins": 64},
+}

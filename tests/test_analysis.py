@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravkick.analysis import (
-    KickOperator,
     Regime,
     classify_regime,
     effective_kick,
@@ -95,19 +94,19 @@ class TestKickWeakValue:
             if abs(beta - alpha) < 1e-3:
                 continue
             pre, post = paper_pair(alpha, beta)
-            wv = weak_value_kick(pre, post, KickOperator(d_a, d_b))
+            wv = weak_value_kick(pre, post, d_a, d_b)
             direct = effective_kick(alpha, beta, d_a, d_b)
             assert wv.imag == pytest.approx(0.0, abs=1e-9 * abs(direct) + 1e-12)
             assert wv.real == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     def test_no_postselection_gives_expectation(self):
         state = SourceState(0.6, 0.8)
-        wv = weak_value_kick(state, state, KickOperator(0.7, 0.1))
+        wv = weak_value_kick(state, state, 0.7, 0.1)
         assert wv.real == pytest.approx(0.36 * 0.7 + 0.64 * 0.1, abs=1e-14)
 
     def test_identity_operator_component(self):
         pre, post = paper_pair(0.4, math.sqrt(1 - 0.16))
-        wv = weak_value_kick(pre, post, KickOperator(0.37, 0.37))
+        wv = weak_value_kick(pre, post, 0.37, 0.37)
         assert wv == pytest.approx(0.37, abs=1e-13)
 
     @settings(max_examples=200, deadline=None)
@@ -121,7 +120,7 @@ class TestKickWeakValue:
         if abs(beta - alpha) < 1e-4:
             return
         pre, post = paper_pair(alpha, beta)
-        wv = weak_value_kick(pre, post, KickOperator(d_a, d_b)).real
+        wv = weak_value_kick(pre, post, d_a, d_b).real
         assert wv == pytest.approx(effective_kick(alpha, beta, d_a, d_b), rel=1e-12, abs=1e-13)
 
 

@@ -12,12 +12,13 @@ import pytest
 
 import gravkick
 from gravkick.cli import main
-from gravkick.config import load_preset
 
 from . import oracles
 from .refvals import (
     AMP_GAIN,
+    CASE_A_DOC,
     CASE_A_MASS,
+    CASE_B_DOC,
     CASE_B_RATIO,
     FIG2_CSV_SHA256,
     FIG2_DELTA_EF,
@@ -41,6 +42,13 @@ def read_summary(path):
 
 def as_float(rows, key):
     return float(rows[key])
+
+
+def doc_path(tmp_path, doc):
+    """Write `doc` as a scenario file under `tmp_path` and return its path."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def sha256(path):
@@ -99,7 +107,7 @@ class TestSimulate:
         # exact mean over sigma must reproduce the feasibility ratio at first order
         out = tmp_path / "bundle"
         assert main(
-            ["simulate", "--scenario", "caseB", "--out", str(out), "--units", "natural"]
+            ["simulate", doc_path(tmp_path, CASE_B_DOC), "--out", str(out), "--units", "natural"]
         ) == 0
         rows = read_summary(out / "summary.csv")
         assert as_float(rows, "exact_mean") == pytest.approx(CASE_B_RATIO, rel=1e-3)
@@ -139,7 +147,7 @@ DOCUMENT_WEIGHTS = [
 class TestFeasibility:
     def test_case_b_ratio(self, tmp_path):
         out = tmp_path / "bundle"
-        assert main(["feasibility", "--scenario", "caseB", "--out", str(out)]) == 0
+        assert main(["feasibility", doc_path(tmp_path, CASE_B_DOC), "--out", str(out)]) == 0
         rows = read_summary(out / "summary.csv")
         # CSV carries 9 significant digits
         assert abs(as_float(rows, "ratio")) == pytest.approx(abs(CASE_B_RATIO), rel=1e-8)
@@ -150,7 +158,7 @@ class TestFeasibility:
     def test_case_a_solve_mass(self, tmp_path):
         out = tmp_path / "bundle"
         code = main(
-            ["feasibility", "--scenario", "caseA", "--solve", "M", "--target", "1e-3",
+            ["feasibility", doc_path(tmp_path, CASE_A_DOC), "--solve", "M", "--target", "1e-3",
              "--out", str(out)]
         )
         assert code == 0
@@ -160,7 +168,7 @@ class TestFeasibility:
     def test_solve_target_zero_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "bundle"
         code = main(
-            ["feasibility", "--scenario", "caseB", "--solve", "T", "--target", "0",
+            ["feasibility", doc_path(tmp_path, CASE_B_DOC), "--solve", "T", "--target", "0",
              "--out", str(out)]
         )
         assert code != 0
@@ -171,7 +179,7 @@ class TestFeasibility:
 
     def test_solve_at_zero_gain_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({**load_preset("caseB"), "source": {"gain": 0}}))
+        config.write_text(json.dumps({**CASE_B_DOC, "source": {"gain": 0}}))
         out = tmp_path / "bundle"
         code = main(["feasibility", str(config), "--solve", "M", "--target", "1e-3",
                      "--out", str(out)])
@@ -189,20 +197,20 @@ class TestFeasibility:
     @pytest.mark.parametrize("field", sorted(SOLVE_SUMMARY_SHA256_CASE_B))
     def test_solve_summary_bytes_frozen(self, tmp_path, field):
         out = tmp_path / "bundle"
-        assert main(["feasibility", "--scenario", "caseB", "--solve", field, "--target", "1e-3",
-                     "--out", str(out)]) == 0
+        assert main(["feasibility", doc_path(tmp_path, CASE_B_DOC), "--solve", field,
+                     "--target", "1e-3", "--out", str(out)]) == 0
         assert sha256(out / "summary.csv") == SOLVE_SUMMARY_SHA256_CASE_B[field]
 
     @pytest.mark.parametrize("field, target", [("M", "nan"), ("x_A", "inf"), ("g", "-inf")])
     def test_non_finite_target_refused(self, tmp_path, capsys, field, target):
         out = tmp_path / "bundle"
-        code = main(["feasibility", "--scenario", "caseB", "--solve", field, f"--target={target}",
-                     "--out", str(out)])
+        code = main(["feasibility", doc_path(tmp_path, CASE_B_DOC), "--solve", field,
+                     f"--target={target}", "--out", str(out)])
         assert_refused(code, out, capsys, "runtime", "must be finite")
 
     def test_beta_source_realises_its_gain(self, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({**load_preset("caseB"), "source": {"beta": 0.9}}))
+        config.write_text(json.dumps({**CASE_B_DOC, "source": {"beta": 0.9}}))
         feas, sim = tmp_path / "feas", tmp_path / "sim"
         assert main(["feasibility", str(config), "--out", str(feas)]) == 0
         assert main(["simulate", str(config), "--units", "natural", "--out", str(sim)]) == 0
@@ -219,7 +227,7 @@ class TestFeasibility:
     @pytest.mark.parametrize("extra", DOCUMENT_WEIGHTS, ids=["real", "complex-phased"])
     def test_ps_prob_follows_the_document_postselection(self, tmp_path, extra):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({**load_preset("caseB"), **extra}))
+        config.write_text(json.dumps({**CASE_B_DOC, **extra}))
         feas, sim, grid = tmp_path / "feas", tmp_path / "sim", tmp_path / "grid"
         assert main(["feasibility", str(config), "--out", str(feas)]) == 0
         assert main(["simulate", str(config), "--out", str(sim)]) == 0
@@ -233,13 +241,29 @@ class TestFeasibility:
 
     def test_beta_source_with_negative_gain_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({**load_preset("caseB"), "source": {"beta": 0.999}}))
+        config.write_text(json.dumps({**CASE_B_DOC, "source": {"beta": 0.999}}))
         out = tmp_path / "bundle"
         assert main(["feasibility", str(config), "--out", str(out)]) == 2
         assert not out.exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "config"
         assert record["field"] == "source.beta"
+
+    def test_negative_exponent_target_is_a_number(self, tmp_path):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        case = doc_path(tmp_path, CASE_B_DOC)
+        assert main(["feasibility", case, "--solve", "M", "--target", "-1e-3",
+                     "--out", str(spaced)]) == 0
+        assert main(["feasibility", case, "--solve", "M", "--target=-1e-3",
+                     "--out", str(joined)]) == 0
+        assert (spaced / "summary.csv").read_bytes() == (joined / "summary.csv").read_bytes()
+        assert read_summary(spaced / "summary.csv")["solve_target"] == "-1.00000000e-03"
+
+    @pytest.mark.parametrize("preset", ["caseA", "caseB"])
+    def test_si_presets_sit_outside_the_separation_limit(self, tmp_path, preset):
+        out = tmp_path / "bundle"
+        assert main(["feasibility", "--scenario", preset, "--out", str(out)]) == 0
+        assert read_summary(out / "summary.csv")["valid_flag"] == "1"
 
     def test_natural_config_rejected(self, tmp_path, capsys):
         code = main(["feasibility", "--scenario", "fig2", "--out", str(tmp_path / "x")])
@@ -310,7 +334,8 @@ class TestSweep:
     def test_two_point_axis(self, tmp_path):
         out = tmp_path / "bundle"
         code = main(
-            ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:2e-15:2", "--out", str(out)]
+            ["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:2e-15:2",
+             "--out", str(out)]
         )
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
@@ -322,7 +347,8 @@ class TestSweep:
     def test_contains_case_b_row(self, tmp_path):
         out = tmp_path / "bundle"
         code = main(
-            ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-14:10", "--out", str(out)]
+            ["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-14:10",
+             "--out", str(out)]
         )
         assert code == 0
         last = (out / "sweep.csv").read_text().splitlines()[-1]
@@ -330,7 +356,7 @@ class TestSweep:
 
     def test_heatmap_needs_two_axes(self, tmp_path, capsys):
         code = main(
-            ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-14:5", "--svg",
+            ["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-14:5", "--svg",
              "--out", str(tmp_path / "x")]
         )
         assert code == 2
@@ -338,7 +364,7 @@ class TestSweep:
     def test_two_axis_heatmap(self, tmp_path):
         out = tmp_path / "bundle"
         code = main(
-            ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-14:4",
+            ["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-14:4",
              "--axis2", "W=5e-8:2e-7:3", "--svg", "--out", str(out)]
         )
         assert code == 0
@@ -349,21 +375,21 @@ class TestSweep:
 
     def test_csv_bytes_frozen(self, tmp_path):
         out = tmp_path / "bundle"
-        assert main(["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:6",
+        assert main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-13:6",
                      "--axis2", "x_A=2e-7:1e-6:5", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
         assert digest == SWEEP_CSV_SHA256_CASE_B
 
     def test_svg_bytes_frozen(self, tmp_path):
         out = tmp_path / "bundle"
-        assert main(["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:6",
+        assert main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-13:6",
                      "--axis2", "x_A=2e-7:1e-6:5", "--svg", "--out", str(out)]) == 0
         assert sha256(out / "sweep.svg") == SWEEP_SVG_SHA256_CASE_B
 
     @pytest.mark.parametrize("axis", ["g=10:inf:3", "g=nan:1e3:3", "M=-inf:1e-14:4"])
     def test_non_finite_bound_refused(self, tmp_path, capsys, axis):
         out = tmp_path / "bundle"
-        code = main(["sweep", "--scenario", "caseB", "--axis", axis, "--out", str(out)])
+        code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", axis, "--out", str(out)])
         assert_refused(code, out, capsys, "config", "must be finite")
 
     @pytest.mark.parametrize("axis, message", [
@@ -373,7 +399,7 @@ class TestSweep:
     ])
     def test_point_refusal_is_a_runtime_error(self, tmp_path, capsys, axis, message):
         out = tmp_path / "bundle"
-        code = main(["sweep", "--scenario", "caseB", "--axis", "W=5e-8:2e-7:3",
+        code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "W=5e-8:2e-7:3",
                      "--axis2", axis, "--out", str(out)])
         assert code == 1
         assert not out.exists()
@@ -383,7 +409,7 @@ class TestSweep:
 
     def test_bad_axis_spec(self, tmp_path, capsys):
         code = main(
-            ["sweep", "--scenario", "caseB", "--axis", "M=broken", "--out",
+            ["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=broken", "--out",
              str(tmp_path / "x")]
         )
         assert code == 2
@@ -486,7 +512,7 @@ class TestErrorChannels:
 
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_literal_is_a_config_error(self, tmp_path, capsys, literal):
-        text = json.dumps(load_preset("caseB")).replace('"T": 0.5', f'"T": {literal}')
+        text = json.dumps(CASE_B_DOC).replace('"T": 0.5', f'"T": {literal}')
         assert literal in text
         config = tmp_path / "cfg.json"
         config.write_text(text)

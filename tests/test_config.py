@@ -4,6 +4,7 @@ import math
 import pytest
 
 from gravkick import protocol
+from gravkick.analysis import effective_kick
 from gravkick.config import (
     ConfigError,
     PRESET_NAMES,
@@ -18,7 +19,7 @@ from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
 from gravkick.units import UnitSystem
 from gravkick.wavepacket import DEFAULT_GRID_POINTS
 
-from .refvals import AMP_GAIN, FIG2_ALPHA
+from .refvals import AMP_GAIN, CASE_B_DOC, FIG2_ALPHA
 
 
 def minimal_natural(**overrides):
@@ -33,9 +34,9 @@ def minimal_natural(**overrides):
 
 class TestValidation:
     def test_all_presets_validate_and_build(self):
-        for name in PRESET_NAMES:
-            built = build_scenario(load_preset(name))
-            assert built.description
+        for name, description in preset_descriptions():
+            build_scenario(load_preset(name))
+            assert description
 
     def test_missing_source_reports_path(self):
         with pytest.raises(ConfigError, match=r"\(root\)"):
@@ -60,6 +61,11 @@ class TestValidation:
     def test_units_mismatch_explicit_kicks(self):
         with pytest.raises(ConfigError, match="natural"):
             build_scenario(minimal_natural(units="si"))
+
+    def test_units_mismatch_physical_kicks(self):
+        with pytest.raises(ConfigError, match="^physical kick parameters are stated in SI$") as e:
+            build_scenario({**CASE_B_DOC, "units": "natural"})
+        assert e.value.field == "units"
 
     def test_si_requires_probe_width(self):
         doc = {
@@ -93,20 +99,23 @@ class TestValidation:
 class TestAssembly:
     def test_alpha_derived_from_beta(self):
         built = build_scenario(minimal_natural())
-        assert built.alpha == pytest.approx(FIG2_ALPHA, abs=1e-15)
+        assert built.scenario.pre.amp_a == pytest.approx(FIG2_ALPHA, abs=1e-15)
         assert built.units is UnitSystem.NATURAL
         assert built.scenario.probe.hbar == 1.0
 
     def test_gain_derived_from_amplitudes(self):
         doc = minimal_natural(source={"beta": 0.7074067811865474})
         doc["kicks"] = {"delta_A": 1e-5, "delta_B": 1e-6}
-        built = build_scenario(doc)
-        assert built.gain == pytest.approx(AMP_GAIN, rel=1e-12)
+        s = build_scenario(doc).scenario
+        alpha, beta = s.pre.amp_a.real, s.pre.amp_b.real
+        assert -effective_kick(alpha, beta, s.delta_a, s.delta_b) / s.delta_a == pytest.approx(
+            AMP_GAIN, rel=1e-12)
 
     def test_gain_specified_source(self):
-        built = build_scenario(load_preset("caseB"))
-        assert built.beta > built.alpha > 0
-        assert built.alpha**2 + built.beta**2 == pytest.approx(1.0, abs=1e-14)
+        built = build_scenario(CASE_B_DOC)
+        alpha, beta = built.scenario.pre.amp_a.real, built.scenario.pre.amp_b.real
+        assert beta > alpha > 0
+        assert alpha**2 + beta**2 == pytest.approx(1.0, abs=1e-14)
         assert built.params is not None
         assert built.params.T == 0.5
 
@@ -138,12 +147,13 @@ class TestAssembly:
         assert build_scenario(minimal_natural()).mc is None
 
     def test_beta_source_carries_its_gain_into_params(self):
-        built = build_scenario({**load_preset("caseB"), "source": {"beta": 0.9}})
+        built = build_scenario({**CASE_B_DOC, "source": {"beta": 0.9}})
         s = built.scenario
-        assert built.params.g == built.gain > 0
+        alpha, beta = s.pre.amp_a.real, s.pre.amp_b.real
+        assert built.params.g == -effective_kick(alpha, beta, s.delta_a, s.delta_b) / s.delta_a > 0
         case = evaluate_case(built.params)
         assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
-        assert case.ratio == pytest.approx(-built.gain * s.delta_a / s.probe.sigma, rel=1e-12)
+        assert case.ratio == pytest.approx(-built.params.g * s.delta_a / s.probe.sigma, rel=1e-12)
 
     @pytest.mark.parametrize("extra", [
         {"postselection": {"amp_A": 0.6, "amp_B": 0.8}},
@@ -151,26 +161,36 @@ class TestAssembly:
          "phases": {"phi_A": 0.4, "phi_B": -1.1}},
     ], ids=["real", "complex-phased"])
     def test_feasibility_weights_come_from_the_document(self, extra):
-        built = build_scenario({**load_preset("caseB"), **extra})
+        built = build_scenario({**CASE_B_DOC, **extra})
         s = built.scenario
         (case,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
         assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
 
-    @pytest.mark.parametrize("source", [
-        {"beta": 0.999},  # realises gain -0.058
-        {"alpha": 0.7071067811865476, "beta": 0.7071067811865476},  # no gain at all
-    ])
-    def test_si_beta_source_without_a_nonnegative_gain_rejected(self, source):
-        with pytest.raises(ConfigError, match="gain") as exc:
-            build_scenario({**load_preset("caseB"), "source": source})
+    @pytest.mark.parametrize("source, gain", [
+        ({"beta": 0.999}, "-0.05783339705044427"),
+        ({"alpha": 0.7071067811865476, "beta": 0.7071067811865476}, "None"),  # no gain at all
+    ], ids=["source0", "source1"])
+    def test_si_beta_source_without_a_nonnegative_gain_rejected(self, source, gain):
+        with pytest.raises(ConfigError) as exc:
+            build_scenario({**CASE_B_DOC, "source": source})
+        assert str(exc.value) == f"source.beta realises gain {gain}; SI scenarios need gain >= 0"
         assert exc.value.field == "source.beta"
+
+    @pytest.mark.parametrize("source", [
+        {"beta": 0.999},
+        {"alpha": 0.7071067811865476, "beta": 0.7071067811865476},
+    ])
+    def test_natural_beta_source_without_a_nonnegative_gain_builds(self, source):
+        built = build_scenario(minimal_natural(source=source))
+        assert built.params is None
+        assert built.scenario.pre.amp_b == pytest.approx(source["beta"])
 
     def test_preset_listing(self):
         names = [name for name, _ in preset_descriptions()]
         assert names == list(PRESET_NAMES)
 
     def test_si_kicks_from_physical_parameters(self):
-        built = build_scenario(load_preset("caseB"))
+        built = build_scenario(CASE_B_DOC)
         assert built.scenario.delta_a == pytest.approx(2.08571875e-32, rel=1e-12)
         assert built.scenario.delta_b == pytest.approx(2.08571875e-33, rel=1e-12)
 

@@ -20,7 +20,7 @@ from gravkick.feasibility import (
     sweep,
     sweep_csv,
 )
-from gravkick.units import G, HBAR, UnitSystem, convert
+from gravkick.units import HBAR, UnitSystem, convert
 
 from . import oracles
 from .refvals import CASE_A_MASS, CASE_B_RATIO, DELTA_KICK_EXAMPLE, TAU_CASE_B, TAU_CESIUM
@@ -56,20 +56,20 @@ def random_params() -> ProtocolParams:
 
 class TestDeltaKick:
     def test_worked_example(self):
-        assert delta_kick(G, 1e-14, 1e-20, 0.5, 4e-7) == pytest.approx(
+        assert delta_kick(1e-14, 1e-20, 0.5, 4e-7) == pytest.approx(
             DELTA_KICK_EXAMPLE, rel=1e-12
         )
 
     def test_zero_interaction_time(self):
-        assert delta_kick(G, 1e-14, 1e-20, 0.0, 4e-7) == 0.0
+        assert delta_kick(1e-14, 1e-20, 0.0, 4e-7) == 0.0
 
     def test_inverse_square_scaling(self):
-        base = delta_kick(G, 1e-14, 1e-20, 0.5, 4e-7)
-        assert delta_kick(G, 1e-14, 1e-20, 0.5, 8e-7) == pytest.approx(base / 4, rel=1e-14)
+        base = delta_kick(1e-14, 1e-20, 0.5, 4e-7)
+        assert delta_kick(1e-14, 1e-20, 0.5, 8e-7) == pytest.approx(base / 4, rel=1e-14)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            delta_kick(G, 1e-14, 1e-20, 0.5, 0.0)
+            delta_kick(1e-14, 1e-20, 0.5, 0.0)
 
 
 class TestSpreadingTime:
@@ -133,8 +133,8 @@ class TestRatio:
         # realize the target gain and the kicks come from delta_kick
         for _ in range(100):
             params = random_params()
-            d_a = delta_kick(G, params.M, params.m, params.T, params.x_A)
-            d_b = delta_kick(G, params.M, params.m, params.T, params.x_B)
+            d_a = delta_kick(params.M, params.m, params.T, params.x_A)
+            d_b = delta_kick(params.M, params.m, params.T, params.x_B)
             alpha, beta = amplitudes_for_gain(params.g, d_b / d_a)
             d_ef = effective_kick(alpha, beta, d_a, d_b)
             assert d_ef / (HBAR / params.W) == pytest.approx(

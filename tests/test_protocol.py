@@ -203,10 +203,6 @@ class TestPostselect:
         result = run(fig2_scenario())
         assert moments(result.conditional).norm == pytest.approx(1.0, abs=1e-10)
 
-    def test_csv_rows(self):
-        rows = dict(run(fig2_scenario()).csv_rows())
-        assert set(rows) == {"probability", "mean_kick", "std"}
-
     def test_conditional_rendered_once_on_first_read(self, superpose_calls):
         result = run(fig2_scenario(), n=65536)
         assert len(superpose_calls) == 0
