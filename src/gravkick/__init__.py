@@ -26,19 +26,17 @@ from .feasibility import (
 )
 from .montecarlo import EnsembleStats, RunConfig, required_trials, run_ensemble
 from .protocol import (
-    ClassicalModel,
     JointState,
     PostselectedResult,
     PostselectionImpossible,
     Scenario,
     SourceState,
-    classical_mean_kick,
     evolve,
     paper_postselection,
     postselect,
     prepare_initial,
 )
-from .units import G, HBAR, UnitSystem, convert
+from .units import G, HBAR, UnitSystem
 from .wavepacket import (
     GaussianPacket,
     GridPacket,
@@ -48,7 +46,6 @@ from .wavepacket import (
     gaussian,
     moments,
     normalize,
-    overlap,
     superpose,
     to_grid,
 )

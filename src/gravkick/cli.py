@@ -3,7 +3,8 @@
 Subcommands: simulate, feasibility, montecarlo, sweep, fig2, presets.
 Output always lands as a bundle of atomically written files under --out
 (or $GRAVKICK_OUT).  Errors produce a one-line JSON record on stderr next
-to the human-readable message, and a nonzero exit code.
+to the human-readable message, and a nonzero exit code; warnings use the
+same two lines and leave the exit code at 0.
 """
 
 from __future__ import annotations
@@ -30,10 +31,18 @@ from .config import (
     load_preset,
     preset_descriptions,
 )
-from .feasibility import SOLVABLE_FIELDS, evaluate_case, solve_parameter, sweep, sweep_csv
+from .feasibility import (
+    SEPARATION_FACTOR,
+    SOLVABLE_FIELDS,
+    ProtocolParams,
+    evaluate_case,
+    solve_parameter,
+    sweep,
+    sweep_csv,
+)
 from .output import summary_csv, table_csv, write_bundle, write_text_atomic
 from .protocol import PostselectionImpossible
-from .units import UnitSystem, convert
+from .units import UnitSystem
 from .wavepacket import GridPacket, gaussian, to_csv
 
 FIG2_SAMPLES = 401
@@ -51,10 +60,10 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _emit_error(kind: str, message: str, **extra) -> None:
-    record = {"error": kind, "message": message, **extra}
-    print(f"error: {message}", file=sys.stderr)
-    print(json.dumps(record), file=sys.stderr)
+def _emit_record(level: str, kind: str, message: str, **extra) -> None:
+    """The human-readable `level: message` line, then the one-line JSON record."""
+    print(f"{level}: {message}", file=sys.stderr)
+    print(json.dumps({level: kind, "message": message, **extra}), file=sys.stderr)
 
 
 def _out_dir(args) -> str:
@@ -81,9 +90,9 @@ def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
     """Factor dividing scenario momenta for display in `display` units."""
     if display == built.units:
         return 1.0
-    if built.params is None:
+    if built.units == UnitSystem.NATURAL:
         raise ConfigError("natural-unit scenarios have no SI anchor; cannot convert")
-    return convert(1.0, "momentum", UnitSystem.NATURAL, UnitSystem.SI, built.params.W)
+    return built.scenario.probe.sigma  # one natural momentum unit, hbar/W in SI
 
 
 def _decomposition_curves(built: BuiltScenario, n: int = FIG2_SAMPLES):
@@ -167,6 +176,23 @@ def cmd_simulate(args) -> int:
     return _emit_bundle(args, files)
 
 
+def _warn_outside_domain(params: ProtocolParams, field: str, solved: float) -> None:
+    """Warn when the solved point breaks x_A < x_B or x_A >= 10 W; the run still succeeds.
+
+    The fields are compared directly: a ProtocolParams at the solved point would raise.
+    """
+    point = {**vars(params), field: solved}
+    x_a, x_b, limit = point["x_A"], point["x_B"], SEPARATION_FACTOR * point["W"]
+    broken = []
+    if x_a >= x_b:
+        broken.append(f"x_A = {x_a:.3e} m >= x_B = {x_b:.3e} m")
+    if x_a < limit:
+        broken.append(f"x_A = {x_a:.3e} m < {SEPARATION_FACTOR:g} W = {limit:.3e} m")
+    if broken:
+        message = f"solved {field} puts the point outside the model's domain: "
+        _emit_record("warning", "solve-domain", message + "; ".join(broken), field=field)
+
+
 def cmd_feasibility(args) -> int:
     built = build_scenario(_resolve_doc(args))
     if built.params is None:
@@ -179,6 +205,7 @@ def cmd_feasibility(args) -> int:
     rows: list[tuple[str, object]] = list(zip(cases.dtype.names, cases.tolist()[0]))
     if args.solve is not None:
         solved = solve_parameter(built.params, args.solve, args.target)
+        _warn_outside_domain(built.params, args.solve, solved)
         rows.append((f"solved_{args.solve}", solved))
         rows.append(("solve_target", args.target))
 
@@ -325,13 +352,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        _emit_error("config", str(exc), field=exc.field)
+        _emit_record("error", "config", str(exc), field=exc.field)
         return 2
     except PostselectionImpossible as exc:
-        _emit_error("postselection-impossible", str(exc))
+        _emit_record("error", "postselection-impossible", str(exc))
         return 1
     except (ValueError, OSError) as exc:
-        _emit_error("runtime", str(exc))
+        _emit_record("error", "runtime", str(exc))
         return 1
 
 

@@ -62,18 +62,6 @@ class EnsembleStats:
                          zip(edges[:-1], edges[1:], self.histogram_counts.tolist()))
 
 
-def stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
-    return (
-        a.trials == b.trials
-        and a.accepted == b.accepted
-        and a.acceptance_rate == b.acceptance_rate
-        and a.mean_kick_estimate == b.mean_kick_estimate
-        and a.std_error == b.std_error
-        and np.array_equal(a.histogram_edges, b.histogram_edges)
-        and np.array_equal(a.histogram_counts, b.histogram_counts)
-    )
-
-
 def _conditional_cdf(cfg: RunConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """P, the conditional grid, its piecewise-linear CDF and the histogram edges."""
     result = protocol.run(cfg.scenario, n=cfg.grid_points)
@@ -141,7 +129,3 @@ def required_trials(delta_ef: float, delta_p: float, p_ps: float, k_sigma: float
         raise ValueError("significance multiple must be positive")
     return math.ceil(k_sigma**2 * (delta_p / delta_ef) ** 2 / p_ps)
 
-
-def reproducibility_check(cfg: RunConfig) -> bool:
-    """Two executions of the same config must produce bit-identical stats."""
-    return stats_equal(run_ensemble(cfg), run_ensemble(cfg))

@@ -3,8 +3,7 @@
 A two-branch source (locations A and B) imprints branch-conditioned momentum
 kicks and phases on a probe pointer state; conditioning on a final source
 state leaves the probe in a superposition of displaced pointers whose exact
-statistics this module computes.  A classical stochastic-mixture baseline is
-included for the repulsion witness comparison.
+statistics this module computes.
 """
 
 from __future__ import annotations
@@ -215,42 +214,3 @@ def run(scenario: Scenario, n: int = DEFAULT_GRID_POINTS) -> PostselectedResult:
     joint = evolve(joint, scenario.delta_a, scenario.delta_b, scenario.phi_a, scenario.phi_b)
     return postselect(joint, scenario.post, n=n)
 
-
-# --- classical baseline ---
-
-
-@dataclass(frozen=True)
-class ClassicalModel:
-    """Stochastic mixture of the two attractive kicks (no interference)."""
-
-    weight_a: float
-    weight_b: float
-    delta_a: float
-    delta_b: float
-
-    def __post_init__(self) -> None:
-        if self.weight_a < 0 or self.weight_b < 0:
-            raise ValueError("classical weights must be non-negative")
-        if abs(self.weight_a + self.weight_b - 1.0) > NORM_TOL:
-            raise ValueError("classical weights must sum to 1")
-
-
-def classical_mean_kick(model: ClassicalModel, subensemble: tuple[float, float]) -> float:
-    """Mean kick after reweighting by a postselection subensemble.
-
-    Always a convex combination of the branch kicks, hence inside
-    [min(delta_a, delta_b), max(delta_a, delta_b)] no matter the weights:
-    a classical mixture cannot flip the sign of the momentum transfer.
-    """
-    w_a, w_b = subensemble
-    if w_a < 0 or w_b < 0:
-        raise ValueError("subensemble weights must be non-negative")
-    mass_a = w_a * model.weight_a
-    mass_b = w_b * model.weight_b
-    if mass_a + mass_b <= 0.0:
-        raise ValueError("subensemble has zero probability mass")
-    if mass_a == 0.0:
-        return model.delta_b
-    if mass_b == 0.0:
-        return model.delta_a
-    return (mass_a * model.delta_a + mass_b * model.delta_b) / (mass_a + mass_b)

@@ -1,9 +1,9 @@
-"""Physical constants and SI/natural unit conversion.
+"""Physical constants and the two unit systems a scenario is stated in.
 
 The natural system sets hbar = 1, measures lengths in units of the probe
 width parameter W and keeps the kilogram as the mass base.  Momentum then
-comes out in units of hbar/W, which is how the interferometer scenarios
-are parameterized.
+comes out in units of hbar/W, the momentum spread of an SI probe, which is
+how the interferometer scenarios are parameterized.
 """
 
 from __future__ import annotations
@@ -18,48 +18,3 @@ HBAR = 1.054571817e-34  # reduced Planck constant [J s]
 class UnitSystem(Enum):
     SI = "si"
     NATURAL = "natural"
-
-
-DIMENSIONS = ("momentum", "length", "time", "mass", "energy")
-
-
-def _natural_unit_in_si(dimension: str, width: float) -> float:
-    """SI value of one natural unit of `dimension`, for probe width W.
-
-    Base units of the natural system: hbar (action), W (length), kg (mass).
-    """
-    if dimension == "momentum":
-        return HBAR / width
-    if dimension == "length":
-        return width
-    if dimension == "mass":
-        return 1.0
-    if dimension == "time":
-        return width * width / HBAR  # kg W^2 / hbar
-    if dimension == "energy":
-        return HBAR * HBAR / (width * width)  # hbar^2 / (kg W^2)
-    raise ValueError(f"unknown dimension tag {dimension!r}; expected one of {DIMENSIONS}")
-
-
-def convert(
-    value: float,
-    dimension: str,
-    src: UnitSystem,
-    dst: UnitSystem,
-    width: float | None = None,
-) -> float:
-    """Convert `value` of the given dimension between unit systems.
-
-    `width` is the probe width parameter W in meters; it is required
-    whenever the natural system is involved.
-    """
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"unknown dimension tag {dimension!r}; expected one of {DIMENSIONS}")
-    if src == dst:
-        return value
-    if width is None or width <= 0:
-        raise ValueError("a positive probe width W is required for natural-unit conversion")
-    unit = _natural_unit_in_si(dimension, width)
-    if src == UnitSystem.NATURAL and dst == UnitSystem.SI:
-        return value * unit
-    return value / unit

@@ -1,19 +1,20 @@
 """1D momentum-space wavefunctions: analytic Gaussians and sampled grids.
 
 Two representations coexist on purpose.  The analytic Gaussian gives exact
-closed forms (moments, overlaps, displacement), so every grid result can be
+closed forms (moments, displacement), so every grid result can be
 checked against it; the grid generalizes to the non-Gaussian superpositions
 that postselection produces.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import TextIO, Union
 
 import numpy as np
+
+from .output import table_csv
 
 DEFAULT_GRID_POINTS = 2048
 DEFAULT_HALFSPAN_SIGMAS = 10.0  # Gaussian mass outside +/-10 sigma < 1e-22
@@ -140,27 +141,6 @@ def _same_grid(a: GridPacket, b: GridPacket) -> bool:
     return a.p.size == b.p.size and np.allclose(a.p, b.p, rtol=1e-12, atol=0.0)
 
 
-def overlap(psi1: Wavepacket, psi2: Wavepacket) -> complex:
-    """Inner product integral conj(psi1) * psi2 dp.
-
-    Two Gaussians use the closed form; any grid operand uses the composite
-    trapezoid rule on its grid.
-    """
-    if isinstance(psi1, GaussianPacket) and isinstance(psi2, GaussianPacket):
-        s1, s2 = psi1.sigma, psi2.sigma
-        d = psi1.center - psi2.center
-        ssum = s1 * s1 + s2 * s2
-        return complex(math.sqrt(2.0 * s1 * s2 / ssum) * math.exp(-d * d / (4.0 * ssum)))
-    if isinstance(psi1, GridPacket) and isinstance(psi2, GridPacket):
-        if not _same_grid(psi1, psi2):
-            raise ValueError("grid packets must share the same momentum grid")
-        return complex(np.trapezoid(np.conj(psi1.amps) * psi2.amps, psi1.p))
-    # mixed: evaluate the analytic one on the grid
-    if isinstance(psi1, GridPacket):
-        return complex(np.trapezoid(np.conj(psi1.amps) * psi2(psi1.p), psi1.p))
-    return complex(np.trapezoid(np.conj(psi1(psi2.p)) * psi2.amps, psi2.p))
-
-
 def moments(psi: Wavepacket) -> Moments:
     """L2 norm, mean momentum and momentum standard deviation."""
     if isinstance(psi, GaussianPacket):
@@ -219,35 +199,6 @@ def to_csv(psi: Wavepacket, dest: TextIO, units: str = "natural", width: float =
     grid = to_grid(psi)
     if units not in ("natural", "si"):
         raise ValueError(f"units must be 'natural' or 'si', got {units!r}")
-    buf = io.StringIO()
-    buf.write(f"# units={units}, W={float(width)!r}\n")
-    buf.write("p,re,im\n")
-    for p, a in zip(grid.p.tolist(), grid.amps.tolist()):
-        buf.write(f"{p!r},{a.real!r},{a.imag!r}\n")
-    dest.write(buf.getvalue())
-
-
-def from_csv(src: TextIO) -> tuple[GridPacket, dict]:
-    """Read a wavepacket written by `to_csv` from a text stream; returns (packet, metadata)."""
-    lines = src.read().splitlines()
-    meta: dict = {}
-    rows = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for part in line.lstrip("#").split(","):
-                if "=" in part:
-                    key, val = part.split("=", 1)
-                    meta[key.strip()] = val.strip()
-            continue
-        if line.startswith("p,"):
-            continue
-        rows.append([float(x) for x in line.split(",")])
-    if "W" in meta:
-        meta["W"] = float(meta["W"])
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        raise ValueError("no samples found in wavepacket CSV")
-    return GridPacket(p=data[:, 0], amps=data[:, 1] + 1j * data[:, 2]), meta
+    rows = table_csv("p,re,im", "%r,%r,%r",
+                     zip(grid.p.tolist(), grid.amps.real.tolist(), grid.amps.imag.tolist()))
+    dest.write(f"# units={units}, W={float(width)!r}\n" + rows)

@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +19,9 @@ from gravkick.feasibility import (
 )
 from gravkick.montecarlo import RunConfig, run_ensemble
 from gravkick.protocol import (
-    ClassicalModel,
     PostselectionImpossible,
     Scenario,
     SourceState,
-    classical_mean_kick,
     evolve,
     paper_postselection,
     postselect,
@@ -162,22 +159,22 @@ def test_criterion_06_weak_limit_convergence():
 
 
 def test_criterion_07_classical_witness_separation():
-    model = ClassicalModel(FIG2_ALPHA**2, FIG2_BETA**2, FIG2_DELTA_A, FIG2_DELTA_B)
-    classical_ok = True
-    for _ in range(10000):
-        sub = RNG.uniform(0.0, 1.0, size=2)
-        if sub[0] * model.weight_a + sub[1] * model.weight_b <= 0:
-            continue
-        if classical_mean_kick(model, (sub[0], sub[1])) <= 0:
-            classical_ok = False
-            break
+    # A classical mixture reweighted by any subensemble has a convex combination of the
+    # branch kicks as its mean, so it stays inside the hull [delta_B, delta_A].
+    masses = RNG.uniform(0.0, 1.0, size=(10000, 2)) * [FIG2_ALPHA**2, FIG2_BETA**2]
+    masses = masses[masses.sum(axis=1) > 0]
+    classical = masses @ [FIG2_DELTA_A, FIG2_DELTA_B] / masses.sum(axis=1)
+    edge = min(FIG2_DELTA_A, FIG2_DELTA_B)
+    classical_ok = bool(np.all(classical >= edge * (1 - 1e-15)))
     stats = run_ensemble(RunConfig(scenario=fig2_scenario(), trials=1000000, seed=2718))
     significance = -stats.mean_kick_estimate / stats.std_error
+    below_hull = (edge - stats.mean_kick_estimate) / stats.std_error
     check(
         7,
-        f"classical kick always > 0; quantum mean {stats.mean_kick_estimate:.4f} "
-        f"negative at {significance:.0f} sigma",
-        classical_ok and stats.mean_kick_estimate < 0 and significance >= 5.0,
+        f"classical kick always >= {edge} > 0; quantum mean {stats.mean_kick_estimate:.4f} "
+        f"negative at {significance:.0f} sigma, below the hull at {below_hull:.0f} sigma",
+        classical_ok and stats.mean_kick_estimate < 0 and significance >= 5.0
+        and below_hull >= 5.0,
     )
 
 

@@ -201,6 +201,26 @@ class TestFeasibility:
                      "--target", "1e-3", "--out", str(out)]) == 0
         assert sha256(out / "summary.csv") == SOLVE_SUMMARY_SHA256_CASE_B[field]
 
+    @pytest.mark.parametrize("field, target, broken", [
+        ("x_A", "1e-6", "x_A = 1.779e-05 m >= x_B = 3.162e-06 m"),
+        ("x_A", "1e-3", "x_A = 5.625e-07 m < 10 W = 1.000e-06 m"),
+        ("W", "1e-3", "x_A = 1.000e-06 m < 10 W = 3.160e-06 m"),
+    ])
+    def test_solve_outside_domain_warns(self, tmp_path, capsys, field, target, broken):
+        out = tmp_path / "bundle"
+        assert main(["feasibility", "--scenario", "caseB", "--solve", field, "--target", target,
+                     "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()
+        human, record = capsys.readouterr().err.strip().splitlines()
+        assert human.startswith(f"warning: solved {field} ") and human.endswith(broken)
+        assert json.loads(record) == {"warning": "solve-domain", "field": field,
+                                      "message": human.removeprefix("warning: ")}
+
+    def test_solve_inside_domain_is_silent(self, tmp_path, capsys):
+        assert main(["feasibility", "--scenario", "caseA", "--solve", "M", "--target", "1e-3",
+                     "--out", str(tmp_path / "bundle")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("field, target", [("M", "nan"), ("x_A", "inf"), ("g", "-inf")])
     def test_non_finite_target_refused(self, tmp_path, capsys, field, target):
         out = tmp_path / "bundle"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from gravkick import feasibility
 from gravkick.analysis import effective_kick
+from gravkick.cli import _momentum_unit
+from gravkick.config import build_scenario
 from gravkick.feasibility import (
     SWEEP_CSV_HEADER,
     ProtocolParams,
@@ -20,10 +22,17 @@ from gravkick.feasibility import (
     sweep,
     sweep_csv,
 )
-from gravkick.units import HBAR, UnitSystem, convert
+from gravkick.units import HBAR, UnitSystem
 
 from . import oracles
-from .refvals import CASE_A_MASS, CASE_B_RATIO, DELTA_KICK_EXAMPLE, TAU_CASE_B, TAU_CESIUM
+from .refvals import (
+    CASE_A_MASS,
+    CASE_B_DOC,
+    CASE_B_RATIO,
+    DELTA_KICK_EXAMPLE,
+    TAU_CASE_B,
+    TAU_CESIUM,
+)
 
 RNG = np.random.default_rng(5150)
 
@@ -108,25 +117,12 @@ class TestRatio:
         )
 
     def test_invariant_under_unit_round_trip(self):
-        base = case_b_params()
-        W = base.W
-
-        def rt(value, dim):
-            nat = convert(value, dim, UnitSystem.SI, UnitSystem.NATURAL, width=W)
-            return convert(nat, dim, UnitSystem.NATURAL, UnitSystem.SI, width=W)
-
-        round_tripped = ProtocolParams(
-            M=rt(base.M, "mass"),
-            m=rt(base.m, "mass"),
-            T=rt(base.T, "time"),
-            x_A=rt(base.x_A, "length"),
-            x_B=rt(base.x_B, "length"),
-            W=rt(base.W, "length"),
-            g=base.g,
-        )
-        assert feasibility_ratio(round_tripped) == pytest.approx(
-            feasibility_ratio(base), rel=1e-10
-        )
+        # the SI ratio is the first-order kick measured in natural momentum units, hbar/W
+        built = build_scenario(CASE_B_DOC)
+        s, unit = built.scenario, _momentum_unit(built, UnitSystem.NATURAL)
+        kick = effective_kick(s.pre.amp_a.real, s.pre.amp_b.real, s.delta_a / unit,
+                              s.delta_b / unit)
+        assert kick == pytest.approx(feasibility_ratio(built.params), rel=1e-10)
 
     def test_derivable_from_kick_and_first_order_formulas(self):
         # the ratio must equal effective_kick/(hbar/W) when the amplitudes

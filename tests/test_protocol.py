@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from gravkick.config import build_scenario, load_preset
 from gravkick.protocol import (
-    ClassicalModel,
     PostselectionImpossible,
     Scenario,
     SourceState,
-    classical_mean_kick,
     evolve,
     gaussian_postselection,
     paper_postselection,
@@ -319,40 +317,39 @@ class TestGaussianPostselection:
         assert math.isnan(mean) and math.isnan(std)
 
 
+def mixture_mean_kick(weights, subensemble, kicks):
+    """Mean kick of a classical mixture of the branch kicks, reweighted by a subensemble."""
+    masses = np.multiply(weights, subensemble)
+    return float(masses @ kicks / masses.sum())
+
+
 class TestClassicalBaseline:
-    def test_pure_subensemble(self):
-        model = ClassicalModel(0.19, 0.81, 0.7, 0.1)
-        assert classical_mean_kick(model, (0.0, 1.0)) == 0.1
-
-    def test_arithmetic_mean(self):
-        model = ClassicalModel(0.5, 0.5, 0.7, 0.1)
-        assert classical_mean_kick(model, (1.0, 1.0)) == pytest.approx(0.4)
-
-    def test_zero_mass_rejected(self):
-        model = ClassicalModel(1.0, 0.0, 0.7, 0.1)
-        with pytest.raises(ValueError, match="mass"):
-            classical_mean_kick(model, (0.0, 1.0))
-
+    # The mean is a convex combination of the kicks, so it stays inside the hull
+    # [min(delta_A, delta_B), max(delta_A, delta_B)] (to rounding): a classical mixture
+    # cannot flip the sign of the momentum transfer.
     def test_always_positive_for_positive_kicks(self):
         for _ in range(10000):
             w = RNG.uniform(0.0, 1.0)
-            model = ClassicalModel(w, 1.0 - w, *RNG.uniform(1e-6, 5.0, size=2))
+            kicks = RNG.uniform(1e-6, 5.0, size=2)
             sub = RNG.uniform(0.0, 1.0, size=2)
             if sub[0] * w + sub[1] * (1 - w) <= 0:
                 continue
-            kick = classical_mean_kick(model, (sub[0], sub[1]))
+            kick = mixture_mean_kick((w, 1.0 - w), sub, kicks)
             assert kick > 0
-            assert min(model.delta_a, model.delta_b) <= kick <= max(model.delta_a, model.delta_b)
+            assert kicks.min() * (1 - 1e-15) <= kick <= kicks.max() * (1 + 1e-15)
 
     def test_quantum_classical_separation(self):
-        # the repulsion witness: quantum mean negative, classical always positive
-        assert run(fig2_scenario()).mean_kick < 0
-        model = ClassicalModel(FIG2_ALPHA**2, FIG2_BETA**2, FIG2_DELTA_A, FIG2_DELTA_B)
+        # the repulsion witness: the quantum mean leaves the hull, and is negative;
+        # every classical mixture stays inside it
+        kicks = np.array([FIG2_DELTA_A, FIG2_DELTA_B])
+        quantum = run(fig2_scenario()).mean_kick
+        assert quantum < 0 < kicks.min()
         for _ in range(10000):
             sub = RNG.uniform(0.0, 1.0, size=2)
             if sub.sum() == 0:
                 continue
-            assert classical_mean_kick(model, (sub[0], sub[1])) > 0
+            kick = mixture_mean_kick((FIG2_ALPHA**2, FIG2_BETA**2), sub, kicks)
+            assert kick >= kicks.min() * (1 - 1e-15) > quantum
 
 
 def test_source_overlap_matches_inner_product():

@@ -1,13 +1,10 @@
-import math
-import sys
-
 import pytest
-from hypothesis import assume, example, given
-from hypothesis import strategies as st
 
-from gravkick.units import DIMENSIONS, G, HBAR, UnitSystem, convert
+from gravkick.cli import _momentum_unit
+from gravkick.config import ConfigError, build_scenario, load_preset
+from gravkick.units import G, HBAR, UnitSystem
 
-from .refvals import MOMENTUM_UNIT_W_1E5
+from .refvals import CASE_A_DOC, MOMENTUM_UNIT_W_1E5
 
 
 def test_constants_are_fixed():
@@ -16,75 +13,30 @@ def test_constants_are_fixed():
 
 
 def test_natural_momentum_unit_to_si():
-    value = convert(1.0, "momentum", UnitSystem.NATURAL, UnitSystem.SI, width=1e-5)
-    assert value == pytest.approx(MOMENTUM_UNIT_W_1E5, rel=1e-12)
+    # the probe of an SI scenario has momentum spread hbar/W: one natural momentum unit
+    built = build_scenario(CASE_A_DOC)
+    assert built.scenario.probe.sigma == pytest.approx(MOMENTUM_UNIT_W_1E5, rel=1e-12)
 
 
 def test_si_momentum_unit_to_natural():
-    assert convert(HBAR / 1e-5, "momentum", UnitSystem.SI, UnitSystem.NATURAL, width=1e-5) == \
-        pytest.approx(1.0, rel=1e-12)
+    built = build_scenario(CASE_A_DOC)
+    unit = _momentum_unit(built, UnitSystem.NATURAL)
+    assert unit == HBAR / CASE_A_DOC["probe"]["W"]
+    assert (HBAR / 1e-5) / unit == pytest.approx(1.0, rel=1e-12)
 
 
 def test_si_to_si_is_identity():
-    assert convert(3.7, "energy", UnitSystem.SI, UnitSystem.SI) == 3.7
-
-
-def test_unknown_dimension_rejected():
-    with pytest.raises(ValueError, match="dimension"):
-        convert(1.0, "charge", UnitSystem.SI, UnitSystem.NATURAL, width=1e-5)
+    assert _momentum_unit(build_scenario(CASE_A_DOC), UnitSystem.SI) == 1.0
 
 
 def test_missing_width_rejected():
-    with pytest.raises(ValueError, match="width"):
-        convert(1.0, "momentum", UnitSystem.SI, UnitSystem.NATURAL)
-
-
-@given(
-    q=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
-    exponent=st.integers(min_value=-6, max_value=6),
-    dimension=st.sampled_from(DIMENSIONS),
-    width=st.floats(min_value=1e-9, max_value=1e-3),
-)
-def test_round_trip(q, exponent, dimension, width):
-    value = q * 10.0**exponent
-    there = convert(value, dimension, UnitSystem.SI, UnitSystem.NATURAL, width=width)
-    back = convert(there, dimension, UnitSystem.NATURAL, UnitSystem.SI, width=width)
-    assert back == pytest.approx(value, rel=1e-12)
-
-
-def _at_domain_edge(test):
-    """Pin the edge of test_linearity's domain for every dimension: a product
-    exactly at the smallest normal float, and zero products."""
-    for dimension in DIMENSIONS:
-        for q, a in ((2.0**-511, 2.0**-511), (1.5, 0.0), (0.0, -2.5)):
-            test = example(q=q, a=a, dimension=dimension)(test)
-    return test
-
-
-@given(
-    q=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-    a=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-    dimension=st.sampled_from(DIMENSIONS),
-)
-@_at_domain_edge
-def test_linearity(q, a, dimension):
-    # A nonzero product a*q below the smallest normal float has already lost
-    # precision (or become 0) before convert sees it; dividing by a tiny unit
-    # such as hbar/W would magnify that rounding of the test's own input into
-    # the normal range.  Keep only products that are zero or normal floats.
-    assume(a == 0.0 or q == 0.0 or abs(a * q) >= sys.float_info.min)
-    width = 2e-6
-    scaled = convert(a * q, dimension, UnitSystem.SI, UnitSystem.NATURAL, width=width)
-    direct = a * convert(q, dimension, UnitSystem.SI, UnitSystem.NATURAL, width=width)
-    assert scaled == pytest.approx(direct, rel=1e-15, abs=1e-300)
+    # a natural-unit scenario states no W, so nothing anchors it to SI
+    with pytest.raises(ConfigError, match="SI anchor"):
+        _momentum_unit(build_scenario(load_preset("fig2")), UnitSystem.SI)
 
 
 def test_unit_system_is_dimensionally_consistent():
-    # momentum^2 / mass must convert like energy
-    width = 3e-7
-    p = convert(1.0, "momentum", UnitSystem.NATURAL, UnitSystem.SI, width=width)
-    m = convert(1.0, "mass", UnitSystem.NATURAL, UnitSystem.SI, width=width)
-    e = convert(1.0, "energy", UnitSystem.NATURAL, UnitSystem.SI, width=width)
-    assert p * p / m == pytest.approx(e, rel=1e-12)
-    t = convert(1.0, "time", UnitSystem.NATURAL, UnitSystem.SI, width=width)
-    assert e * t == pytest.approx(HBAR, rel=1e-12)  # hbar = 1 in natural units
+    # one natural momentum unit times one natural length unit is hbar, which is 1
+    built = build_scenario(CASE_A_DOC)
+    assert _momentum_unit(built, UnitSystem.NATURAL) * built.params.W == pytest.approx(
+        HBAR, rel=1e-15)

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravkick.protocol import gaussian_postselection
 from gravkick.wavepacket import (
-    GaussianPacket,
     GridPacket,
     displace,
-    from_csv,
     gaussian,
     moments,
     normalize,
-    overlap,
     superpose,
     to_csv,
     to_grid,
@@ -101,31 +99,36 @@ class TestDisplace:
         )
 
 
+def pointer_overlap(d):
+    """Overlap I of two unit-sigma Gaussian pointers d apart, read off the closed-form
+    acceptance (1 + I)/2 of their equal-weight sum."""
+    return 2.0 * gaussian_postselection(0.5, 0.5, 0.0, d, 1.0)[0] - 1.0
+
+
 class TestOverlap:
     def test_self_overlap_is_one(self):
-        psi = gaussian(0.7, 1.0)
-        assert overlap(psi, psi) == pytest.approx(1.0, abs=1e-12)
+        assert gaussian_postselection(0.5, 0.5, 0.7, 0.7, 1.0)[0] == 1.0
 
     def test_displaced_gaussians_closed_form(self):
-        value = overlap(gaussian(0.0, 1.0, 1.0), gaussian(0.6, 1.0, 1.0))
-        assert value.real == pytest.approx(OVERLAP_06, abs=1e-12)
-        assert value.imag == 0.0
+        probability = gaussian_postselection(0.5, 0.5, 0.0, 0.6, 1.0)[0]
+        assert probability == pytest.approx((1.0 + OVERLAP_06) / 2.0, abs=1e-12)
 
     def test_against_quadrature_oracle(self):
-        got = overlap(gaussian(0.0, 1.0, 1.0), gaussian(1.3, 1.0, 1.0)).real
-        assert got == pytest.approx(oracles.overlap_oracle(0.0, 1.3, 1.0), abs=1e-10)
+        assert pointer_overlap(1.3) == pytest.approx(oracles.overlap_oracle(0.0, 1.3, 1.0),
+                                                     abs=1e-10)
 
     def test_decays_monotonically(self):
-        separations = np.linspace(0.0, 20.0, 41)
-        values = [overlap(gaussian(0.0, 1.0), gaussian(d, 1.0)).real for d in separations]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        # strictly while I is resolved next to the 1 of (1 + I)/2, and to 0 after
+        values = [pointer_overlap(d) for d in np.linspace(0.0, 20.0, 41)]
+        assert all(a > b or a < 1e-15 for a, b in zip(values, values[1:]))
+        assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-20
 
     def test_incompatible_grids_rejected(self):
         a = to_grid(gaussian(0.0, 1.0), -8.0, 8.0, n=128)
         b = to_grid(gaussian(0.0, 1.0), -9.0, 9.0, n=128)
         with pytest.raises(ValueError, match="grid"):
-            overlap(a, b)
+            superpose([(1.0, a), (1.0, b)])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -134,10 +137,12 @@ class TestOverlap:
         phase=st.floats(min_value=-math.pi, max_value=math.pi),
     )
     def test_cauchy_schwarz(self, c1, c2, phase):
+        # |e^{i phase} psi_1 + psi_2|^2 / 4 = (1 + Re(e^{i phase} <psi_2|psi_1>)) / 2 <= 1
+        # for every phase is |<psi_2|psi_1>| <= 1
         grid = to_grid(gaussian(c1, 1.0), -16.0, 16.0, n=512)
-        rotated = GridPacket(p=grid.p, amps=grid.amps * np.exp(1j * phase))
         other = to_grid(gaussian(c2, 1.0), -16.0, 16.0, n=512)
-        assert abs(overlap(rotated, other)) <= 1.0 + 1e-12
+        summed = superpose([(0.5 * np.exp(1j * phase), grid), (0.5, other)])
+        assert moments(summed).norm <= 1.0 + 1e-12
 
 
 class TestMoments:
@@ -176,7 +181,8 @@ class TestMoments:
         assert mg.norm == pytest.approx(ma.norm, abs=1e-6)
         assert mg.mean == pytest.approx(ma.mean, abs=1e-6)
         assert mg.std == pytest.approx(ma.std, abs=1e-6)
-        assert overlap(grid, psi).real == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(np.conj(grid.amps) * psi(grid.p), grid.p).real == pytest.approx(
+            1.0, abs=1e-6)
 
 
 class TestGridValidation:
@@ -207,11 +213,11 @@ class TestCsv:
         grid = to_grid(gaussian(0.2, 1.0, 1.0), -6, 6, n=128)
         buf = io.StringIO()
         to_csv(grid, buf, units="natural", width=1.0)
-        packet, meta = from_csv(io.StringIO(buf.getvalue()))
-        assert meta["units"] == "natural"
-        assert meta["W"] == 1.0
-        assert np.array_equal(packet.p, grid.p)
-        assert np.array_equal(packet.amps, grid.amps)
+        assert buf.getvalue().startswith("# units=natural, W=1.0\n")
+        p, re, im = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=2,
+                               unpack=True)
+        assert np.array_equal(p, grid.p)
+        assert np.array_equal(re + 1j * im, grid.amps)
 
     def test_header_and_metadata_lines(self):
         buf = io.StringIO()
