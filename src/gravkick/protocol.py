@@ -41,7 +41,7 @@ class SourceState:
 
     def __post_init__(self) -> None:
         n = abs(self.amp_a) ** 2 + abs(self.amp_b) ** 2
-        if abs(n - 1.0) > NORM_TOL:
+        if not abs(n - 1.0) <= NORM_TOL:
             raise ValueError(f"source amplitudes must be normalized, |a|^2+|b|^2 = {n!r}")
 
     @classmethod
@@ -85,11 +85,6 @@ class JointState:
     pointer_a: Wavepacket
     amp_b: complex
     pointer_b: Wavepacket
-
-    def total_norm(self) -> float:
-        na = moments(self.pointer_a).norm if abs(self.amp_a) else 1.0
-        nb = moments(self.pointer_b).norm if abs(self.amp_b) else 1.0
-        return abs(self.amp_a) ** 2 * na**2 + abs(self.amp_b) ** 2 * nb**2
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from gravkick.protocol import (
     prepare_initial,
     run,
 )
-from gravkick.wavepacket import gaussian, to_grid
+from gravkick.wavepacket import gaussian, moments, to_grid
 
 from . import oracles
 from .refvals import (
@@ -205,7 +205,9 @@ def test_criterion_09_unitarity_and_completeness():
         source = SourceState.from_amplitudes(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
         joint = prepare_initial(source, probe)
         evolved = evolve(joint, *RNG.uniform(-2, 2, size=2), *RNG.uniform(-3, 3, size=2))
-        if abs(evolved.total_norm() - 1.0) > 1e-10:
+        norm = (abs(evolved.amp_a) ** 2 * moments(evolved.pointer_a).norm ** 2
+                + abs(evolved.amp_b) ** 2 * moments(evolved.pointer_b).norm ** 2)
+        if abs(norm - 1.0) > 1e-10:
             unitary_ok = False
             break
         raw = RNG.normal(size=4)

@@ -39,6 +39,12 @@ from .refvals import (
 RNG = np.random.default_rng(20260810)
 
 
+def joint_norm(joint):
+    """|amp_A|^2 ||psi_A||^2 + |amp_B|^2 ||psi_B||^2 of a joint state."""
+    return (abs(joint.amp_a) ** 2 * moments(joint.pointer_a).norm ** 2
+            + abs(joint.amp_b) ** 2 * moments(joint.pointer_b).norm ** 2)
+
+
 def fig2_scenario(**overrides):
     kwargs = dict(
         pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
@@ -61,6 +67,11 @@ class TestSourceState:
         with pytest.raises(ValueError, match="normalized"):
             SourceState(0.9, 0.9)
 
+    @pytest.mark.parametrize("amps", [(math.nan, 0.0), (1.0, complex(0.0, math.nan))])
+    def test_non_finite_amplitude_rejected(self, amps):
+        with pytest.raises(ValueError, match="normalized"):
+            SourceState(*amps)
+
     def test_from_amplitudes_normalizes(self):
         s = SourceState.from_amplitudes(3.0, 4.0)
         assert abs(s.amp_a) ** 2 + abs(s.amp_b) ** 2 == pytest.approx(1.0, abs=1e-15)
@@ -75,7 +86,7 @@ class TestPrepare:
     def test_single_branch(self):
         joint = prepare_initial(SourceState(1.0, 0.0), gaussian(0.0, 1.0))
         assert joint.amp_b == 0.0
-        assert joint.total_norm() == pytest.approx(1.0, abs=1e-12)
+        assert joint_norm(joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_branch_norms(self):
         joint = prepare_initial(
@@ -113,7 +124,18 @@ class TestEvolve:
             delta = RNG.uniform(-2.0, 2.0, size=2)
             phi = RNG.uniform(-math.pi, math.pi, size=2)
             evolved = evolve(joint, delta[0], delta[1], phi[0], phi[1])
-            assert abs(evolved.total_norm() - 1.0) < 1e-10
+            assert abs(joint_norm(evolved) - 1.0) < 1e-10
+
+
+class TestNonFiniteKick:
+    @pytest.mark.parametrize("delta_a", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("probe", [gaussian(0.0, 1.0), to_grid(gaussian(0.0, 1.0), n=256)])
+    def test_run_refuses_non_finite_kick(self, probe, delta_a):
+        scenario = Scenario(pre=SourceState.from_amplitudes(1.0, 1.0),
+                            post=paper_postselection(), probe=probe,
+                            delta_a=delta_a, delta_b=0.1)
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            run(scenario)
 
 
 class TestPostselect:

@@ -87,6 +87,18 @@ class TestDisplace:
         with pytest.raises(ValueError, match="guard"):
             displace(grid, 5.0)
 
+    @pytest.mark.parametrize("n", [16, 17, 2048, 2049])
+    def test_matches_direct_phase_ramp(self, n):
+        # random amplitudes weight every frequency bin, the Nyquist bin of even n included
+        rng = np.random.default_rng(n)
+        p = np.linspace(-3.0, 5.0, n)
+        grid = GridPacket(p=p, amps=rng.normal(size=n) + 1j * rng.normal(size=n))
+        xi = np.fft.fftfreq(n, grid.dp)
+        quarter = grid.span / 4.0
+        for delta in (-0.37, -quarter * (1.0 - 1e-9), 1e-13, quarter * (1.0 - 1e-9)):
+            direct = np.fft.ifft(np.fft.fft(grid.amps) * np.exp(-2j * math.pi * xi * delta))
+            assert np.max(np.abs(displace(grid, delta).amps - direct)) < 1e-12
+
     @settings(max_examples=60, deadline=None)
     @given(
         delta=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -194,6 +206,17 @@ class TestGridValidation:
         p = np.array([0.0, 0.1, 0.3, 0.35] + list(np.linspace(0.4, 2.0, 14)))
         with pytest.raises(ValueError, match="uniform"):
             GridPacket(p=p, amps=np.zeros(p.size, dtype=complex))
+
+    @pytest.mark.parametrize("offset, ok", [(2e-9, False), (5e-10, True)])
+    def test_uniformity_tolerance(self, offset, ok):
+        # one step of a unit-step grid is off by `offset` relative; the bound is 1e-9
+        p = np.arange(32.0)
+        p[20:] += offset
+        if ok:
+            GridPacket(p=p, amps=np.zeros(32, dtype=complex))
+        else:
+            with pytest.raises(ValueError, match="uniform"):
+                GridPacket(p=p, amps=np.zeros(32, dtype=complex))
 
     def test_nonfinite_amplitudes(self):
         p = np.linspace(-1, 1, 32)
