@@ -26,15 +26,13 @@ from .feasibility import (
 )
 from .montecarlo import EnsembleStats, RunConfig, required_trials, run_ensemble
 from .protocol import (
-    JointState,
     PostselectedResult,
     PostselectionImpossible,
     Scenario,
     SourceState,
-    evolve,
+    branch_weights,
     paper_postselection,
     postselect,
-    prepare_initial,
 )
 from .units import G, HBAR, UnitSystem
 from .wavepacket import (

@@ -3,6 +3,11 @@
 First-order (weak-value) predictions of the postselected momentum shift,
 the projector and kick-operator weak values, amplification gain, and a
 diagnostic comparing first-order predictions against the exact protocol.
+
+Every weak value here is a ratio of the phase-free weights
+`protocol.branch_weights(pre, post)`, without the interaction phases that
+`protocol.run` applies; the README's "Gain against acceptance" says where
+that misses the exact mean.
 """
 
 from __future__ import annotations
@@ -27,12 +32,18 @@ class Regime(Enum):
     STRONG = "strong"
 
 
-def weak_value_projector(pre: protocol.SourceState, post: protocol.SourceState) -> complex:
-    """Weak value <post|P_A|pre> / <post|pre> of the branch-A projector."""
-    ov = protocol.source_overlap(post, pre)
-    if abs(ov) <= OVERLAP_FLOOR:
+def _weights(pre: protocol.SourceState, post: protocol.SourceState) -> tuple[complex, ...]:
+    """Phase-free branch weights w_X = conj(post_X) pre_X and their sum <post|pre>."""
+    w_a, w_b = protocol.branch_weights(pre, post)
+    if abs(w_a + w_b) <= OVERLAP_FLOOR:
         raise ValueError("pre and post states are (numerically) orthogonal")
-    return complex(post.amp_a).conjugate() * complex(pre.amp_a) / ov
+    return w_a, w_b, w_a + w_b
+
+
+def weak_value_projector(pre: protocol.SourceState, post: protocol.SourceState) -> complex:
+    """Weak value w_A / <post|pre> of the branch-A projector, phase-free weights."""
+    w_a, _, overlap = _weights(pre, post)
+    return w_a / overlap
 
 
 def weak_value_kick(
@@ -41,16 +52,10 @@ def weak_value_kick(
     delta_a: float,
     delta_b: float,
 ) -> complex:
-    """Weak value of the branch-diagonal kick operator diag(delta_a, delta_b)
-    between pre- and postselected states."""
-    ov = protocol.source_overlap(post, pre)
-    if abs(ov) <= OVERLAP_FLOOR:
-        raise ValueError("pre and post states are (numerically) orthogonal")
-    num = (
-        complex(post.amp_a).conjugate() * complex(pre.amp_a) * delta_a
-        + complex(post.amp_b).conjugate() * complex(pre.amp_b) * delta_b
-    )
-    return num / ov
+    """Weak value (w_A delta_a + w_B delta_b) / <post|pre> of the branch-diagonal kick
+    operator diag(delta_a, delta_b), phase-free weights."""
+    w_a, w_b, overlap = _weights(pre, post)
+    return (w_a * delta_a + w_b * delta_b) / overlap
 
 
 def effective_kick(alpha: float, beta: float, delta_a: float, delta_b: float) -> float:
@@ -82,7 +87,8 @@ def weak_value_report(
     """First-order summary for arbitrary (possibly complex) pre/post states.
 
     For a real symmetric pointer only Re of the kick weak value shifts the
-    momentum mean, so that is what `effective_kick` reports here.
+    momentum mean, so that is what `effective_kick` reports here.  Every field
+    is phase-free, the overlap included.
     """
     wv = weak_value_kick(pre, post, delta_a, delta_b)
     d_ef = wv.real
@@ -91,7 +97,7 @@ def weak_value_report(
         projector_weak_value=weak_value_projector(pre, post),
         effective_kick=d_ef,
         gain=gain,
-        postselection_overlap=protocol.source_overlap(post, pre),
+        postselection_overlap=_weights(pre, post)[2],
     )
 
 

@@ -138,10 +138,17 @@ def _refuse_constant(literal: str):
     raise ConfigError(f"invalid JSON: {literal} is not a finite number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):  # 1e400 parses to inf
+        raise ConfigError(f"invalid JSON: {literal} overflows the double range")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_refuse_constant)
+            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -112,16 +112,22 @@ def evaluate_case(
     """All derived quantities, one record per point of `params` (one for float fields).
 
     ps_prob is the exact Gaussian-probe acceptance, one closed-form call per
-    record, of the weights w_X = conj(final_X) (amp_X e^{i phi_X}) grouped as
-    `protocol.evolve` and `protocol.postselect` group them: amp = (alpha, beta)
-    realises the record's gain, `final` and `phases` are the scenario's, and
-    `final` defaults to the paper postselection with those phases.
+    record, of the weights w_X = conj(final_X) (amp_X e^{i phi_X}) that
+    `protocol.branch_weights` gives, hoisted out of the row loop and grouped
+    as it groups them: amp = (alpha, beta) realises the record's gain, `final`
+    and `phases` are the scenario's, and `final` defaults to the paper
+    postselection with those phases.  Kicks, ratio or tau that overflow the
+    double range at any point raise ValueError.
     """
     p = params
-    d_a = delta_kick(p.M, p.m, p.T, p.x_A)
-    d_b = delta_kick(p.M, p.m, p.T, p.x_B)
-    values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, d_a, d_b, feasibility_ratio(p),
-              spreading_time(p.m, p.W), math.nan, p.separation_ok)
+    with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
+        derived = {"delta_a": delta_kick(p.M, p.m, p.T, p.x_A),
+                   "delta_b": delta_kick(p.M, p.m, p.T, p.x_B),
+                   "ratio": feasibility_ratio(p), "tau": spreading_time(p.m, p.W)}
+    for name, column in derived.items():
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"{name} overflows the double range; the inputs are too extreme")
+    values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, *derived.values(), math.nan, p.separation_ok)
     cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
     alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
     final = final if final is not None else paper_postselection(*phases)
@@ -155,11 +161,15 @@ def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -
         raise ValueError(f"the ratio vanishes at g = 0; no {unknown} reaches the target")
     unit_gain_ratio = abs(feasibility_ratio(replace(params, g=1.0)))
     if unknown == "g":
-        return abs(target_ratio) / unit_gain_ratio
-    scale = abs(target_ratio) / (params.g * unit_gain_ratio)
-    if unknown == "x_A":
-        return params.x_A / math.sqrt(scale)
-    return getattr(params, unknown) * scale
+        solved = abs(target_ratio) / unit_gain_ratio
+    else:
+        scale = abs(target_ratio) / (params.g * unit_gain_ratio)
+        solved = (params.x_A / math.sqrt(scale) if unknown == "x_A"
+                  else getattr(params, unknown) * scale)
+    if not 0.0 < solved < math.inf:
+        raise ValueError(f"solved {unknown} = {solved!r} is outside the positive double range; "
+                         f"target {target_ratio!r} is too extreme")
+    return solved
 
 
 Axis = tuple[str, float, float, int]  # (field, start, stop, count)

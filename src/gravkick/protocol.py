@@ -1,4 +1,4 @@
-"""Interferometer protocol: prepare, kick, postselect.
+"""Interferometer protocol: kick, postselect.
 
 A two-branch source (locations A and B) imprints branch-conditioned momentum
 kicks and phases on a probe pointer state; conditioning on a final source
@@ -65,26 +65,16 @@ def paper_postselection(phi_a: float = 0.0, phi_b: float = 0.0) -> SourceState:
     )
 
 
-def source_overlap(final: SourceState, initial: SourceState) -> complex:
-    """<final|initial> in the branch basis."""
-    return (
-        complex(final.amp_a).conjugate() * complex(initial.amp_a)
-        + complex(final.amp_b).conjugate() * complex(initial.amp_b)
-    )
+def branch_weights(
+    pre: SourceState, post: SourceState, phi_a: float = 0.0, phi_b: float = 0.0
+) -> tuple[complex, complex]:
+    """Weights w_X = conj(post_X) (pre_X e^{i phi_X}) of the branch pointers after postselection.
 
-
-@dataclass(frozen=True)
-class JointState:
-    """Source-probe entangled state as two branch-labeled pointers.
-
-    Pointers stay normalized; branch weights and phases live in the complex
-    coefficients, so total norm is |amp_a|^2 + |amp_b|^2 = 1.
+    The postselected probe is w_A psi_A + w_B psi_B.  With no phases, w_A + w_B
+    is <post|pre> and the weights are those of the weak values.
     """
-
-    amp_a: complex
-    pointer_a: Wavepacket
-    amp_b: complex
-    pointer_b: Wavepacket
+    return (complex(post.amp_a).conjugate() * (pre.amp_a * cmath.exp(1j * phi_a)),
+            complex(post.amp_b).conjugate() * (pre.amp_b * cmath.exp(1j * phi_b)))
 
 
 @dataclass(frozen=True)
@@ -100,27 +90,6 @@ class PostselectedResult:
     def conditional(self) -> Wavepacket:
         """The normalized conditional probe state, rendered on first read."""
         return normalize(superpose(list(self.terms), n=self.n))
-
-
-def prepare_initial(source: SourceState, probe: Wavepacket) -> JointState:
-    """Product state of the superposed source and the probe pointer."""
-    return JointState(amp_a=source.amp_a, pointer_a=probe, amp_b=source.amp_b, pointer_b=probe)
-
-
-def evolve(
-    joint: JointState,
-    delta_a: float,
-    delta_b: float,
-    phi_a: float = 0.0,
-    phi_b: float = 0.0,
-) -> JointState:
-    """Apply branch-conditioned momentum kicks and interaction phases."""
-    return JointState(
-        amp_a=joint.amp_a * cmath.exp(1j * phi_a),
-        pointer_a=displace(joint.pointer_a, delta_a),
-        amp_b=joint.amp_b * cmath.exp(1j * phi_b),
-        pointer_b=displace(joint.pointer_b, delta_b),
-    )
 
 
 def gaussian_postselection(
@@ -152,26 +121,21 @@ def gaussian_postselection(
 
 
 def postselect(
-    joint: JointState,
-    final: SourceState,
-    n: int = DEFAULT_GRID_POINTS,
+    terms: tuple[tuple[complex, Wavepacket], tuple[complex, Wavepacket]], n: int
 ) -> PostselectedResult:
-    """Condition the probe on measuring the source in `final`.
+    """Statistics of the postselected probe w_A psi_A + w_B psi_B.
 
-    The unnormalized conditional pointer is
-        conj(final_A) amp_A psi_A + conj(final_B) amp_B psi_B;
-    its squared norm is the postselection probability.  Two Gaussian pointers
-    of one width take P, mean and std from `gaussian_postselection`; other
-    pointers are rendered on the grid and take them from one `moments` pass.
+    `terms` is ((w_A, psi_A), (w_B, psi_B)), as `branch_weights` and `displace`
+    give them.  The squared norm of that unnormalized pointer is the postselection
+    probability.  Two Gaussian pointers of one width take P, mean and std from
+    `gaussian_postselection`; other pointers are rendered on the grid (n points
+    unless a pointer brings its own) and take them from one `moments` pass.
     The result keeps the weighted pointers and renders (and normalizes) the
     conditional state from them only when a caller first reads `conditional`;
     grid pointers are rendered again then.  Probabilities below 1e-30 raise
     PostselectionImpossible instead of returning a garbage state.
     """
-    w_a = complex(final.amp_a).conjugate() * complex(joint.amp_a)
-    w_b = complex(final.amp_b).conjugate() * complex(joint.amp_b)
-    ptr_a, ptr_b = joint.pointer_a, joint.pointer_b
-    terms = ((w_a, ptr_a), (w_b, ptr_b))
+    (w_a, ptr_a), (w_b, ptr_b) = terms
     if (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
             and ptr_a.sigma == ptr_b.sigma):
         probability, mean, std = gaussian_postselection(
@@ -193,7 +157,7 @@ def postselect(
 
 @dataclass(frozen=True)
 class Scenario:
-    """One full protocol run: prepare -> kick -> postselect."""
+    """One full protocol run: branch kicks and phases, then postselection."""
 
     pre: SourceState
     post: SourceState
@@ -205,7 +169,8 @@ class Scenario:
 
 
 def run(scenario: Scenario, n: int = DEFAULT_GRID_POINTS) -> PostselectedResult:
-    joint = prepare_initial(scenario.pre, scenario.probe)
-    joint = evolve(joint, scenario.delta_a, scenario.delta_b, scenario.phi_a, scenario.phi_b)
-    return postselect(joint, scenario.post, n=n)
-
+    """Kick the probe by delta_X on branch X and postselect the source on `post`."""
+    s = scenario
+    w_a, w_b = branch_weights(s.pre, s.post, s.phi_a, s.phi_b)
+    terms = ((w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b)))
+    return postselect(terms, n)

@@ -32,10 +32,10 @@ class GaussianPacket:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"width parameter must be positive, got {self.width}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width parameter must be positive and finite, got {self.width}")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def sigma(self) -> float:

@@ -14,7 +14,7 @@ from gravkick.analysis import (
     weak_value_projector,
     weak_value_report,
 )
-from gravkick.protocol import Scenario, SourceState, paper_postselection, run
+from gravkick.protocol import Scenario, SourceState, branch_weights, paper_postselection, run
 from gravkick.wavepacket import gaussian
 
 from .refvals import (
@@ -140,6 +140,16 @@ class TestWeakValueReport:
         report = weak_value_report(pre, post, FIG2_DELTA_A, FIG2_DELTA_B)
         relation = FIG2_DELTA_B + (FIG2_DELTA_A - FIG2_DELTA_B) * report.projector_weak_value.real
         assert report.effective_kick == pytest.approx(relation, abs=1e-12)
+
+    def test_overlap_is_the_sum_of_phase_free_weights(self):
+        for _ in range(50):
+            raw = RNG.normal(size=(2, 4))
+            pre, post = (SourceState.from_amplitudes(complex(r[0], r[1]), complex(r[2], r[3]))
+                         for r in raw)
+            w_a, w_b = branch_weights(pre, post)
+            report = weak_value_report(pre, post, 0.7, 0.1)
+            assert report.postselection_overlap == w_a + w_b
+            assert report.projector_weak_value == w_a / (w_a + w_b)
 
     def test_gain_overlap_tradeoff(self):
         # gain grows without bound as the overlap shrinks, but gain*|overlap| stays bounded

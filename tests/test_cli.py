@@ -56,12 +56,19 @@ def sha256(path):
 
 
 def assert_refused(code, out, capsys, kind, message):
-    """Exit code, no bundle, and a one-line JSON error record of `kind` naming `message`."""
+    """Exit code, no bundle, and a one-line JSON error record of `kind` naming `message`.
+
+    Nothing else reaches stderr: the human-readable line and the record, no traceback or
+    numpy warning.
+    """
     assert code == {"config": 2, "runtime": 1}[kind]
     assert not out.exists()
     err = capsys.readouterr().err
     assert message in err
-    assert json.loads(err.strip().splitlines()[-1])["error"] == kind
+    human, line = err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == kind
+    assert human == f"error: {record['message']}"
 
 
 class TestSimulate:
@@ -227,6 +234,15 @@ class TestFeasibility:
         code = main(["feasibility", doc_path(tmp_path, CASE_B_DOC), "--solve", field,
                      f"--target={target}", "--out", str(out)])
         assert_refused(code, out, capsys, "runtime", "must be finite")
+
+    @pytest.mark.parametrize("field, target, solved", [
+        ("M", "1e308", "inf"), ("M", "1e-320", "0.0"), ("x_A", "1e308", "0.0"),
+    ])
+    def test_solution_outside_double_range_refused(self, tmp_path, capsys, field, target, solved):
+        out = tmp_path / "bundle"
+        code = main(["feasibility", "--scenario", "caseB", "--solve", field, "--target", target,
+                     "--out", str(out)])
+        assert_refused(code, out, capsys, "runtime", f"solved {field} = {solved} is outside")
 
     def test_beta_source_realises_its_gain(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -427,6 +443,13 @@ class TestSweep:
         assert message in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "runtime"
 
+    @pytest.mark.parametrize("svg", [[], ["--svg"]])
+    def test_overflowing_ratio_refused(self, tmp_path, capsys, svg):
+        out = tmp_path / "bundle"
+        code = main(["sweep", "--scenario", "caseB", "--axis", "M=1e300:1e308:3",
+                     "--axis2", "x_A=1e-6:2e-6:3", *svg, "--out", str(out)])
+        assert_refused(code, out, capsys, "runtime", "ratio overflows the double range")
+
     def test_bad_axis_spec(self, tmp_path, capsys):
         code = main(
             ["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=broken", "--out",
@@ -539,6 +562,23 @@ class TestErrorChannels:
         out = tmp_path / "bundle"
         code = main(["feasibility", str(config), "--out", str(out)])
         assert_refused(code, out, capsys, "config", f"{literal} is not a finite number")
+
+    @pytest.mark.parametrize("command, literal, overflowing", [
+        ("simulate", '"W": 1e-07', '"W": 1e400'),
+        ("simulate", '"M": 1e-14', '"M": 1e400'),
+        ("feasibility", '"gain": 100', '"gain": 1e400'),
+        ("feasibility", '"T": 0.5', '"T": -1e400'),
+    ])
+    def test_overflowing_literal_is_a_config_error(self, tmp_path, capsys, command, literal,
+                                                   overflowing):
+        text = json.dumps(CASE_B_DOC)
+        assert literal in text
+        config = tmp_path / "cfg.json"
+        config.write_text(text.replace(literal, overflowing))
+        out = tmp_path / "bundle"
+        code = main([command, str(config), "--out", str(out)])
+        number = overflowing.split(": ")[1]
+        assert_refused(code, out, capsys, "config", f"{number} overflows the double range")
 
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

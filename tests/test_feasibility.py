@@ -22,6 +22,12 @@ from gravkick.feasibility import (
     sweep,
     sweep_csv,
 )
+from gravkick.protocol import (
+    SourceState,
+    branch_weights,
+    gaussian_postselection,
+    paper_postselection,
+)
 from gravkick.units import HBAR, UnitSystem
 
 from . import oracles
@@ -197,6 +203,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="solve"):
             solve_parameter(case_b_params(), "x_B", 1e-3)
 
+    @pytest.mark.parametrize("field, target, solved", [
+        ("M", 1e308, "inf"), ("g", 1e308, "inf"), ("x_A", 1e308, "0.0"),
+        ("M", 1e-320, "0.0"), ("W", 5e-324, "0.0"),
+    ])
+    def test_solution_outside_double_range_rejected(self, field, target, solved):
+        with pytest.raises(ValueError, match=f"solved {field} = {solved} is outside"):
+            solve_parameter(case_b_params(), field, target)
+
     @settings(max_examples=60, deadline=None)
     @given(
         target=st.floats(min_value=1e-6, max_value=1e-1),
@@ -278,6 +292,16 @@ class TestSweep:
             point = replace(base, m=float(case.m), g=float(case.g))
             assert case.tolist() == evaluate_case(point)[0].tolist()
 
+    @pytest.mark.parametrize("overrides, axes, column", [
+        ({}, [("M", 1e300, 1e308, 3), ("x_A", 1e-150, 2e-150, 3)], "delta_a"),
+        ({}, [("M", 1e300, 1e308, 3)], "ratio"),
+        ({"W": 1e10}, [("g", 1e298, 1e300, 3)], "ratio"),
+        ({}, [("W", 1e150, 1e160, 3)], "tau"),
+    ])
+    def test_overflowing_columns_rejected(self, overrides, axes, column):
+        with pytest.raises(ValueError, match=f"{column} overflows the double range"):
+            sweep(replace(case_b_params(), **overrides), axes)
+
     @pytest.mark.parametrize("axis, message", [
         (("x_A", 4e-7, 2e-6, 5), "x_B must exceed x_A"),
         (("g", 10.0, -10.0, 5), "amplification factor must be non-negative"),
@@ -303,6 +327,24 @@ class TestAcceptance:
             HBAR / params.W,
         )
         assert case.ps_prob == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+
+    @pytest.mark.parametrize("post, phases", [
+        (None, (0.0, 0.0)),
+        (None, (0.4, -1.1)),
+        (SourceState.from_amplitudes(0.6, 0.8j), (2.0, 0.3)),
+    ])
+    def test_ps_prob_is_the_branch_weights_acceptance(self, post, phases):
+        cases = sweep(case_b_params(), [("g", 1.0, 1e4, 4), ("M", 1e-15, 1e-13, 3)],
+                      final=post, phases=phases)
+        final = post if post is not None else paper_postselection(*phases)
+        alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
+        for i in range(len(cases)):
+            pre = SourceState(float(alpha[i]), float(beta[i]))
+            w_a, w_b = branch_weights(pre, final, *phases)
+            expected = gaussian_postselection(w_a, w_b, cases.delta_a[i], cases.delta_b[i],
+                                              HBAR / cases.W[i])[0]
+            assert cases.ps_prob[i] == expected
 
 
 class TestCsvFormat:

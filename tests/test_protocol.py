@@ -12,13 +12,10 @@ from gravkick.protocol import (
     PostselectionImpossible,
     Scenario,
     SourceState,
-    evolve,
+    branch_weights,
     gaussian_postselection,
     paper_postselection,
-    postselect,
-    prepare_initial,
     run,
-    source_overlap,
 )
 from gravkick.wavepacket import displace, gaussian, moments, normalize, superpose, to_grid
 
@@ -39,10 +36,7 @@ from .refvals import (
 RNG = np.random.default_rng(20260810)
 
 
-def joint_norm(joint):
-    """|amp_A|^2 ||psi_A||^2 + |amp_B|^2 ||psi_B||^2 of a joint state."""
-    return (abs(joint.amp_a) ** 2 * moments(joint.pointer_a).norm ** 2
-            + abs(joint.amp_b) ** 2 * moments(joint.pointer_b).norm ** 2)
+BRANCH_BASIS = (SourceState(1.0, 0.0), SourceState(0.0, 1.0))
 
 
 def fig2_scenario(**overrides):
@@ -83,48 +77,49 @@ class TestSourceState:
 
 
 class TestPrepare:
+    # postselecting on a branch state |X> leaves the weight of that branch alone
     def test_single_branch(self):
-        joint = prepare_initial(SourceState(1.0, 0.0), gaussian(0.0, 1.0))
-        assert joint.amp_b == 0.0
-        assert joint_norm(joint) == pytest.approx(1.0, abs=1e-12)
+        pre, probe = SourceState(1.0, 0.0), gaussian(0.0, 1.0)
+        assert branch_weights(pre, SourceState.from_amplitudes(-1.0, 1.0))[1] == 0.0
+        assert run(Scenario(pre, BRANCH_BASIS[0], probe, 0.0, 0.0)).probability == pytest.approx(
+            1.0, abs=1e-12)
+        with pytest.raises(PostselectionImpossible):
+            run(Scenario(pre, BRANCH_BASIS[1], probe, 0.0, 0.0))
 
     def test_balanced_branch_norms(self):
-        joint = prepare_initial(
-            SourceState.from_amplitudes(1.0, 1.0), gaussian(0.0, 1.0)
-        )
-        assert abs(joint.amp_a) ** 2 == pytest.approx(0.5, abs=1e-12)
-        assert abs(joint.amp_b) ** 2 == pytest.approx(0.5, abs=1e-12)
+        pre = SourceState.from_amplitudes(1.0, 1.0)
+        assert abs(branch_weights(pre, BRANCH_BASIS[0])[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
+        assert abs(branch_weights(pre, BRANCH_BASIS[1])[1]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_fig2_branch_weights(self):
-        joint = prepare_initial(
-            SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)), gaussian(0.0, 1.0)
-        )
-        assert abs(joint.amp_a) ** 2 == pytest.approx(0.19, abs=1e-12)
-        assert abs(joint.amp_b) ** 2 == pytest.approx(0.81, abs=1e-12)
+        pre = SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA))
+        assert abs(branch_weights(pre, BRANCH_BASIS[0])[0]) ** 2 == pytest.approx(0.19, abs=1e-12)
+        assert abs(branch_weights(pre, BRANCH_BASIS[1])[1]) ** 2 == pytest.approx(0.81, abs=1e-12)
 
 
 class TestEvolve:
     def test_identity_without_interaction(self):
-        joint = prepare_initial(SourceState.from_amplitudes(1.0, 2.0), gaussian(0.0, 1.0))
-        evolved = evolve(joint, 0.0, 0.0, 0.0, 0.0)
-        assert evolved.amp_a == joint.amp_a
-        assert moments(evolved.pointer_a).mean == moments(joint.pointer_a).mean
+        pre, probe = SourceState.from_amplitudes(1.0, 2.0), gaussian(0.0, 1.0)
+        post = BRANCH_BASIS[0]
+        assert branch_weights(pre, post, 0.0, 0.0)[0] == pre.amp_a
+        assert run(Scenario(pre, post, probe, 0.0, 0.0)).mean_kick == moments(probe).mean
 
     def test_branch_pointer_means(self):
-        joint = prepare_initial(SourceState.from_amplitudes(1.0, 1.0), gaussian(0.0, 1.0))
-        evolved = evolve(joint, 0.7, 0.1)
-        assert moments(evolved.pointer_a).mean == pytest.approx(0.7)
-        assert moments(evolved.pointer_b).mean == pytest.approx(0.1)
+        pre, probe = SourceState.from_amplitudes(1.0, 1.0), gaussian(0.0, 1.0)
+        assert run(Scenario(pre, BRANCH_BASIS[0], probe, 0.7, 0.1)).mean_kick == pytest.approx(0.7)
+        assert run(Scenario(pre, BRANCH_BASIS[1], probe, 0.7, 0.1)).mean_kick == pytest.approx(0.1)
 
     def test_unitarity_randomized(self):
-        # grid pointers exercise the spectral-shift path
+        # grid pointers exercise the spectral-shift path; the kicked state's norm is the sum
+        # of its postselection probabilities over the branch basis
         probe = to_grid(gaussian(0.0, 1.0, 1.0), -12.0, 12.0, n=512)
         for _ in range(1000):
-            joint = prepare_initial(random_source(RNG), probe)
+            pre = random_source(RNG)
             delta = RNG.uniform(-2.0, 2.0, size=2)
             phi = RNG.uniform(-math.pi, math.pi, size=2)
-            evolved = evolve(joint, delta[0], delta[1], phi[0], phi[1])
-            assert abs(joint_norm(evolved) - 1.0) < 1e-10
+            total = sum(run(Scenario(pre, post, probe, *delta, *phi)).probability
+                        for post in BRANCH_BASIS)
+            assert abs(total - 1.0) < 1e-10
 
 
 class TestNonFiniteKick:
@@ -140,9 +135,8 @@ class TestNonFiniteKick:
 
 class TestPostselect:
     def test_single_branch_survives(self):
-        joint = prepare_initial(SourceState(0.0, 1.0), gaussian(0.0, 1.0))
-        evolved = evolve(joint, 0.7, 0.1)
-        result = postselect(evolved, SourceState.from_amplitudes(-1.0, 1.0))
+        result = run(Scenario(SourceState(0.0, 1.0), SourceState.from_amplitudes(-1.0, 1.0),
+                              gaussian(0.0, 1.0), 0.7, 0.1))
         assert result.mean_kick == pytest.approx(0.1, abs=1e-10)
         assert result.probability == pytest.approx(0.5, abs=1e-10)
 
@@ -188,15 +182,16 @@ class TestPostselect:
         # equal amplitudes, no kicks, orthogonal sign-flip: exact destructive interference;
         # the grid probe's state is identically zero, which `moments` rejects as a plain ValueError
         for probe in (gaussian(0.0, 1.0), to_grid(gaussian(0.0, 1.0))):
-            joint = prepare_initial(SourceState.from_amplitudes(1.0, 1.0), probe)
+            scenario = Scenario(SourceState.from_amplitudes(1.0, 1.0),
+                                SourceState.from_amplitudes(-1.0, 1.0), probe, 0.0, 0.0)
             with pytest.raises(PostselectionImpossible):
-                postselect(joint, SourceState.from_amplitudes(-1.0, 1.0))
+                run(scenario)
 
     def test_completeness_randomized(self):
         probe = gaussian(0.0, 1.0, 1.0)
         for _ in range(1000):
-            joint = prepare_initial(random_source(RNG), probe)
-            evolved = evolve(joint, *RNG.uniform(-1.5, 1.5, size=2), *RNG.uniform(-3, 3, size=2))
+            pre = random_source(RNG)
+            kicks_and_phases = (*RNG.uniform(-1.5, 1.5, size=2), *RNG.uniform(-3, 3, size=2))
             basis_1 = random_source(RNG)
             basis_2 = SourceState(
                 -complex(basis_1.amp_b).conjugate(), complex(basis_1.amp_a).conjugate()
@@ -204,7 +199,7 @@ class TestPostselect:
             total = 0.0
             for basis in (basis_1, basis_2):
                 try:
-                    total += postselect(evolved, basis).probability
+                    total += run(Scenario(pre, basis, probe, *kicks_and_phases)).probability
                 except PostselectionImpossible:
                     pass
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -246,14 +241,8 @@ class TestPostselect:
 
 
 def pointer_weights(scenario: Scenario) -> tuple[complex, complex]:
-    """w_X = conj(post_X) pre_X exp(i phi_X), rounded as the program rounds them."""
-    return tuple(
-        complex(post).conjugate() * (complex(pre) * cmath.exp(1j * phi))
-        for post, pre, phi in (
-            (scenario.post.amp_a, scenario.pre.amp_a, scenario.phi_a),
-            (scenario.post.amp_b, scenario.pre.amp_b, scenario.phi_b),
-        )
-    )
+    """The scenario's branch weights w_X = conj(post_X) pre_X exp(i phi_X)."""
+    return branch_weights(scenario.pre, scenario.post, scenario.phi_a, scenario.phi_b)
 
 
 def paper_scenario(beta: float, delta_a: float, delta_b: float) -> Scenario:
@@ -375,13 +364,34 @@ class TestClassicalBaseline:
 
 
 def test_source_overlap_matches_inner_product():
+    # without phases the branch weights sum to <post|pre>
     a = SourceState.from_amplitudes(1 + 2j, 0.5 - 1j)
     b = SourceState.from_amplitudes(-0.3, 0.8 + 0.1j)
     expected = (
         complex(b.amp_a).conjugate() * complex(a.amp_a)
         + complex(b.amp_b).conjugate() * complex(a.amp_b)
     )
-    assert source_overlap(b, a) == pytest.approx(expected)
+    w_a, w_b = branch_weights(a, b)
+    assert w_a + w_b == pytest.approx(expected)
+
+
+class TestBranchWeights:
+    def test_run_terms_carry_branch_weights(self):
+        rng = np.random.default_rng(1618)
+        for _ in range(200):
+            s = random_phase_scenario(rng)
+            (w_a, _), (w_b, _) = run(s).terms
+            assert (w_a, w_b) == branch_weights(s.pre, s.post, s.phi_a, s.phi_b)
+
+    def test_phases_turn_each_branch(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            pre, post = random_source(rng), random_source(rng)
+            phi_a, phi_b = rng.uniform(-math.pi, math.pi, size=2)
+            plain = branch_weights(pre, post)
+            turned = branch_weights(pre, post, phi_a, phi_b)
+            assert turned == pytest.approx(
+                (plain[0] * cmath.exp(1j * phi_a), plain[1] * cmath.exp(1j * phi_b)), abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)

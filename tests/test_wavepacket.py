@@ -56,6 +56,13 @@ class TestGaussian:
         with pytest.raises(ValueError, match="width"):
             gaussian(0.0, -1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_width_or_hbar_rejected(self, value):
+        with pytest.raises(ValueError, match="width parameter must be positive and finite"):
+            gaussian(0.0, value)
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            gaussian(0.0, 1.0, value)
+
 
 class TestDisplace:
     def test_analytic_center_shift(self):
