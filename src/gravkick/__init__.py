@@ -10,8 +10,6 @@ from .analysis import (
     WeakValueReport,
     effective_kick,
     validity_check,
-    weak_value_kick,
-    weak_value_projector,
     weak_value_report,
 )
 from .feasibility import (

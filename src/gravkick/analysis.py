@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import protocol
-from .wavepacket import DEFAULT_GRID_POINTS, Wavepacket, moments
+from .wavepacket import DEFAULT_GRID_POINTS, moments
 
 OVERLAP_FLOOR = 1e-15
 
@@ -30,32 +30,6 @@ class Regime(Enum):
     WEAK = "weak"
     MARGINAL = "marginal"
     STRONG = "strong"
-
-
-def _weights(pre: protocol.SourceState, post: protocol.SourceState) -> tuple[complex, ...]:
-    """Phase-free branch weights w_X = conj(post_X) pre_X and their sum <post|pre>."""
-    w_a, w_b = protocol.branch_weights(pre, post)
-    if abs(w_a + w_b) <= OVERLAP_FLOOR:
-        raise ValueError("pre and post states are (numerically) orthogonal")
-    return w_a, w_b, w_a + w_b
-
-
-def weak_value_projector(pre: protocol.SourceState, post: protocol.SourceState) -> complex:
-    """Weak value w_A / <post|pre> of the branch-A projector, phase-free weights."""
-    w_a, _, overlap = _weights(pre, post)
-    return w_a / overlap
-
-
-def weak_value_kick(
-    pre: protocol.SourceState,
-    post: protocol.SourceState,
-    delta_a: float,
-    delta_b: float,
-) -> complex:
-    """Weak value (w_A delta_a + w_B delta_b) / <post|pre> of the branch-diagonal kick
-    operator diag(delta_a, delta_b), phase-free weights."""
-    w_a, w_b, overlap = _weights(pre, post)
-    return (w_a * delta_a + w_b * delta_b) / overlap
 
 
 def effective_kick(alpha: float, beta: float, delta_a: float, delta_b: float) -> float:
@@ -86,18 +60,23 @@ def weak_value_report(
 ) -> WeakValueReport:
     """First-order summary for arbitrary (possibly complex) pre/post states.
 
-    For a real symmetric pointer only Re of the kick weak value shifts the
-    momentum mean, so that is what `effective_kick` reports here.  Every field
-    is phase-free, the overlap included.
+    The one place the weak values are formed, from the phase-free weights
+    w_X = conj(post_X) pre_X and their sum <post|pre>: the branch-A projector's
+    w_A / <post|pre>, and Re[(w_A delta_a + w_B delta_b) / <post|pre>], the
+    branch-diagonal kick operator's weak value.  For a real symmetric pointer only
+    that real part shifts the momentum mean, so it is what `effective_kick`
+    reports.  Every field is phase-free, the overlap included.
     """
-    wv = weak_value_kick(pre, post, delta_a, delta_b)
-    d_ef = wv.real
-    gain = -d_ef / delta_a if delta_a != 0.0 else math.nan
+    w_a, w_b = protocol.branch_weights(pre, post)
+    overlap = w_a + w_b
+    if abs(overlap) <= OVERLAP_FLOOR:
+        raise ValueError("pre and post states are (numerically) orthogonal")
+    d_ef = ((w_a * delta_a + w_b * delta_b) / overlap).real
     return WeakValueReport(
-        projector_weak_value=weak_value_projector(pre, post),
+        projector_weak_value=w_a / overlap,
         effective_kick=d_ef,
-        gain=gain,
-        postselection_overlap=_weights(pre, post)[2],
+        gain=-d_ef / delta_a if delta_a != 0.0 else math.nan,
+        postselection_overlap=overlap,
     )
 
 
@@ -125,15 +104,14 @@ def validity_check(
     scenario: protocol.Scenario,
     n: int = DEFAULT_GRID_POINTS,
 ) -> ValidityReport:
-    """Exact protocol mean vs the first-order weak-value prediction."""
-    probe: Wavepacket = scenario.probe
-    sigma = moments(probe).std
+    """Exact protocol mean (`protocol.run`) vs the first-order one (`weak_value_report`)."""
+    s = scenario
+    sigma = moments(s.probe).std
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("probe must have a finite positive momentum spread")
-    exact = protocol.run(scenario, n=n).mean_kick
-    first = weak_value_kick(scenario.pre, scenario.post, scenario.delta_a, scenario.delta_b).real
-    ratio_a = abs(scenario.delta_a) / sigma
-    ratio_b = abs(scenario.delta_b) / sigma
+    exact = protocol.run(s, n=n).mean_kick
+    first = weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).effective_kick
+    ratio_a, ratio_b = abs(s.delta_a) / sigma, abs(s.delta_b) / sigma
     return ValidityReport(
         kick_ratio_a=ratio_a,
         kick_ratio_b=ratio_b,

@@ -360,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         _emit_record("error", "runtime", str(exc))
         return 1
+    except ArithmeticError as exc:  # an intermediate over- or underflowed
+        _emit_record("error", "runtime", f"{type(exc).__name__}: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -145,10 +145,16 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _double_int(literal: str) -> int:
+    _finite_float(literal)  # a 401-digit integer parses to inf as well
+    return int(literal)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float,
+                             parse_int=_double_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -133,7 +133,8 @@ def postselect(
     The result keeps the weighted pointers and renders (and normalizes) the
     conditional state from them only when a caller first reads `conditional`;
     grid pointers are rendered again then.  Probabilities below 1e-30 raise
-    PostselectionImpossible instead of returning a garbage state.
+    PostselectionImpossible instead of returning a garbage state, and a mean or std
+    that is not finite (kicks about 1e154 sigma apart overflow) raises ValueError.
     """
     (w_a, ptr_a), (w_b, ptr_b) = terms
     if (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
@@ -151,6 +152,9 @@ def postselect(
         raise PostselectionImpossible(
             f"postselection numerically impossible (probability {probability!r})"
         )
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"postselected mean {mean!r} or std {std!r} is not finite; "
+                         "the kicks are too far apart for double precision")
     return PostselectedResult(probability=probability, mean_kick=mean, std=std,
                               terms=terms, n=n)
 

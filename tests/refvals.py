@@ -75,6 +75,24 @@ SOLVE_SUMMARY_SHA256_CASE_B = {
     "g": "fba0118a738a92e0e877104aabc5abbae7d5ab810113105eeeb1a62922470b32",
 }
 
+# sha256 of `simulate` summary.csv, frozen from the code before the weak values
+# were formed in one pass: the fig2 and amplification presets, and PHASED_DOC, whose
+# first-order rows leave out the interaction phases (delta_ef +2.59782390e-03
+# against exact_mean -4.63502851e-03).
+SIMULATE_SUMMARY_SHA256 = {
+    "fig2": "89b4571b28d7f39f70496e01a3e07a7718ac70b602ab38c983250275e89c5795",
+    "amplification": "b5c6de437f5de05d21a763982e7d51753d1259fe96257ae8b730fc22d33a11e6",
+    "phased": "07ace634000a9b21dcf53528756801883572953a6d3d8f1590babd6a34ebd4fa",
+}
+PHASED_DOC = {
+    "units": "natural",
+    "source": {"beta": 0.9},
+    "probe": {"W": 1.0},
+    "kicks": {"delta_A": 0.007, "delta_B": 0.001},
+    "phases": {"phi_A": 1, "phi_B": -1},
+    "postselection": "paper-default",
+}
+
 # The SI documents behind the caseA/caseB values and digests above: the two SI
 # presets as they stood at x_A = 5 W and 4 W.  The tests that assert those values
 # read these documents, so the shipped presets can move without changing them.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravkick.analysis import effective_kick, weak_value_kick
+from gravkick.analysis import effective_kick, weak_value_report
 from gravkick.cli import main
 from gravkick.feasibility import (
     ProtocolParams,
@@ -135,7 +135,7 @@ def test_criterion_05_picture_equivalence():
         d_a, d_b = RNG.uniform(-3.0, 3.0, size=2)
         pre, post = SourceState(alpha, beta), paper_postselection()
         a = effective_kick(alpha, beta, d_a, d_b)
-        b = weak_value_kick(pre, post, d_a, d_b).real
+        b = weak_value_report(pre, post, d_a, d_b).effective_kick
         scale = max(abs(a), abs(b), abs(d_a), abs(d_b))
         worst = max(worst, abs(a - b) / scale)
     check(5, f"effective kick vs kick weak value, worst relative gap {worst:.2e}", worst <= 1e-12)

@@ -25,6 +25,8 @@ from .refvals import (
     FIG2_MEAN,
     FIG2_SVG_SHA256,
     HISTOGRAM_CSV_SHA256_FIG2,
+    PHASED_DOC,
+    SIMULATE_SUMMARY_SHA256,
     SOLVE_SUMMARY_SHA256_CASE_B,
     SWEEP_CSV_SHA256_CASE_B,
     SWEEP_SVG_SHA256_CASE_B,
@@ -85,6 +87,13 @@ class TestSimulate:
         out = tmp_path / "bundle"
         assert main(["simulate", "--scenario", "fig2", "--out", str(out)]) == 0
         assert sha256(out / "wavefunction.csv") == WAVEFUNCTION_CSV_SHA256_FIG2
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_SUMMARY_SHA256))
+    def test_summary_bytes_frozen(self, tmp_path, name):
+        source = [doc_path(tmp_path, PHASED_DOC)] if name == "phased" else ["--scenario", name]
+        out = tmp_path / "bundle"
+        assert main(["simulate", *source, "--out", str(out)]) == 0
+        assert sha256(out / "summary.csv") == SIMULATE_SUMMARY_SHA256[name]
 
     def test_amplification_gain(self, tmp_path):
         out = tmp_path / "bundle"
@@ -579,6 +588,30 @@ class TestErrorChannels:
         code = main([command, str(config), "--out", str(out)])
         number = overflowing.split(": ")[1]
         assert_refused(code, out, capsys, "config", f"{number} overflows the double range")
+
+    @pytest.mark.parametrize("command, literal, edited, kind, message", [
+        ("feasibility", '"x_A": 4e-07, "x_B": 1.2649110640673517e-06',
+         '"x_A": 1e-170, "x_B": 1e-160', "runtime", "ZeroDivisionError"),
+        ("feasibility", '"M": 1e-14', '"M": ' + "1" * 401, "config",
+         "overflows the double range"),
+        ("simulate", '"W": 1.0}', '"W": 1e300}', "runtime", "ZeroDivisionError"),
+        ("simulate", '"W": 1.0}', '"W": 1.0}, "postselection": {"amp_A": 1e300, "amp_B": 1e300}',
+         "runtime", "OverflowError"),
+        # kicks ~9e199 sigma apart: exact_std would be inf, and rendering the grid warns
+        ("simulate", '"delta_A": 0.3, "delta_B": 0.05', '"delta_A": 1e200, "delta_B": 1e199',
+         "runtime", "std inf is not finite"),
+    ], ids=["tiny-separation", "huge-integer", "wide-probe", "huge-amplitudes", "huge-kicks"])
+    def test_out_of_range_document_is_refused(self, tmp_path, capsys, command, literal, edited,
+                                              kind, message):
+        natural = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 1.0},
+                   "kicks": {"delta_A": 0.3, "delta_B": 0.05}}
+        text = json.dumps(CASE_B_DOC if command == "feasibility" else natural)
+        assert literal in text
+        config = tmp_path / "cfg.json"
+        config.write_text(text.replace(literal, edited))
+        out = tmp_path / "bundle"
+        code = main([command, str(config), "--out", str(out)])
+        assert_refused(code, out, capsys, kind, message)
 
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

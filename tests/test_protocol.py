@@ -132,6 +132,12 @@ class TestNonFiniteKick:
         with pytest.raises(ValueError, match="displacement must be finite"):
             run(scenario)
 
+    @pytest.mark.parametrize("delta_a", [1e200, -1e160])
+    def test_run_refuses_overflowing_statistics(self, delta_a):
+        # kicks ~1e154 sigma apart overflow gap^2 in the closed form: std would be inf
+        with pytest.raises(ValueError, match="not finite"):
+            run(fig2_scenario(delta_a=delta_a, delta_b=delta_a / 10.0))
+
 
 class TestPostselect:
     def test_single_branch_survives(self):
