@@ -8,7 +8,6 @@ from .analysis import (
     Regime,
     ValidityReport,
     WeakValueReport,
-    effective_kick,
     validity_check,
     weak_value_report,
 )
@@ -22,7 +21,7 @@ from .feasibility import (
     spreading_time,
     sweep,
 )
-from .montecarlo import EnsembleStats, RunConfig, required_trials, run_ensemble
+from .montecarlo import EnsembleStats, RunConfig, run_ensemble
 from .protocol import (
     PostselectedResult,
     PostselectionImpossible,

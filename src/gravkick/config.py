@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 
 import jsonschema
 
 from . import protocol
-from .analysis import effective_kick
+from .analysis import weak_value_report
 from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
 from .montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
 from .units import HBAR, UnitSystem
@@ -182,6 +183,13 @@ def validate_config(doc: dict) -> None:
         raise ConfigError(f"config field {path}: {err.message}", field=path)
 
 
+def _refuse_underflowing_square(value: float, field: str, name: str) -> None:
+    """The kicks divide by x^2 and the probe's normalisation by sigma^2."""
+    if value * value < sys.float_info.min:
+        raise ConfigError(f"config field {field}: {name} = {value!r} squares below the double "
+                          "range", field=field)
+
+
 def _as_complex(entry) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry, 0.0)
@@ -216,6 +224,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
     width = float(probe_sec.get("W", 1.0))
     grid_points = int(probe_sec.get("grid_points", DEFAULT_GRID_POINTS))
     probe: GaussianPacket = gaussian(0.0, width, HBAR if units == UnitSystem.SI else 1.0)
+    _refuse_underflowing_square(probe.sigma, "probe.W", "hbar/W")
 
     params: ProtocolParams | None = None
     gain = doc["source"].get("gain")
@@ -232,6 +241,8 @@ def build_scenario(doc: dict) -> BuiltScenario:
             g=float(gain if gain is not None else 0.0),  # a beta source sets g below
             T=kicks.get("T"),
         )
+        for name in ("x_A", "x_B"):
+            _refuse_underflowing_square(float(kicks[name]), f"kicks.{name}", name)
         delta_a = delta_kick(params.M, params.m, params.T, params.x_A)
         delta_b = delta_kick(params.M, params.m, params.T, params.x_B)
 
@@ -274,8 +285,10 @@ def build_scenario(doc: dict) -> BuiltScenario:
         )
 
     if params is not None and gain is None:
-        gain = (-effective_kick(alpha, beta, delta_a, delta_b) / delta_a
-                if beta != alpha and delta_a != 0.0 else math.nan)
+        try:  # the phase-free paper postselection's gain, what `simulate` prints without phases
+            gain = weak_value_report(pre, protocol.paper_postselection(), delta_a, delta_b).gain
+        except ValueError:  # beta == alpha: pre is orthogonal to the postselection
+            gain = math.nan
         gain = gain if math.isfinite(gain) else None
         if gain is None or gain < 0.0:
             raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",

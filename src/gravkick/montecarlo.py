@@ -114,18 +114,3 @@ def expected_bin_masses(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     _, p, cdf, edges = _conditional_cdf(cfg)
     return edges, np.diff(np.interp(edges, p, cdf))
 
-
-def required_trials(delta_ef: float, delta_p: float, p_ps: float, k_sigma: float) -> int:
-    """Total trials so the accepted-sample standard error resolves delta_ef.
-
-    ceil(k^2 (delta_p / delta_ef)^2 / p_ps): the pre-kick uncertainty delta_p
-    stands in for the conditional spread, which differs at second order.
-    """
-    if delta_ef == 0.0:
-        raise ValueError("cannot size an experiment for a zero effect")
-    if not 0.0 < p_ps <= 1.0:
-        raise ValueError("postselection probability must be in (0, 1]")
-    if k_sigma <= 0.0:
-        raise ValueError("significance multiple must be positive")
-    return math.ceil(k_sigma**2 * (delta_p / delta_ef) ** 2 / p_ps)
-

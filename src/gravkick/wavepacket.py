@@ -44,7 +44,10 @@ class GaussianPacket:
     def __call__(self, p: np.ndarray) -> np.ndarray:
         """Evaluate the (real, positive) normalized amplitude at momenta p."""
         s = self.sigma
-        return (2.0 * math.pi * s * s) ** (-0.25) * np.exp(-((p - self.center) ** 2) / (4.0 * s * s))
+        norm = (2.0 * math.pi * s * s) ** (-0.25)
+        exponent = -((p - self.center) ** 2) / (4.0 * s * s)
+        # libm's exp, the same on every CPU: numpy's AVX-512 exp differs in the last bit
+        return norm * np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,11 @@ def gauss_amp(p, center: float, sigma: float):
     return (2.0 * math.pi * sigma**2) ** (-0.25) * np.exp(-((p - center) ** 2) / (4.0 * sigma**2))
 
 
+def effective_kick(alpha: float, beta: float, delta_a: float, delta_b: float) -> float:
+    """The paper's first-order kick for real amplitudes and its postselection."""
+    return delta_b - alpha * (delta_a - delta_b) / (beta - alpha)
+
+
 def _quad(f, lo: float, hi: float) -> float:
     val, _ = integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=400)
     return val

@@ -61,11 +61,13 @@ SWEEP_CSV_SHA256_CASE_B = "3add0efc2cd48d3ef1319318dcafdedfcc6345961c26bcb019e0b
 # `fig2` (fig2.svg, fig2.csv), `sweep.svg` of the caseB 6x5 sweep above with --svg,
 # `montecarlo --scenario fig2` (histogram.csv), `simulate --scenario fig2`
 # (wavefunction.csv), and caseB `feasibility --solve F --target 1e-3` (summary.csv).
+# wavefunction.csv was re-taken when the Gaussian samples moved to `math.exp`: these
+# are the bytes numpy's non-AVX-512 `exp` wrote before, now written on every CPU.
 FIG2_SVG_SHA256 = "cae92cc77fa94d610efe5333298878f4234d82159b6499153f8d4c1510c32a3a"
 FIG2_CSV_SHA256 = "c4a5775818c5ab83460a0e9be7903ef1b22e2a6532a5b034c0c7386d8bd46f19"
 SWEEP_SVG_SHA256_CASE_B = "b6cf50a7e3857cce178efb85def9aa3c45712739d1e2a312b49cca8de9a8d21b"
 HISTOGRAM_CSV_SHA256_FIG2 = "8fb293d931da19a06510f3c332df0b3887b7334b873923f777114fcdf74dbd7b"
-WAVEFUNCTION_CSV_SHA256_FIG2 = "e28f742de5cba603d0800710da2a3ffa6e39577a804425e81dafe6ce8cf200b1"
+WAVEFUNCTION_CSV_SHA256_FIG2 = "cf1cbd2df79d61b0b56e99bf1eaf9c8c7bcde5a719596915b8b36d5c9e891806"
 SOLVE_SUMMARY_SHA256_CASE_B = {
     "M": "8e760bfe60c845140b9477629cf9127ac2011e2e696c0f52f8bca0c43aca6131",
     "m": "05c898335df7b79029fbf11dfeffebda0339475b3b79e61261299d5062f51500",

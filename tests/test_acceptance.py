@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravkick.analysis import effective_kick, weak_value_report
+from gravkick.analysis import weak_value_report
 from gravkick.cli import main
 from gravkick.feasibility import (
     ProtocolParams,
@@ -61,7 +61,8 @@ def fig2_scenario(**overrides) -> Scenario:
 
 def test_criterion_01_amplification_factor():
     delta_a = 1.0
-    kick = effective_kick(AMP_ALPHA, AMP_BETA, delta_a, delta_a / 10.0)
+    kick = weak_value_report(SourceState(AMP_ALPHA, AMP_BETA), paper_postselection(), delta_a,
+                             delta_a / 10.0).effective_kick
     coefficient = -kick / delta_a
     check(
         1,
@@ -112,7 +113,8 @@ def test_criterion_04_fig2_reproduction():
         + FIG2_ALPHA**2 * FIG2_DELTA_A
         - FIG2_ALPHA * FIG2_BETA * (FIG2_DELTA_A + FIG2_DELTA_B) * pointer_overlap
     ) / (1 - 2 * FIG2_ALPHA * FIG2_BETA * pointer_overlap)
-    d_ef = effective_kick(FIG2_ALPHA, FIG2_BETA, FIG2_DELTA_A, FIG2_DELTA_B)
+    d_ef = weak_value_report(SourceState(FIG2_ALPHA, FIG2_BETA), paper_postselection(),
+                             FIG2_DELTA_A, FIG2_DELTA_B).effective_kick
     check(
         4,
         f"exact mean {exact.mean_kick:.6f} (oracle {oracle_mean:.6f}), delta_ef {d_ef:.6f}",
@@ -134,7 +136,7 @@ def test_criterion_05_picture_equivalence():
             continue
         d_a, d_b = RNG.uniform(-3.0, 3.0, size=2)
         pre, post = SourceState(alpha, beta), paper_postselection()
-        a = effective_kick(alpha, beta, d_a, d_b)
+        a = oracles.effective_kick(alpha, beta, d_a, d_b)
         b = weak_value_report(pre, post, d_a, d_b).effective_kick
         scale = max(abs(a), abs(b), abs(d_a), abs(d_b))
         worst = max(worst, abs(a - b) / scale)
@@ -143,7 +145,8 @@ def test_criterion_05_picture_equivalence():
 
 def test_criterion_06_weak_limit_convergence():
     scales = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    unit_first_order = effective_kick(FIG2_ALPHA, FIG2_BETA, FIG2_DELTA_A, FIG2_DELTA_B)
+    unit_first_order = weak_value_report(SourceState(FIG2_ALPHA, FIG2_BETA), paper_postselection(),
+                                         FIG2_DELTA_A, FIG2_DELTA_B).effective_kick
     errors = [
         abs(
             run(fig2_scenario(delta_a=s * FIG2_DELTA_A, delta_b=s * FIG2_DELTA_B)).mean_kick

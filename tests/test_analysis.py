@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from gravkick.analysis import (
     Regime,
     classify_regime,
-    effective_kick,
     validity_check,
     weak_value_report,
 )
 from gravkick.protocol import Scenario, SourceState, branch_weights, paper_postselection, run
 from gravkick.wavepacket import gaussian
 
+from . import oracles
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -43,6 +43,11 @@ def projector_weak_value(pre, post):
 def kick_weak_value(pre, post, d_a, d_b):
     """Re of the kick operator's weak value, the report's first-order kick."""
     return weak_value_report(pre, post, d_a, d_b).effective_kick
+
+
+def effective_kick(alpha, beta, d_a, d_b):
+    """The report's first-order kick for real amplitudes and the paper postselection."""
+    return kick_weak_value(*paper_pair(alpha, beta), d_a, d_b)
 
 
 class TestProjectorWeakValue:
@@ -88,8 +93,8 @@ class TestEffectiveKick:
         assert 1e3 / 1.1 <= -value / delta_a <= 1e3 * 1.1
 
     def test_equal_amplitudes_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            effective_kick(0.5, 0.5, 1.0, 0.1)
+        with pytest.raises(ValueError, match="orthogonal"):
+            effective_kick(math.sqrt(0.5), math.sqrt(0.5), 1.0, 0.1)
 
 
 class TestKickWeakValue:
@@ -103,7 +108,7 @@ class TestKickWeakValue:
                 continue
             pre, post = paper_pair(alpha, beta)
             wv = kick_weak_value(pre, post, d_a, d_b)
-            direct = effective_kick(alpha, beta, d_a, d_b)
+            direct = oracles.effective_kick(alpha, beta, d_a, d_b)
             assert wv == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     def test_no_postselection_gives_expectation(self):
@@ -128,7 +133,8 @@ class TestKickWeakValue:
             return
         pre, post = paper_pair(alpha, beta)
         wv = kick_weak_value(pre, post, d_a, d_b)
-        assert wv == pytest.approx(effective_kick(alpha, beta, d_a, d_b), rel=1e-12, abs=1e-13)
+        assert wv == pytest.approx(oracles.effective_kick(alpha, beta, d_a, d_b), rel=1e-12,
+                                   abs=1e-13)
 
 
 class TestWeakValueReport:

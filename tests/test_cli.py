@@ -12,6 +12,7 @@ import pytest
 
 import gravkick
 from gravkick.cli import main
+from gravkick.config import load_preset
 
 from . import oracles
 from .refvals import (
@@ -118,6 +119,15 @@ class TestSimulate:
         rows = read_summary(out / "summary.csv")
         assert as_float(rows, "exact_mean") == pytest.approx(0.25, abs=1e-10)
         assert as_float(rows, "delta_ef") == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("gain, regime", [(1e3, "weak"), (1e5, "marginal"), (1e7, "strong")])
+    def test_regime_reads_the_amplified_kick(self, tmp_path, gain, regime):
+        # caseB's kicks are at most 3.2e-6 sigma, but the amplified kick is 3.2e-6 gain sigma
+        doc = {**load_preset("caseB"), "source": {"gain": gain}}
+        out = tmp_path / "bundle"
+        assert main(["simulate", doc_path(tmp_path, doc), "--units", "natural",
+                     "--out", str(out)]) == 0
+        assert read_summary(out / "summary.csv")["regime"] == regime
 
     def test_si_scenario_in_natural_units(self, tmp_path):
         # exact mean over sigma must reproduce the feasibility ratio at first order
@@ -492,7 +502,7 @@ class TestFig2Command:
         # p = 0 samples match the analytic branch evaluations: exactly in memory,
         # to serialization precision (9 significant digits) in the file
         from gravkick.cli import _decomposition_curves
-        from gravkick.config import build_scenario, load_preset
+        from gravkick.config import build_scenario
 
         grid, branch_b, branch_a, _ = _decomposition_curves(build_scenario(load_preset("fig2")))
         i0 = int(np.argmin(np.abs(grid)))
@@ -591,10 +601,10 @@ class TestErrorChannels:
 
     @pytest.mark.parametrize("command, literal, edited, kind, message", [
         ("feasibility", '"x_A": 4e-07, "x_B": 1.2649110640673517e-06',
-         '"x_A": 1e-170, "x_B": 1e-160', "runtime", "ZeroDivisionError"),
+         '"x_A": 1e-170, "x_B": 1e-160', "config", "kicks.x_A"),
         ("feasibility", '"M": 1e-14', '"M": ' + "1" * 401, "config",
          "overflows the double range"),
-        ("simulate", '"W": 1.0}', '"W": 1e300}', "runtime", "ZeroDivisionError"),
+        ("simulate", '"W": 1.0}', '"W": 1e300}', "config", "probe.W"),
         ("simulate", '"W": 1.0}', '"W": 1.0}, "postselection": {"amp_A": 1e300, "amp_B": 1e300}',
          "runtime", "OverflowError"),
         # kicks ~9e199 sigma apart: exact_std would be inf, and rendering the grid warns

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from gravkick import protocol
-from gravkick.analysis import effective_kick
+from gravkick.analysis import weak_value_report
 from gravkick.config import (
     ConfigError,
     PRESET_NAMES,
@@ -19,6 +19,7 @@ from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
 from gravkick.units import UnitSystem
 from gravkick.wavepacket import DEFAULT_GRID_POINTS
 
+from . import oracles
 from .refvals import AMP_GAIN, CASE_B_DOC, FIG2_ALPHA
 
 
@@ -108,8 +109,8 @@ class TestAssembly:
         doc["kicks"] = {"delta_A": 1e-5, "delta_B": 1e-6}
         s = build_scenario(doc).scenario
         alpha, beta = s.pre.amp_a.real, s.pre.amp_b.real
-        assert -effective_kick(alpha, beta, s.delta_a, s.delta_b) / s.delta_a == pytest.approx(
-            AMP_GAIN, rel=1e-12)
+        assert -oracles.effective_kick(alpha, beta, s.delta_a, s.delta_b) / s.delta_a == (
+            pytest.approx(AMP_GAIN, rel=1e-12))
 
     def test_gain_specified_source(self):
         built = build_scenario(CASE_B_DOC)
@@ -149,11 +150,17 @@ class TestAssembly:
     def test_beta_source_carries_its_gain_into_params(self):
         built = build_scenario({**CASE_B_DOC, "source": {"beta": 0.9}})
         s = built.scenario
-        alpha, beta = s.pre.amp_a.real, s.pre.amp_b.real
-        assert built.params.g == -effective_kick(alpha, beta, s.delta_a, s.delta_b) / s.delta_a > 0
+        assert built.params.g == weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).gain > 0
         case = evaluate_case(built.params)
         assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
         assert case.ratio == pytest.approx(-built.params.g * s.delta_a / s.probe.sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.7075, 0.9])
+    def test_beta_source_gain_is_the_simulate_gain(self, beta):
+        # bit for bit the `gain` row of `simulate`, which reads the same report
+        built = build_scenario({**CASE_B_DOC, "source": {"beta": beta}})
+        s = built.scenario
+        assert built.params.g == weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).gain
 
     @pytest.mark.parametrize("extra", [
         {"postselection": {"amp_A": 0.6, "amp_B": 0.8}},

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravkick import feasibility
-from gravkick.analysis import effective_kick
 from gravkick.cli import _momentum_unit
 from gravkick.config import build_scenario
 from gravkick.feasibility import (
@@ -126,7 +125,7 @@ class TestRatio:
         # the SI ratio is the first-order kick measured in natural momentum units, hbar/W
         built = build_scenario(CASE_B_DOC)
         s, unit = built.scenario, _momentum_unit(built, UnitSystem.NATURAL)
-        kick = effective_kick(s.pre.amp_a.real, s.pre.amp_b.real, s.delta_a / unit,
+        kick = oracles.effective_kick(s.pre.amp_a.real, s.pre.amp_b.real, s.delta_a / unit,
                               s.delta_b / unit)
         assert kick == pytest.approx(feasibility_ratio(built.params), rel=1e-10)
 
@@ -138,7 +137,7 @@ class TestRatio:
             d_a = delta_kick(params.M, params.m, params.T, params.x_A)
             d_b = delta_kick(params.M, params.m, params.T, params.x_B)
             alpha, beta = amplitudes_for_gain(params.g, d_b / d_a)
-            d_ef = effective_kick(alpha, beta, d_a, d_b)
+            d_ef = oracles.effective_kick(alpha, beta, d_a, d_b)
             assert d_ef / (HBAR / params.W) == pytest.approx(
                 feasibility_ratio(params), rel=1e-10
             )
@@ -153,7 +152,7 @@ class TestAmplitudesForGain:
             assert alpha * alpha + beta * beta == pytest.approx(1.0, abs=1e-14)
             assert beta > alpha > 0
             d_a = 1.7e-30
-            assert effective_kick(alpha, beta, d_a, ratio * d_a) == pytest.approx(
+            assert oracles.effective_kick(alpha, beta, d_a, ratio * d_a) == pytest.approx(
                 -gain * d_a, rel=1e-10
             )
 

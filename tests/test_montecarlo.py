@@ -7,7 +7,6 @@ from scipy import stats as scipy_stats
 from gravkick.montecarlo import (
     RunConfig,
     expected_bin_masses,
-    required_trials,
     run_ensemble,
 )
 from gravkick.output import summary_csv
@@ -120,25 +119,6 @@ class TestStatistics:
             inv_sqrt_accepted.append(1.0 / math.sqrt(np.mean(accepted)))
         slope = np.polyfit(np.log(inv_sqrt_accepted), np.log(rms_errors), 1)[0]
         assert 0.7 < slope < 1.3  # |error| ~ 1/sqrt(accepted)
-
-
-class TestRequiredTrials:
-    def test_worked_example(self):
-        assert required_trials(1e-3, 1.0, 1.0, 5.0) == 25000000
-
-    def test_inverse_in_acceptance(self):
-        assert required_trials(1e-3, 1.0, 0.5, 5.0) == 2 * required_trials(1e-3, 1.0, 1.0, 5.0)
-
-    def test_quadratic_in_significance(self):
-        assert required_trials(1e-3, 1.0, 1.0, 10.0) == 4 * required_trials(1e-3, 1.0, 1.0, 5.0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            required_trials(0.0, 1.0, 1.0, 5.0)
-        with pytest.raises(ValueError):
-            required_trials(1e-3, 1.0, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            required_trials(1e-3, 1.0, 1.0, -1.0)
 
 
 class TestRunConfig:
