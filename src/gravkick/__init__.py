@@ -38,11 +38,8 @@ from .wavepacket import (
     Moments,
     Wavepacket,
     displace,
-    gaussian,
     moments,
-    normalize,
     superpose,
-    to_grid,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .analysis import weak_value_report
 from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
 from .montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
 from .units import HBAR, UnitSystem
-from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket, gaussian
+from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket
 
 _COMPLEX_ENTRY = {
     "oneOf": [
@@ -183,10 +183,10 @@ def validate_config(doc: dict) -> None:
         raise ConfigError(f"config field {path}: {err.message}", field=path)
 
 
-def _refuse_underflowing_square(value: float, field: str, name: str) -> None:
-    """The kicks divide by x^2 and the probe's normalisation by sigma^2."""
-    if value * value < sys.float_info.min:
-        raise ConfigError(f"config field {field}: {name} = {value!r} squares below the double "
+def _refuse_square_out_of_range(value: float, field: str, name: str) -> None:
+    """The kicks divide by x^2, and the probe's normalisation and statistics take sigma^2."""
+    if not sys.float_info.min <= value * value < math.inf:
+        raise ConfigError(f"config field {field}: {name} = {value!r} squares outside the double "
                           "range", field=field)
 
 
@@ -223,8 +223,8 @@ def build_scenario(doc: dict) -> BuiltScenario:
         raise ConfigError("SI scenarios need probe.W in meters", field="probe.W")
     width = float(probe_sec.get("W", 1.0))
     grid_points = int(probe_sec.get("grid_points", DEFAULT_GRID_POINTS))
-    probe: GaussianPacket = gaussian(0.0, width, HBAR if units == UnitSystem.SI else 1.0)
-    _refuse_underflowing_square(probe.sigma, "probe.W", "hbar/W")
+    probe = GaussianPacket(0.0, width, HBAR if units == UnitSystem.SI else 1.0)
+    _refuse_square_out_of_range(probe.sigma, "probe.W", "hbar/W")
 
     params: ProtocolParams | None = None
     gain = doc["source"].get("gain")
@@ -232,6 +232,11 @@ def build_scenario(doc: dict) -> BuiltScenario:
         delta_a = float(kicks["delta_A"])
         delta_b = float(kicks["delta_B"])
     else:
+        for name in ("x_A", "x_B"):
+            _refuse_square_out_of_range(float(kicks[name]), f"kicks.{name}", name)
+        if not kicks["x_A"] < kicks["x_B"]:
+            raise ConfigError(f"config field kicks.x_B: x_B = {kicks['x_B']!r} must exceed "
+                              f"x_A = {kicks['x_A']!r}", field="kicks.x_B")
         params = ProtocolParams(
             M=float(kicks["M"]),
             m=float(kicks["m"]),
@@ -241,8 +246,6 @@ def build_scenario(doc: dict) -> BuiltScenario:
             g=float(gain if gain is not None else 0.0),  # a beta source sets g below
             T=kicks.get("T"),
         )
-        for name in ("x_A", "x_B"):
-            _refuse_underflowing_square(float(kicks[name]), f"kicks.{name}", name)
         delta_a = delta_kick(params.M, params.m, params.T, params.x_A)
         delta_b = delta_kick(params.M, params.m, params.T, params.x_B)
 

@@ -10,7 +10,7 @@ counter=b << 64), so a block's stream depends only on the seed and b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class EnsembleStats:
     std_error: float | None  # sample std / sqrt(accepted); None below 2 samples
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
+    exact: protocol.PostselectedResult = field(repr=False)  # the run the samples come from
 
     def summary_rows(self) -> list[tuple[str, object]]:
         return [
@@ -62,14 +63,17 @@ class EnsembleStats:
                          zip(edges[:-1], edges[1:], self.histogram_counts.tolist()))
 
 
-def _conditional_cdf(cfg: RunConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """P, the conditional grid, its piecewise-linear CDF and the histogram edges."""
+def _conditional_cdf(
+    cfg: RunConfig,
+) -> tuple[protocol.PostselectedResult, np.ndarray, np.ndarray, np.ndarray]:
+    """The exact run, its conditional grid, the grid's piecewise-linear CDF and the
+    histogram edges."""
     result = protocol.run(cfg.scenario, n=cfg.grid_points)
     grid = result.conditional
     w = np.abs(grid.amps) ** 2
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * grid.dp)))
     cdf /= cdf[-1]
-    return result.probability, grid.p, cdf, np.linspace(grid.p[0], grid.p[-1], cfg.bins + 1)
+    return result, grid.p, cdf, np.linspace(grid.p[0], grid.p[-1], cfg.bins + 1)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -79,14 +83,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
     """Simulate cfg.trials runs; deterministic given cfg.seed.  `workers` is
     accepted and ignored: a thread pool measured no faster than this loop."""
-    probability, p, cdf, edges = _conditional_cdf(cfg)
+    exact, p, cdf, edges = _conditional_cdf(cfg)
 
     accepted, total, total_sq = 0, 0.0, 0.0
     counts = np.zeros(cfg.bins, dtype=np.int64)
     for block in range((cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
         u = _block_rng(cfg.seed, block).random(2 * nb)
-        accepted_mask = u[:nb] < probability
+        accepted_mask = u[:nb] < exact.probability
         samples = np.interp(u[nb:][accepted_mask], cdf, p)
         accepted += int(accepted_mask.sum())
         total += float(samples.sum())
@@ -106,6 +110,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
         std_error=std_error,
         histogram_edges=edges,
         histogram_counts=counts,
+        exact=exact,
     )
 
 

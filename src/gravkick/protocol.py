@@ -16,11 +16,11 @@ from functools import cached_property
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
     GaussianPacket,
+    GridPacket,
     Moments,
     Wavepacket,
     displace,
     moments,
-    normalize,
     superpose,
 )
 
@@ -87,9 +87,10 @@ class PostselectedResult:
     n: int = field(compare=False, repr=False)
 
     @cached_property
-    def conditional(self) -> Wavepacket:
+    def conditional(self) -> GridPacket:
         """The normalized conditional probe state, rendered on first read."""
-        return normalize(superpose(list(self.terms), n=self.n))
+        grid = superpose(list(self.terms), n=self.n)
+        return GridPacket(p=grid.p, amps=grid.amps / moments(grid).norm)
 
 
 def gaussian_postselection(

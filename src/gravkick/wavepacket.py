@@ -93,32 +93,6 @@ class Moments:
     std: float
 
 
-def gaussian(center: float = 0.0, width: float = 1.0, hbar: float = 1.0) -> GaussianPacket:
-    """Normalized Gaussian wavepacket with mean `center` and std hbar/width."""
-    return GaussianPacket(center=center, width=width, hbar=hbar)
-
-
-def to_grid(
-    psi: Wavepacket,
-    p_min: float | None = None,
-    p_max: float | None = None,
-    n: int = DEFAULT_GRID_POINTS,
-) -> GridPacket:
-    """Sample a wavepacket onto a uniform grid (default: mean +/- 10 sigma)."""
-    if isinstance(psi, GridPacket):
-        if p_min is None and p_max is None:
-            return psi
-        raise ValueError("resampling a grid packet onto a new range is not supported")
-    if p_min is None:
-        p_min = psi.center - DEFAULT_HALFSPAN_SIGMAS * psi.sigma
-    if p_max is None:
-        p_max = psi.center + DEFAULT_HALFSPAN_SIGMAS * psi.sigma
-    if p_min >= p_max:
-        raise ValueError("p_min must be below p_max")
-    p = np.linspace(p_min, p_max, n)
-    return GridPacket(p=p, amps=psi(p).astype(complex))
-
-
 def _phase_ramp(n: int, c: float) -> np.ndarray:
     """exp(i c k) for the signed FFT frequency index k of each of n bins.
 
@@ -184,13 +158,6 @@ def moments(psi: Wavepacket) -> Moments:
     return Moments(norm=math.sqrt(norm2), mean=mean, std=math.sqrt(max(var, 0.0)))
 
 
-def normalize(psi: Wavepacket) -> Wavepacket:
-    if isinstance(psi, GaussianPacket):
-        return psi
-    nrm = moments(psi).norm
-    return GridPacket(p=psi.p, amps=psi.amps / nrm)
-
-
 def superpose(
     terms: list[tuple[complex, Wavepacket]],
     n: int = DEFAULT_GRID_POINTS,
@@ -223,12 +190,11 @@ def superpose(
 # --- CSV serialization (header `p,re,im`, metadata comment line) ---
 
 
-def to_csv(psi: Wavepacket, dest: TextIO, units: str = "natural", width: float = 1.0) -> None:
-    """Write a wavepacket to the text stream `dest` as CSV rows `p,re,im` with a unit
+def to_csv(psi: GridPacket, dest: TextIO, units: str = "natural", width: float = 1.0) -> None:
+    """Write a grid packet to the text stream `dest` as CSV rows `p,re,im` with a unit
     metadata comment."""
-    grid = to_grid(psi)
     if units not in ("natural", "si"):
         raise ValueError(f"units must be 'natural' or 'si', got {units!r}")
     rows = table_csv("p,re,im", "%r,%r,%r",
-                     zip(grid.p.tolist(), grid.amps.real.tolist(), grid.amps.imag.tolist()))
+                     zip(psi.p.tolist(), psi.amps.real.tolist(), psi.amps.imag.tolist()))
     dest.write(f"# units={units}, W={float(width)!r}\n" + rows)

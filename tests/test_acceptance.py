@@ -25,9 +25,10 @@ from gravkick.protocol import (
     paper_postselection,
     run,
 )
-from gravkick.wavepacket import gaussian, to_grid
+from gravkick.wavepacket import GaussianPacket
 
 from . import oracles
+from .probes import grid_probe
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -51,7 +52,7 @@ def fig2_scenario(**overrides) -> Scenario:
     kwargs = dict(
         pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
         post=paper_postselection(),
-        probe=gaussian(0.0, 1.0, 1.0),
+        probe=GaussianPacket(0.0, 1.0, 1.0),
         delta_a=FIG2_DELTA_A,
         delta_b=FIG2_DELTA_B,
     )
@@ -197,7 +198,7 @@ def test_criterion_08_postselection_probability():
 
 
 def test_criterion_09_unitarity_and_completeness():
-    probe = to_grid(gaussian(0.0, 1.0, 1.0), -12.0, 12.0, n=512)
+    probe = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -12.0, 12.0, n=512)
     unitary_ok = True
     complete_ok = True
     for _ in range(1000):

@@ -12,7 +12,7 @@ from gravkick.analysis import (
     weak_value_report,
 )
 from gravkick.protocol import Scenario, SourceState, branch_weights, paper_postselection, run
-from gravkick.wavepacket import gaussian
+from gravkick.wavepacket import GaussianPacket
 
 from . import oracles
 from .refvals import (
@@ -185,7 +185,7 @@ class TestValidity:
         scenario = Scenario(
             pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
             post=paper_postselection(),
-            probe=gaussian(0.0, 1.0, 1.0),
+            probe=GaussianPacket(0.0, 1.0, 1.0),
             delta_a=FIG2_DELTA_A,
             delta_b=FIG2_DELTA_B,
         )
@@ -197,7 +197,7 @@ class TestValidity:
         scenario = Scenario(
             pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
             post=paper_postselection(),
-            probe=gaussian(0.0, 1.0, 1.0),
+            probe=GaussianPacket(0.0, 1.0, 1.0),
             delta_a=7e-3,
             delta_b=1e-3,
         )
@@ -209,7 +209,7 @@ class TestValidity:
         scenario = Scenario(
             pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
             post=paper_postselection(),
-            probe=gaussian(0.0, 1.0, 1.0),
+            probe=GaussianPacket(0.0, 1.0, 1.0),
             delta_a=0.25,
             delta_b=0.25,
         )
@@ -224,7 +224,7 @@ class TestValidity:
             scenario = Scenario(
                 pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
                 post=paper_postselection(),
-                probe=gaussian(0.0, 1.0, 1.0),
+                probe=GaussianPacket(0.0, 1.0, 1.0),
                 delta_a=s * FIG2_DELTA_A,
                 delta_b=s * FIG2_DELTA_B,
             )

@@ -161,6 +161,27 @@ class TestGridRenders:
         assert main([command, "--scenario", "fig2", "--out", str(tmp_path / "bundle")]) == 0
         assert len(superpose_calls) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize("delta_a, delta_b, miss", [
+        (1e4, 1e3, "0.00025 std"),  # 2048 points 4.4 sigma apart
+        (3e3, 3e2, None),  # misses by 1.2e-8 std
+    ])
+    def test_coarse_grid_warns(self, tmp_path, capsys, command, delta_a, delta_b, miss):
+        doc = {"units": "natural", "source": {"beta": 0.9},
+               "kicks": {"delta_A": delta_a, "delta_B": delta_b},
+               "montecarlo": {"trials": 1000, "seed": 1}}
+        out = tmp_path / "bundle"
+        assert main([command, doc_path(tmp_path, doc), "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()
+        err = capsys.readouterr().err
+        if miss is None:
+            assert err == ""
+            return
+        human, record = err.strip().splitlines()
+        assert human.startswith("warning: the 2048-point grid ") and miss in human
+        assert json.loads(record) == {"warning": "grid-resolution", "field": "probe.grid_points",
+                                      "message": human.removeprefix("warning: ")}
+
 
 # non-paper postselections of an SI document: real, and complex with interaction phases
 DOCUMENT_WEIGHTS = [
@@ -369,6 +390,22 @@ class TestMontecarlo:
         rows = read_summary(out / "summary.csv")
         assert rows["std_error"] == "n/a"
         assert int(rows["accepted"]) in (0, 1)
+
+    def test_under_powered_run_warns(self, tmp_path, capsys):
+        doc = load_preset("amplification")  # P = 1.8e-7
+        doc["montecarlo"]["trials"] = 100000
+        out = tmp_path / "bundle"
+        assert main(["montecarlo", doc_path(tmp_path, doc), "--out", str(out)]) == 0
+        rows = read_summary(out / "summary.csv")
+        assert (rows["accepted"], rows["mean_kick_estimate"]) == ("0", "n/a")
+        human, record = capsys.readouterr().err.strip().splitlines()
+        assert human.startswith("warning: 0 of 100000 trials accepted at P = 1.8e-07")
+        assert json.loads(record) == {"warning": "under-powered",
+                                      "message": human.removeprefix("warning: ")}
+
+    def test_powered_run_is_silent(self, tmp_path, capsys):
+        assert main(["montecarlo", "--scenario", "fig2", "--out", str(tmp_path / "bundle")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_section_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -605,12 +642,20 @@ class TestErrorChannels:
         ("feasibility", '"M": 1e-14', '"M": ' + "1" * 401, "config",
          "overflows the double range"),
         ("simulate", '"W": 1.0}', '"W": 1e300}', "config", "probe.W"),
+        ("feasibility", '"x_A": 4e-07, "x_B": 1.2649110640673517e-06',
+         '"x_A": 1e-06, "x_B": 5e-07', "config", "kicks.x_B"),
+        # sigma = 1e300 squares to inf
+        ("simulate", '"W": 1.0}', '"W": 1e-300}', "config", "probe.W"),
+        # x_A^2 overflows, so delta_A would underflow to 0
+        ("feasibility", '"x_A": 4e-07, "x_B": 1.2649110640673517e-06',
+         '"x_A": 1e200, "x_B": 1e201', "config", "kicks.x_A"),
         ("simulate", '"W": 1.0}', '"W": 1.0}, "postselection": {"amp_A": 1e300, "amp_B": 1e300}',
          "runtime", "OverflowError"),
         # kicks ~9e199 sigma apart: exact_std would be inf, and rendering the grid warns
         ("simulate", '"delta_A": 0.3, "delta_B": 0.05', '"delta_A": 1e200, "delta_B": 1e199',
          "runtime", "std inf is not finite"),
-    ], ids=["tiny-separation", "huge-integer", "wide-probe", "huge-amplitudes", "huge-kicks"])
+    ], ids=["tiny-separation", "huge-integer", "wide-probe", "reversed-distances", "narrow-probe",
+            "huge-distances", "huge-amplitudes", "huge-kicks"])
     def test_out_of_range_document_is_refused(self, tmp_path, capsys, command, literal, edited,
                                               kind, message):
         natural = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 1.0},

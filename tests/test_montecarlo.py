@@ -11,7 +11,7 @@ from gravkick.montecarlo import (
 )
 from gravkick.output import summary_csv
 from gravkick.protocol import Scenario, SourceState, paper_postselection, run
-from gravkick.wavepacket import gaussian
+from gravkick.wavepacket import GaussianPacket
 
 from .refvals import (
     FIG2_ALPHA,
@@ -27,7 +27,7 @@ def fig2_scenario(**overrides):
     kwargs = dict(
         pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
         post=paper_postselection(),
-        probe=gaussian(0.0, 1.0, 1.0),
+        probe=GaussianPacket(0.0, 1.0, 1.0),
         delta_a=FIG2_DELTA_A,
         delta_b=FIG2_DELTA_B,
     )
@@ -132,7 +132,7 @@ class TestRunConfig:
         scenario = Scenario(
             pre=SourceState.from_amplitudes(1.0, 1.0),
             post=SourceState.from_amplitudes(-1.0, 1.0),
-            probe=gaussian(0.0, 1.0, 1.0),
+            probe=GaussianPacket(0.0, 1.0, 1.0),
             delta_a=0.0,
             delta_b=0.0,
         )

@@ -17,9 +17,10 @@ from gravkick.protocol import (
     paper_postselection,
     run,
 )
-from gravkick.wavepacket import displace, gaussian, moments, normalize, superpose, to_grid
+from gravkick.wavepacket import GaussianPacket, displace, moments, superpose
 
 from . import oracles
+from .probes import grid_probe
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -43,7 +44,7 @@ def fig2_scenario(**overrides):
     kwargs = dict(
         pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
         post=paper_postselection(),
-        probe=gaussian(0.0, 1.0, 1.0),
+        probe=GaussianPacket(0.0, 1.0, 1.0),
         delta_a=FIG2_DELTA_A,
         delta_b=FIG2_DELTA_B,
     )
@@ -79,7 +80,7 @@ class TestSourceState:
 class TestPrepare:
     # postselecting on a branch state |X> leaves the weight of that branch alone
     def test_single_branch(self):
-        pre, probe = SourceState(1.0, 0.0), gaussian(0.0, 1.0)
+        pre, probe = SourceState(1.0, 0.0), GaussianPacket(0.0, 1.0)
         assert branch_weights(pre, SourceState.from_amplitudes(-1.0, 1.0))[1] == 0.0
         assert run(Scenario(pre, BRANCH_BASIS[0], probe, 0.0, 0.0)).probability == pytest.approx(
             1.0, abs=1e-12)
@@ -99,20 +100,20 @@ class TestPrepare:
 
 class TestEvolve:
     def test_identity_without_interaction(self):
-        pre, probe = SourceState.from_amplitudes(1.0, 2.0), gaussian(0.0, 1.0)
+        pre, probe = SourceState.from_amplitudes(1.0, 2.0), GaussianPacket(0.0, 1.0)
         post = BRANCH_BASIS[0]
         assert branch_weights(pre, post, 0.0, 0.0)[0] == pre.amp_a
         assert run(Scenario(pre, post, probe, 0.0, 0.0)).mean_kick == moments(probe).mean
 
     def test_branch_pointer_means(self):
-        pre, probe = SourceState.from_amplitudes(1.0, 1.0), gaussian(0.0, 1.0)
+        pre, probe = SourceState.from_amplitudes(1.0, 1.0), GaussianPacket(0.0, 1.0)
         assert run(Scenario(pre, BRANCH_BASIS[0], probe, 0.7, 0.1)).mean_kick == pytest.approx(0.7)
         assert run(Scenario(pre, BRANCH_BASIS[1], probe, 0.7, 0.1)).mean_kick == pytest.approx(0.1)
 
     def test_unitarity_randomized(self):
         # grid pointers exercise the spectral-shift path; the kicked state's norm is the sum
         # of its postselection probabilities over the branch basis
-        probe = to_grid(gaussian(0.0, 1.0, 1.0), -12.0, 12.0, n=512)
+        probe = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -12.0, 12.0, n=512)
         for _ in range(1000):
             pre = random_source(RNG)
             delta = RNG.uniform(-2.0, 2.0, size=2)
@@ -124,7 +125,8 @@ class TestEvolve:
 
 class TestNonFiniteKick:
     @pytest.mark.parametrize("delta_a", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("probe", [gaussian(0.0, 1.0), to_grid(gaussian(0.0, 1.0), n=256)])
+    @pytest.mark.parametrize("probe", [GaussianPacket(0.0, 1.0),
+                                       grid_probe(GaussianPacket(0.0, 1.0), -10.0, 10.0, n=256)])
     def test_run_refuses_non_finite_kick(self, probe, delta_a):
         scenario = Scenario(pre=SourceState.from_amplitudes(1.0, 1.0),
                             post=paper_postselection(), probe=probe,
@@ -142,7 +144,7 @@ class TestNonFiniteKick:
 class TestPostselect:
     def test_single_branch_survives(self):
         result = run(Scenario(SourceState(0.0, 1.0), SourceState.from_amplitudes(-1.0, 1.0),
-                              gaussian(0.0, 1.0), 0.7, 0.1))
+                              GaussianPacket(0.0, 1.0), 0.7, 0.1))
         assert result.mean_kick == pytest.approx(0.1, abs=1e-10)
         assert result.probability == pytest.approx(0.5, abs=1e-10)
 
@@ -187,14 +189,14 @@ class TestPostselect:
     def test_impossible_postselection_is_an_error(self):
         # equal amplitudes, no kicks, orthogonal sign-flip: exact destructive interference;
         # the grid probe's state is identically zero, which `moments` rejects as a plain ValueError
-        for probe in (gaussian(0.0, 1.0), to_grid(gaussian(0.0, 1.0))):
+        for probe in (GaussianPacket(0.0, 1.0), grid_probe(GaussianPacket(0.0, 1.0), -10.0, 10.0)):
             scenario = Scenario(SourceState.from_amplitudes(1.0, 1.0),
                                 SourceState.from_amplitudes(-1.0, 1.0), probe, 0.0, 0.0)
             with pytest.raises(PostselectionImpossible):
                 run(scenario)
 
     def test_completeness_randomized(self):
-        probe = gaussian(0.0, 1.0, 1.0)
+        probe = GaussianPacket(0.0, 1.0, 1.0)
         for _ in range(1000):
             pre = random_source(RNG)
             kicks_and_phases = (*RNG.uniform(-1.5, 1.5, size=2), *RNG.uniform(-3, 3, size=2))
@@ -237,13 +239,13 @@ class TestPostselect:
         built = build_scenario(load_preset(preset))
         s = built.scenario
         w_a, w_b = pointer_weights(s)
-        eager = normalize(superpose(
+        eager = superpose(
             [(w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b))],
             n=built.grid_points,
-        ))
+        )
         lazy = run(s, n=built.grid_points).conditional
         assert np.array_equal(lazy.p, eager.p)
-        assert np.array_equal(lazy.amps, eager.amps)
+        assert np.array_equal(lazy.amps, eager.amps / moments(eager).norm)
 
 
 def pointer_weights(scenario: Scenario) -> tuple[complex, complex]:
@@ -265,7 +267,7 @@ def random_phase_scenario(rng) -> Scenario:
     return Scenario(
         pre=random_source(rng),
         post=random_source(rng),
-        probe=gaussian(0.0, 1.0, 1.0),
+        probe=GaussianPacket(0.0, 1.0, 1.0),
         delta_a=d_a,
         delta_b=d_b,
         phi_a=phi_a,
@@ -317,7 +319,7 @@ class TestGaussianPostselection:
         )
 
     def test_grid_probe_agrees_with_closed_form(self):
-        probe = to_grid(gaussian(0.0, 1.0, 1.0), -12.0, 12.0, n=2048)
+        probe = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -12.0, 12.0, n=2048)
         rng = np.random.default_rng(2718)
         for scenario in [fig2_scenario()] + [random_phase_scenario(rng) for _ in range(10)]:
             grid = run(replace(scenario, probe=probe))
@@ -410,7 +412,7 @@ def test_evolve_then_postselect_probability_in_range(beta, delta):
     scenario = Scenario(
         pre=SourceState(alpha, beta),
         post=paper_postselection(),
-        probe=gaussian(0.0, 1.0, 1.0),
+        probe=GaussianPacket(0.0, 1.0, 1.0),
         delta_a=delta,
         delta_b=delta / 3.0,
     )

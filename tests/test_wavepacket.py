@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from gravkick.protocol import gaussian_postselection
 from gravkick.wavepacket import (
+    GaussianPacket,
     GridPacket,
     displace,
-    gaussian,
     moments,
-    normalize,
     superpose,
     to_csv,
-    to_grid,
 )
 
 from . import oracles
+from .probes import grid_probe
 from .refvals import (
     FIG2_ALPHA,
     FIG2_BETA,
@@ -31,7 +30,7 @@ from .refvals import (
 
 
 def fig2_superposition(n=2048):
-    psi = gaussian(0.0, 1.0, 1.0)
+    psi = GaussianPacket(0.0, 1.0, 1.0)
     return superpose(
         [(FIG2_BETA, displace(psi, FIG2_DELTA_B)), (-FIG2_ALPHA, displace(psi, FIG2_DELTA_A))],
         n=n,
@@ -40,57 +39,57 @@ def fig2_superposition(n=2048):
 
 class TestGaussian:
     def test_moments_closed_form(self):
-        m = moments(gaussian(0.25, 2.0, 1.0))
+        m = moments(GaussianPacket(0.25, 2.0, 1.0))
         assert m.norm == 1.0
         assert m.mean == 0.25
         assert m.std == 0.5  # hbar / W
 
     def test_center_is_exact_translation(self):
-        assert gaussian(0.3, 1.0).center == 0.3
+        assert GaussianPacket(0.3, 1.0).center == 0.3
 
     def test_grid_norm_after_construction(self):
-        grid = to_grid(gaussian(0.0, 1.0, 1.0))
+        grid = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -10.0, 10.0)
         assert moments(grid).norm == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError, match="width"):
-            gaussian(0.0, -1.0)
+            GaussianPacket(0.0, -1.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_width_or_hbar_rejected(self, value):
         with pytest.raises(ValueError, match="width parameter must be positive and finite"):
-            gaussian(0.0, value)
+            GaussianPacket(0.0, value)
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
-            gaussian(0.0, 1.0, value)
+            GaussianPacket(0.0, 1.0, value)
 
 
 class TestDisplace:
     def test_analytic_center_shift(self):
-        assert moments(displace(gaussian(0.0, 1.0), 0.4)).mean == 0.4
+        assert moments(displace(GaussianPacket(0.0, 1.0), 0.4)).mean == 0.4
 
     def test_zero_displacement_identity_on_grid(self):
-        grid = to_grid(gaussian(0.0, 1.0, 1.0))
+        grid = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -10.0, 10.0)
         assert np.allclose(displace(grid, 0.0).amps, grid.amps, atol=1e-14)
 
     def test_grid_matches_analytic(self):
         # spectral shift of a sampled gaussian vs direct sampling of the shifted one;
         # the strip [p_min, p_min + delta) has no sampled pre-image (true tail values
         # there are ~1e-7) so the pointwise bound applies where data determines it
-        grid = to_grid(gaussian(0.0, 1.0, 1.0), -8.0, 8.0, n=1024)
+        grid = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -8.0, 8.0, n=1024)
         shifted = displace(grid, 0.3)
-        expected = gaussian(0.3, 1.0, 1.0)(shifted.p)
+        expected = GaussianPacket(0.3, 1.0, 1.0)(shifted.p)
         determined = shifted.p - 0.3 >= grid.p[0]
         assert np.max(np.abs(shifted.amps - expected)[determined]) < 1e-8
         assert np.max(np.abs(shifted.amps - expected)) < 2e-7
 
     def test_grid_matches_analytic_full_default_window(self):
-        grid = to_grid(gaussian(0.0, 1.0, 1.0))  # +-10 sigma, n=2048
+        grid = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -10.0, 10.0)  # +-10 sigma, n=2048
         shifted = displace(grid, 0.3)
-        expected = gaussian(0.3, 1.0, 1.0)(shifted.p)
+        expected = GaussianPacket(0.3, 1.0, 1.0)(shifted.p)
         assert np.max(np.abs(shifted.amps - expected)) < 1e-8
 
     def test_guard_range(self):
-        grid = to_grid(gaussian(0.0, 1.0, 1.0), -8.0, 8.0, n=256)
+        grid = grid_probe(GaussianPacket(0.0, 1.0, 1.0), -8.0, 8.0, n=256)
         with pytest.raises(ValueError, match="guard"):
             displace(grid, 5.0)
 
@@ -112,7 +111,7 @@ class TestDisplace:
         center=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     )
     def test_unitarity_on_grid(self, delta, center):
-        grid = to_grid(gaussian(center, 1.0, 1.0), -14.0, 14.0, n=512)
+        grid = grid_probe(GaussianPacket(center, 1.0, 1.0), -14.0, 14.0, n=512)
         assert moments(displace(grid, delta)).norm == pytest.approx(
             moments(grid).norm, abs=1e-10
         )
@@ -144,8 +143,8 @@ class TestOverlap:
         assert values[-1] < 1e-20
 
     def test_incompatible_grids_rejected(self):
-        a = to_grid(gaussian(0.0, 1.0), -8.0, 8.0, n=128)
-        b = to_grid(gaussian(0.0, 1.0), -9.0, 9.0, n=128)
+        a = grid_probe(GaussianPacket(0.0, 1.0), -8.0, 8.0, n=128)
+        b = grid_probe(GaussianPacket(0.0, 1.0), -9.0, 9.0, n=128)
         with pytest.raises(ValueError, match="grid"):
             superpose([(1.0, a), (1.0, b)])
 
@@ -158,15 +157,15 @@ class TestOverlap:
     def test_cauchy_schwarz(self, c1, c2, phase):
         # |e^{i phase} psi_1 + psi_2|^2 / 4 = (1 + Re(e^{i phase} <psi_2|psi_1>)) / 2 <= 1
         # for every phase is |<psi_2|psi_1>| <= 1
-        grid = to_grid(gaussian(c1, 1.0), -16.0, 16.0, n=512)
-        other = to_grid(gaussian(c2, 1.0), -16.0, 16.0, n=512)
+        grid = grid_probe(GaussianPacket(c1, 1.0), -16.0, 16.0, n=512)
+        other = grid_probe(GaussianPacket(c2, 1.0), -16.0, 16.0, n=512)
         summed = superpose([(0.5 * np.exp(1j * phase), grid), (0.5, other)])
         assert moments(summed).norm <= 1.0 + 1e-12
 
 
 class TestMoments:
     def test_fig2_superposition_mean(self):
-        m = moments(normalize(fig2_superposition()))
+        m = moments(fig2_superposition())
         # closed form (b^2 dB + a^2 dA - a b (dA+dB) I) / (1 - 2 a b I)
         closed = (
             FIG2_BETA**2 * FIG2_DELTA_B
@@ -177,7 +176,7 @@ class TestMoments:
         assert m.mean == pytest.approx(FIG2_MEAN, abs=1e-10)
 
     def test_fig2_superposition_against_oracle(self):
-        m = moments(normalize(fig2_superposition()))
+        m = moments(fig2_superposition())
         _, mean, std = oracles.superposition_stats(
             [FIG2_BETA, -FIG2_ALPHA], [FIG2_DELTA_B, FIG2_DELTA_A]
         )
@@ -185,17 +184,17 @@ class TestMoments:
         assert m.std == pytest.approx(std, abs=1e-9)
 
     def test_common_displacement_factors_out(self):
-        psi = gaussian(0.0, 1.0)
+        psi = GaussianPacket(0.0, 1.0)
         for a, b in [(0.3, 0.8), (0.6, 0.5)]:
             mixed = superpose([(b, displace(psi, 0.4)), (-a, displace(psi, 0.4))])
-            assert moments(normalize(mixed)).mean == pytest.approx(0.4, abs=1e-10)
+            assert moments(mixed).mean == pytest.approx(0.4, abs=1e-10)
 
     def test_fig2_mean_is_negative(self):
-        assert moments(normalize(fig2_superposition())).mean < 0
+        assert moments(fig2_superposition()).mean < 0
 
     def test_grid_agrees_with_analytic(self):
-        psi = gaussian(0.35, 1.0, 1.0)
-        grid = to_grid(psi, 0.35 - 10.0, 0.35 + 10.0, n=2048)
+        psi = GaussianPacket(0.35, 1.0, 1.0)
+        grid = grid_probe(psi, 0.35 - 10.0, 0.35 + 10.0, n=2048)
         mg, ma = moments(grid), moments(psi)
         assert mg.norm == pytest.approx(ma.norm, abs=1e-6)
         assert mg.mean == pytest.approx(ma.mean, abs=1e-6)
@@ -233,14 +232,14 @@ class TestGridValidation:
             GridPacket(p=p, amps=amps)
 
     def test_immutable_after_construction(self):
-        grid = to_grid(gaussian(0.0, 1.0), -4, 4, n=64)
+        grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
         with pytest.raises(ValueError):
             grid.amps[0] = 1.0
 
 
 class TestCsv:
     def test_round_trip(self):
-        grid = to_grid(gaussian(0.2, 1.0, 1.0), -6, 6, n=128)
+        grid = grid_probe(GaussianPacket(0.2, 1.0, 1.0), -6, 6, n=128)
         buf = io.StringIO()
         to_csv(grid, buf, units="natural", width=1.0)
         assert buf.getvalue().startswith("# units=natural, W=1.0\n")
@@ -251,7 +250,7 @@ class TestCsv:
 
     def test_header_and_metadata_lines(self):
         buf = io.StringIO()
-        to_csv(to_grid(gaussian(0.0, 1.0), -4, 4, n=32), buf, units="si", width=1e-7)
+        to_csv(grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=32), buf, units="si", width=1e-7)
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("# units=si, W=")
         assert lines[1] == "p,re,im"
