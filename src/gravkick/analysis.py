@@ -13,7 +13,7 @@ that misses the exact mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import protocol
@@ -70,7 +70,9 @@ def weak_value_report(
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """How trustworthy the first-order prediction is for given kicks."""
+    """How trustworthy the first-order prediction is for given kicks.
+
+    Keeps the run (`exact`) and the `weak_value_report` (`report`) that it compares."""
 
     kick_ratio_a: float  # |delta_a| / sigma_p
     kick_ratio_b: float
@@ -78,6 +80,8 @@ class ValidityReport:
     exact_mean: float
     abs_error: float
     regime: Regime
+    exact: protocol.PostselectedResult = field(compare=False, repr=False)
+    report: WeakValueReport = field(compare=False, repr=False)
 
 
 def classify_regime(kick_ratio: float) -> Regime:
@@ -92,12 +96,12 @@ def validity_check(
     scenario: protocol.Scenario,
     n: int = DEFAULT_GRID_POINTS,
 ) -> ValidityReport:
-    """Exact protocol mean (`protocol.run`) vs the first-order one (`weak_value_report`)."""
+    """One `protocol.run` (exact mean) vs one `weak_value_report` (first order)."""
     s = scenario
     sigma = moments(s.probe).std
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("probe must have a finite positive momentum spread")
-    exact = protocol.run(s, n=n).mean_kick
+    exact = protocol.run(s, n=n)
     report = weak_value_report(s.pre, s.post, s.delta_a, s.delta_b)
     first = report.effective_kick
     ratio_a, ratio_b = abs(s.delta_a) / sigma, abs(s.delta_b) / sigma
@@ -107,7 +111,9 @@ def validity_check(
         kick_ratio_a=ratio_a,
         kick_ratio_b=ratio_b,
         first_order_mean=first,
-        exact_mean=exact,
-        abs_error=abs(exact - first),
+        exact_mean=exact.mean_kick,
+        abs_error=abs(exact.mean_kick - first),
         regime=classify_regime(max(ratio_a, ratio_b, amplified)),
+        exact=exact,
+        report=report,
     )

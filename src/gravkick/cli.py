@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .feasibility import (
 from .output import summary_csv, table_csv, write_bundle, write_text_atomic
 from .protocol import PostselectionImpossible
 from .units import UnitSystem
-from .wavepacket import GaussianPacket, GridPacket, moments, to_csv
+from .wavepacket import GridPacket, moments, to_csv
 
 FIG2_SAMPLES = 401
 GRID_TOLERANCE = 1e-6  # in exact std; the presets' grids miss by at most 7e-14
@@ -108,29 +107,25 @@ def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
     return built.scenario.probe.sigma  # one natural momentum unit, hbar/W in SI
 
 
-def _decomposition_curves(built: BuiltScenario, n: int = FIG2_SAMPLES):
-    """The two branch pointers and their normalized sum, natural units.
+def _decomposition_curves(result: protocol.PostselectedResult, n: int = FIG2_SAMPLES):
+    """A run's two branch pointers and their sum over sqrt(2 P), in natural units.
 
-    The branches are sqrt(2) w_X psi_X, the weighted pointers of `protocol.run` on the
-    scenario in units of the probe's sigma, turned to make w_B real: beta psi_B and
-    -alpha psi_A for the paper postselection.  Each curve is its modulus signed by its
-    real part.
+    Each Gaussian psi_X is read at p sigma and scaled by sqrt(sigma).  The branches are
+    sqrt(2) w_X psi_X turned to make w_B real: beta psi_B and -alpha psi_A for the paper
+    postselection.  Each curve is its modulus signed by its real part.
     """
-    s = built.scenario
-    sigma = s.probe.sigma
-    result = protocol.run(replace(s, probe=GaussianPacket(0.0), delta_a=s.delta_a / sigma,
-                                  delta_b=s.delta_b / sigma))
     (w_a, psi_a), (w_b, psi_b) = result.terms
-    scale = math.sqrt(2.0) * cmath.exp(-1j * cmath.phase(w_b))
+    sigma = psi_b.sigma
+    scale = math.sqrt(2.0) * math.sqrt(sigma) * cmath.exp(-1j * cmath.phase(w_b))
     p = np.linspace(-4.0, 4.0, n)
-    branch_b = scale * w_b * psi_b(p)
-    branch_a = scale * w_a * psi_a(p)
+    branch_b = scale * w_b * psi_b(p * sigma)
+    branch_a = scale * w_a * psi_a(p * sigma)
     total = (branch_b + branch_a) / math.sqrt(2.0) / math.sqrt(result.probability)
     return p, *(np.copysign(np.abs(z), z.real) for z in (branch_b, branch_a, total))
 
 
-def _decomposition_files(built: BuiltScenario) -> tuple[str, str]:
-    p, branch_b, branch_a, total = _decomposition_curves(built)
+def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]:
+    p, branch_b, branch_a, total = _decomposition_curves(result)
     curves_csv = table_csv("p,beta_branch,neg_alpha_branch,postselected", "%.8e,%.8e,%.8e,%.8e",
                            zip(p.tolist(), branch_b.tolist(), branch_a.tolist(), total.tolist()))
     image = svg.line_plot(
@@ -151,11 +146,8 @@ def cmd_simulate(args) -> int:
     display = UnitSystem(args.units) if args.units else built.units
     unit = _momentum_unit(built, display)
 
-    result = protocol.run(built.scenario, n=built.grid_points)
-    report = analysis.weak_value_report(
-        built.scenario.pre, built.scenario.post, built.scenario.delta_a, built.scenario.delta_b
-    )
     validity = analysis.validity_check(built.scenario, n=built.grid_points)
+    result, report = validity.exact, validity.report
 
     rows: list[tuple[str, object]] = [("units", display.value)]
     rows += [
@@ -183,7 +175,7 @@ def cmd_simulate(args) -> int:
 
     files = {"summary.csv": summary_csv(rows), "wavefunction.csv": buf.getvalue()}
     if args.svg:
-        curves_csv, image = _decomposition_files(built)
+        curves_csv, image = _decomposition_files(result)
         files["fig2.svg"] = image
         files["fig2_curves.csv"] = curves_csv
     return _emit_bundle(args, files)
@@ -298,8 +290,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    built = build_scenario(load_preset("fig2"))
-    curves_csv, image = _decomposition_files(built)
+    result = protocol.run(build_scenario(load_preset("fig2")).scenario)
+    curves_csv, image = _decomposition_files(result)
     out = args.out or os.path.join(os.environ.get("GRAVKICK_OUT", "."), "fig2.svg")
     stem, _ = os.path.splitext(out)
     write_text_atomic(out, image)

@@ -248,6 +248,10 @@ def build_scenario(doc: dict) -> BuiltScenario:
         )
         delta_a = delta_kick(params.M, params.m, params.T, params.x_A)
         delta_b = delta_kick(params.M, params.m, params.T, params.x_B)
+        if not (delta_a < math.inf and delta_b >= sys.float_info.min):  # delta_B < delta_A
+            raise ConfigError(f"config field kicks: G M m T / x^2 gives delta_A = {delta_a!r} "
+                              f"and delta_B = {delta_b!r}, outside the double range",
+                              field="kicks")
 
     if gain is not None:
         if delta_a == 0.0 or not 0.0 < delta_b / delta_a < 1.0:
@@ -290,10 +294,11 @@ def build_scenario(doc: dict) -> BuiltScenario:
     if params is not None and gain is None:
         try:  # the phase-free paper postselection's gain, what `simulate` prints without phases
             gain = weak_value_report(pre, protocol.paper_postselection(), delta_a, delta_b).gain
-        except ValueError:  # beta == alpha: pre is orthogonal to the postselection
-            gain = math.nan
-        gain = gain if math.isfinite(gain) else None
-        if gain is None or gain < 0.0:
+        except ValueError:
+            raise ConfigError("source.beta = alpha leaves the source orthogonal to the paper "
+                              "postselection; SI scenarios need gain >= 0",
+                              field="source.beta") from None
+        if not 0.0 <= gain < math.inf:
             raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",
                               field="source.beta")
         params = replace(params, g=gain)

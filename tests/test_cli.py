@@ -72,6 +72,7 @@ def assert_refused(code, out, capsys, kind, message):
     record = json.loads(line)
     assert record["error"] == kind
     assert human == f"error: {record['message']}"
+    return record
 
 
 class TestSimulate:
@@ -160,6 +161,33 @@ class TestGridRenders:
     def test_fig2_renders_the_conditional_once(self, tmp_path, superpose_calls, command):
         assert main([command, "--scenario", "fig2", "--out", str(tmp_path / "bundle")]) == 0
         assert len(superpose_calls) == 1
+
+    def test_simulate_svg_runs_the_scenario_once(self, tmp_path, monkeypatch):
+        from gravkick import analysis, protocol
+
+        calls = []
+        for module, name in [(protocol, "run"), (analysis, "weak_value_report")]:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "bundle"
+        assert main(["simulate", "--scenario", "caseB", "--svg", "--out", str(out)]) == 0
+        assert sorted(calls) == ["run", "weak_value_report"]
+        # the curves are that run's: the postselected one is the branch sum over the
+        # summary's probability, and so is normalised
+        probability = as_float(read_summary(out / "summary.csv"), "postselection_probability")
+        lines = (out / "fig2_curves.csv").read_text().splitlines()[1:]
+        p, branch_b, branch_a, total = np.array([[float(x) for x in line.split(",")]
+                                                 for line in lines]).T
+        branch_sum = (branch_b + branch_a) / math.sqrt(2.0)
+        assert np.trapezoid(branch_sum**2, p) == pytest.approx(probability, rel=2e-4)
+        # the branch columns hold 9 significant digits, and they cancel in the sum
+        np.testing.assert_allclose(total * math.sqrt(probability), branch_sum,
+                                   rtol=0, atol=1e-8 * np.max(np.abs(branch_b)))
 
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     @pytest.mark.parametrize("delta_a, delta_b, miss", [
@@ -323,6 +351,15 @@ class TestFeasibility:
         assert not out.exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "config"
+        assert record["field"] == "source.beta"
+
+    def test_beta_source_orthogonal_to_the_postselection_rejected(self, tmp_path, capsys):
+        # alpha = sqrt(1 - beta^2) rounds to beta: the paper postselection's overlap is 0
+        config = doc_path(tmp_path, {**CASE_B_DOC, "source": {"beta": 0.7071067811865476}})
+        out = tmp_path / "bundle"
+        code = main(["feasibility", config, "--out", str(out)])
+        record = assert_refused(code, out, capsys, "config",
+                                "leaves the source orthogonal to the paper postselection")
         assert record["field"] == "source.beta"
 
     def test_negative_exponent_target_is_a_number(self, tmp_path):
@@ -538,10 +575,12 @@ class TestFig2Command:
         assert mean == pytest.approx(FIG2_MEAN, abs=5e-3)
         # p = 0 samples match the analytic branch evaluations: exactly in memory,
         # to serialization precision (9 significant digits) in the file
+        from gravkick import protocol
         from gravkick.cli import _decomposition_curves
         from gravkick.config import build_scenario
 
-        grid, branch_b, branch_a, _ = _decomposition_curves(build_scenario(load_preset("fig2")))
+        grid, branch_b, branch_a, _ = _decomposition_curves(
+            protocol.run(build_scenario(load_preset("fig2")).scenario))
         i0 = int(np.argmin(np.abs(grid)))
         amp = (2 * math.pi) ** (-0.25)
         assert branch_b[i0] == pytest.approx(0.9 * amp * math.exp(-0.01 / 4), abs=1e-10)
@@ -584,10 +623,11 @@ class TestFig2Command:
             amp = sum(c * oracles.gauss_amp(p, x0, 1.0) for c, x0 in zip(coeffs, centers))
             return np.abs(amp) / math.sqrt(norm2)
 
+        from gravkick import protocol
         from gravkick.cli import _decomposition_curves
         from gravkick.config import build_scenario
 
-        p, _, _, total = _decomposition_curves(build_scenario(doc))
+        p, _, _, total = _decomposition_curves(protocol.run(build_scenario(doc).scenario))
         expected = modulus(p)
         peak = expected.max()
         assert np.max(np.abs(np.abs(total) - expected)) <= 1e-9 * peak
@@ -654,8 +694,14 @@ class TestErrorChannels:
         # kicks ~9e199 sigma apart: exact_std would be inf, and rendering the grid warns
         ("simulate", '"delta_A": 0.3, "delta_B": 0.05', '"delta_A": 1e200, "delta_B": 1e199',
          "runtime", "std inf is not finite"),
+        # G M m T / x^2 overflows to inf on both branches
+        ("feasibility", '"M": 1e-14, "m": 1e-20', '"M": 1e300, "m": 1e300', "config",
+         "config field kicks: "),
+        # G M m T / x^2 underflows to 0 on both branches
+        ("feasibility", '"M": 1e-14, "m": 1e-20', '"M": 1e-300, "m": 1e-300', "config",
+         "config field kicks: "),
     ], ids=["tiny-separation", "huge-integer", "wide-probe", "reversed-distances", "narrow-probe",
-            "huge-distances", "huge-amplitudes", "huge-kicks"])
+            "huge-distances", "huge-amplitudes", "huge-kicks", "huge-masses", "tiny-masses"])
     def test_out_of_range_document_is_refused(self, tmp_path, capsys, command, literal, edited,
                                               kind, message):
         natural = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 1.0},

@@ -173,14 +173,15 @@ class TestAssembly:
         (case,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
         assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
 
-    @pytest.mark.parametrize("source, gain", [
-        ({"beta": 0.999}, "-0.05783339705044427"),
-        ({"alpha": 0.7071067811865476, "beta": 0.7071067811865476}, "None"),  # no gain at all
+    @pytest.mark.parametrize("source, reason", [
+        ({"beta": 0.999}, "realises gain -0.05783339705044427"),
+        ({"alpha": 0.7071067811865476, "beta": 0.7071067811865476},
+         "= alpha leaves the source orthogonal to the paper postselection"),
     ], ids=["source0", "source1"])
-    def test_si_beta_source_without_a_nonnegative_gain_rejected(self, source, gain):
+    def test_si_beta_source_without_a_nonnegative_gain_rejected(self, source, reason):
         with pytest.raises(ConfigError) as exc:
             build_scenario({**CASE_B_DOC, "source": source})
-        assert str(exc.value) == f"source.beta realises gain {gain}; SI scenarios need gain >= 0"
+        assert str(exc.value) == f"source.beta {reason}; SI scenarios need gain >= 0"
         assert exc.value.field == "source.beta"
 
     @pytest.mark.parametrize("source", [
