@@ -45,6 +45,7 @@ from .units import UnitSystem
 from .wavepacket import GridPacket, moments, to_csv
 
 FIG2_SAMPLES = 401
+FIG2_WINDOW_SHARE = 0.99  # of the postselected state's squared norm inside p in [-4, 4] sigma
 GRID_TOLERANCE = 1e-6  # in exact std; the presets' grids miss by at most 7e-14
 
 
@@ -125,7 +126,13 @@ def _decomposition_curves(result: protocol.PostselectedResult, n: int = FIG2_SAM
 
 
 def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]:
+    """The fig2 curves CSV and SVG; warns when the window misses part of the state."""
     p, branch_b, branch_a, total = _decomposition_curves(result)
+    share = float(np.trapezoid(total * total, p))
+    if share < FIG2_WINDOW_SHARE:
+        _emit_record("warning", "fig2-window",
+                     f"the fig2 window p in [{p[0]:g}, {p[-1]:g}] sigma holds {share:.3g} of the "
+                     "postselected state's squared norm; the curves show only part of it")
     curves_csv = table_csv("p,beta_branch,neg_alpha_branch,postselected", "%.8e,%.8e,%.8e,%.8e",
                            zip(p.tolist(), branch_b.tolist(), branch_a.tolist(), total.tolist()))
     image = svg.line_plot(

@@ -82,15 +82,23 @@ class PostselectedResult:
     probability: float
     mean_kick: float
     std: float
-    # the weighted branch pointers (w_X, psi_X) and the grid size of `conditional`
+    # the weighted branch pointers (w_X, psi_X), or a grid probe's one rendered pointer
+    # (1, w_A psi_A + w_B psi_B), and the grid size of `conditional`
     terms: tuple[tuple[complex, Wavepacket], ...] = field(compare=False, repr=False)
     n: int = field(compare=False, repr=False)
 
     @cached_property
     def conditional(self) -> GridPacket:
         """The normalized conditional probe state, rendered on first read."""
-        grid = superpose(list(self.terms), n=self.n)
-        return GridPacket(p=grid.p, amps=grid.amps / moments(grid).norm)
+        grid = _render(self.terms, self.n)
+        return grid._with_amps(grid.amps / moments(grid).norm)
+
+
+def _render(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> GridPacket:
+    """The unnormalized pointer sum on a grid; a lone rendered pointer is taken as it is."""
+    if len(terms) == 1 and terms[0][0] == 1.0 and isinstance(terms[0][1], GridPacket):
+        return terms[0][1]
+    return superpose(list(terms), n=n)
 
 
 def gaussian_postselection(
@@ -121,31 +129,35 @@ def gaussian_postselection(
     return probability, mean, math.sqrt(sigma * sigma + spread)
 
 
-def postselect(
-    terms: tuple[tuple[complex, Wavepacket], tuple[complex, Wavepacket]], n: int
-) -> PostselectedResult:
+def postselect(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> PostselectedResult:
     """Statistics of the postselected probe w_A psi_A + w_B psi_B.
 
-    `terms` is ((w_A, psi_A), (w_B, psi_B)), as `branch_weights` and `displace`
-    give them.  The squared norm of that unnormalized pointer is the postselection
-    probability.  Two Gaussian pointers of one width take P, mean and std from
-    `gaussian_postselection`; other pointers are rendered on the grid (n points
-    unless a pointer brings its own) and take them from one `moments` pass.
-    The result keeps the weighted pointers and renders (and normalizes) the
-    conditional state from them only when a caller first reads `conditional`;
-    grid pointers are rendered again then.  Probabilities below 1e-30 raise
+    `terms` holds one or two weighted pointers: ((w_A, psi_A), (w_B, psi_B)), as
+    `branch_weights` and `displace` give them, or ((1, psi),) with psi that sum
+    already rendered on a grid.  The squared norm of that unnormalized pointer is the
+    postselection probability.  Two Gaussian pointers of one width take P, mean and
+    std from `gaussian_postselection`; a rendered pointer takes them from one
+    `moments` pass as it is, and other pointers are rendered on the grid first (n
+    points unless a pointer brings its own).  The result keeps the weighted pointers
+    and renders (and normalizes) the conditional state from them only when a caller
+    first reads `conditional`.  Probabilities below 1e-30 raise
     PostselectionImpossible instead of returning a garbage state, and a mean or std
     that is not finite (kicks about 1e154 sigma apart overflow) raises ValueError.
     """
-    (w_a, ptr_a), (w_b, ptr_b) = terms
-    if (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
-            and ptr_a.sigma == ptr_b.sigma):
+    if len(terms) == 2:
+        (w_a, ptr_a), (w_b, ptr_b) = terms
+        closed = (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
+                  and ptr_a.sigma == ptr_b.sigma)
+    elif len(terms) == 1:
+        closed = False
+    else:
+        raise ValueError(f"postselect takes one or two weighted pointers, got {len(terms)}")
+    if closed:
         probability, mean, std = gaussian_postselection(
             w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
     else:
-        unnorm = superpose(list(terms), n=n)
         try:
-            mom = moments(unnorm)
+            mom = moments(_render(terms, n))
         except ValueError:  # identically zero: the branches cancel exactly
             mom = Moments(norm=0.0, mean=math.nan, std=math.nan)
         probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
@@ -174,8 +186,15 @@ class Scenario:
 
 
 def run(scenario: Scenario, n: int = DEFAULT_GRID_POINTS) -> PostselectedResult:
-    """Kick the probe by delta_X on branch X and postselect the source on `post`."""
+    """Kick the probe by delta_X on branch X and postselect the source on `post`.
+
+    A grid probe is kicked on both branches in one spectral pass, the weighted sum
+    form of `displace`, and postselected as that one rendered pointer.
+    """
     s = scenario
     w_a, w_b = branch_weights(s.pre, s.post, s.phi_a, s.phi_b)
+    if isinstance(s.probe, GridPacket):
+        kicked = displace(s.probe, (s.delta_a, s.delta_b), weights=(w_a, w_b))
+        return postselect(((1.0, kicked),), n)
     terms = ((w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b)))
     return postselect(terms, n)

@@ -8,6 +8,7 @@ that postselection produces.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TextIO, Union
@@ -59,20 +60,24 @@ class GridPacket:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
-        amps = np.asarray(self.amps, dtype=complex)
         if p.ndim != 1 or p.size < 16:
             raise ValueError("grid needs at least 16 points")
-        if amps.shape != p.shape:
-            raise ValueError("amplitude array must match the momentum grid")
         dp = np.diff(p)
         if dp[0] <= 0 or not np.all(np.abs(dp - dp[0]) <= 1e-9 * dp[0]):
             raise ValueError("momentum grid must be uniform and increasing")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(amps))):
+        if not np.all(np.isfinite(p)):
             raise ValueError("grid samples must be finite")
+        amps = _checked_amps(p, self.amps)
         p.setflags(write=False)
-        amps.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "amps", amps)
+
+    def _with_amps(self, amps: np.ndarray) -> "GridPacket":
+        """A packet on this already checked grid; only the new amplitudes are checked."""
+        packet = object.__new__(GridPacket)
+        object.__setattr__(packet, "p", self.p)
+        object.__setattr__(packet, "amps", _checked_amps(self.p, amps))
+        return packet
 
     @property
     def dp(self) -> float:
@@ -81,6 +86,17 @@ class GridPacket:
     @property
     def span(self) -> float:
         return float(self.p[-1] - self.p[0])
+
+
+def _checked_amps(p: np.ndarray, amps) -> np.ndarray:
+    """`amps` as a read-only complex array, refused unless it matches `p` and is finite."""
+    amps = np.asarray(amps, dtype=complex)
+    if amps.shape != p.shape:
+        raise ValueError("amplitude array must match the momentum grid")
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("grid samples must be finite")
+    amps.setflags(write=False)
+    return amps
 
 
 Wavepacket = Union[GaussianPacket, GridPacket]
@@ -112,31 +128,53 @@ def _phase_ramp(n: int, c: float) -> np.ndarray:
     return ramp
 
 
-def displace(psi: Wavepacket, delta: float) -> Wavepacket:
-    """Return psi(p - delta).
+def displace(
+    psi: Wavepacket,
+    delta: Union[float, tuple[float, ...]],
+    weights: tuple[complex, ...] | None = None,
+) -> Wavepacket:
+    """Return psi(p - delta), or sum_i w_i psi(p - delta_i) given a tuple of shifts and weights.
 
-    Gaussians shift their center exactly.  Grid packets are multiplied by the
-    phase ramp exp(-2 pi i xi delta) between one fft and one ifft, which is
-    exact for band-limited data; the shift is limited to a quarter of the
-    grid span to guard against wrap-around.  `_phase_ramp` builds the ramp
-    from a two-level table; against mpmath its worst error was 1.2e-12 at
-    n = 8192 (the direct exp form: 1.5e-12).  A non-finite delta is refused.
+    Gaussians shift their center exactly; a sum of shifts needs a grid.  Grid
+    packets are multiplied by the phase ramp exp(-2 pi i xi delta) between one fft
+    and one ifft, which is exact for band-limited data; shifting commutes with the
+    transform, so a sum of shifts takes the same two transforms with the weighted
+    sum of the ramps.  Each shift is limited to a quarter of the grid span to guard
+    against wrap-around.  `_phase_ramp` builds each ramp from a two-level table;
+    against mpmath its worst error was 1.2e-12 at n = 8192 (the direct exp form:
+    1.5e-12).  A non-finite shift or weight is refused.
     """
+    if weights is not None:
+        return _displace_sum(psi, delta, weights)
     if not math.isfinite(delta):
         raise ValueError(f"displacement must be finite, got {delta!r}")
     if isinstance(psi, GaussianPacket):
         return GaussianPacket(center=psi.center + delta, width=psi.width, hbar=psi.hbar)
-    if abs(delta) >= psi.span / 4.0:
-        raise ValueError(
-            f"grid displacement {delta!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
-        )
-    if delta == 0.0:
-        return psi
+    return psi if delta == 0.0 else _displace_sum(psi, (delta,), (1.0,))
+
+
+def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple) -> GridPacket:
+    """sum_i w_i psi(p - delta_i) of a grid packet, from one fft and one ifft."""
+    if not (isinstance(shifts, tuple) and shifts and len(weights) == len(shifts)):
+        raise ValueError("weights need a tuple of as many shifts")
+    if not all(map(cmath.isfinite, weights)):
+        raise ValueError(f"displacement weights must be finite, got {weights!r}")
+    if isinstance(psi, GaussianPacket):
+        raise ValueError("a sum of shifts needs a grid packet; superpose Gaussian shifts")
+    for d in shifts:
+        if not math.isfinite(d):
+            raise ValueError(f"displacement must be finite, got {d!r}")
+        if abs(d) >= psi.span / 4.0:
+            raise ValueError(
+                f"grid displacement {d!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
+            )
     n = psi.p.size
-    ramp = _phase_ramp(n, -2.0 * math.pi * delta / (n * psi.dp))
+    kernel = np.zeros(n, dtype=complex)
+    for w, d in zip(weights, shifts):
+        kernel += w * _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp))
     spectrum = np.fft.fft(psi.amps)
-    spectrum *= ramp
-    return GridPacket(p=psi.p, amps=np.fft.ifft(spectrum))
+    spectrum *= kernel
+    return psi._with_amps(np.fft.ifft(spectrum))
 
 
 def _same_grid(a: GridPacket, b: GridPacket) -> bool:
@@ -184,7 +222,7 @@ def superpose(
     amps = np.zeros(p.size, dtype=complex)
     for coeff, psi in terms:
         amps += coeff * (psi.amps if isinstance(psi, GridPacket) else psi(p))
-    return GridPacket(p=p, amps=amps)
+    return grids[0]._with_amps(amps) if grids else GridPacket(p=p, amps=amps)
 
 
 # --- CSV serialization (header `p,re,im`, metadata comment line) ---

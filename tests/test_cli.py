@@ -636,6 +636,24 @@ class TestFig2Command:
         # the file holds 9 significant digits
         assert np.max(np.abs(np.abs(data[:, 3]) - modulus(data[:, 0]))) <= 1e-8 * peak
 
+    def test_curves_off_the_window_warn(self, tmp_path, capsys):
+        # kicks of 174 and -89 sigma leave the fixed [-4, 4] sigma window all but empty
+        doc = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 73.5},
+               "kicks": {"delta_A": 2.36, "delta_B": -1.21}}
+        out = tmp_path / "bundle"
+        assert main(["simulate", doc_path(tmp_path, doc), "--svg", "--out", str(out)]) == 0
+        assert (out / "fig2_curves.csv").exists() and (out / "fig2.svg").exists()
+        human, record = capsys.readouterr().err.strip().splitlines()
+        assert human.startswith("warning: the fig2 window p in [-4, 4] sigma holds 0 of ")
+        assert json.loads(record) == {"warning": "fig2-window",
+                                      "message": human.removeprefix("warning: ")}
+
+    @pytest.mark.parametrize("name", ["fig2", "amplification", "caseA", "caseB"])
+    def test_preset_curves_are_silent(self, tmp_path, capsys, name):
+        assert main(["simulate", "--scenario", name, "--svg", "--out", str(tmp_path / "b")]) == 0
+        assert main(["fig2", "--out", str(tmp_path / "fig2.svg")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestErrorChannels:
     def test_schema_violation_reports_field_and_writes_nothing(self, tmp_path, capsys):

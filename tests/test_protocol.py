@@ -15,6 +15,7 @@ from gravkick.protocol import (
     branch_weights,
     gaussian_postselection,
     paper_postselection,
+    postselect,
     run,
 )
 from gravkick.wavepacket import GaussianPacket, displace, moments, superpose
@@ -134,6 +135,20 @@ class TestNonFiniteKick:
         with pytest.raises(ValueError, match="displacement must be finite"):
             run(scenario)
 
+    @pytest.mark.parametrize("delta_b, message", [
+        (math.inf, "displacement must be finite"),
+        (math.nan, "displacement must be finite"),
+        (5.0, "exceeds the guard range"),  # exactly span/4
+        (-7.5, "exceeds the guard range"),
+    ])
+    def test_grid_run_checks_delta_b_alone(self, delta_b, message):
+        # the one spectral pass over both kicks still checks each of them
+        scenario = Scenario(pre=SourceState.from_amplitudes(1.0, 1.0),
+                            post=paper_postselection(), delta_a=0.1, delta_b=delta_b,
+                            probe=grid_probe(GaussianPacket(0.0, 1.0), -10.0, 10.0, n=256))
+        with pytest.raises(ValueError, match=message):
+            run(scenario)
+
     @pytest.mark.parametrize("delta_a", [1e200, -1e160])
     def test_run_refuses_overflowing_statistics(self, delta_a):
         # kicks ~1e154 sigma apart overflow gap^2 in the closed form: std would be inf
@@ -246,6 +261,51 @@ class TestPostselect:
         lazy = run(s, n=built.grid_points).conditional
         assert np.array_equal(lazy.p, eager.p)
         assert np.array_equal(lazy.amps, eager.amps / moments(eager).norm)
+
+
+class TestGridRun:
+    @pytest.mark.parametrize("n", [16, 17, 2048, 8192])
+    def test_matches_separately_kicked_pointers(self, n):
+        probe = grid_probe(GaussianPacket(0.3, 1.2), -12.0, 12.0, n=n)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            s = replace(random_phase_scenario(rng), probe=probe)
+            w_a, w_b = pointer_weights(s)
+            separate = moments(superpose([(w_a, displace(probe, s.delta_a)),
+                                          (w_b, displace(probe, s.delta_b))]))
+            result = run(s)
+            assert (result.probability, result.mean_kick, result.std) == pytest.approx(
+                (separate.norm**2, separate.mean, separate.std), rel=1e-12)
+
+    def test_one_fft_and_one_ifft_per_run(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda a, _f=original, _n=name: calls.append(_n)
+                                or _f(a))
+        probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            calls.clear()
+            run(replace(random_phase_scenario(rng), probe=probe))
+            assert calls == ["fft", "ifft"]
+
+    def test_keeps_one_rendered_pointer(self, superpose_calls):
+        probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
+        s = replace(random_phase_scenario(np.random.default_rng(8)), probe=probe)
+        result = run(s)
+        ((weight, pointer),) = result.terms
+        assert weight == 1.0 and pointer.p is probe.p
+        assert moments(pointer).norm**2 == result.probability
+        conditional = result.conditional
+        assert superpose_calls == []
+        assert conditional.p is probe.p
+        assert np.array_equal(conditional.amps, pointer.amps / moments(pointer).norm)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_postselect_takes_one_or_two_pointers(self, count):
+        with pytest.raises(ValueError, match="one or two weighted pointers"):
+            postselect(((0.5, GaussianPacket(0.0, 1.0)),) * count, 2048)
 
 
 def pointer_weights(scenario: Scenario) -> tuple[complex, complex]:

@@ -105,6 +105,51 @@ class TestDisplace:
             direct = np.fft.ifft(np.fft.fft(grid.amps) * np.exp(-2j * math.pi * xi * delta))
             assert np.max(np.abs(displace(grid, delta).amps - direct)) < 1e-12
 
+    @pytest.mark.parametrize("n", [16, 17, 2048, 2049])
+    def test_sum_form_matches_direct_phase_ramps(self, n):
+        # sum_i w_i psi(p - delta_i) in one pass against the direct exp(-2 pi i xi delta_i)
+        rng = np.random.default_rng(n + 1)
+        p = np.linspace(-3.0, 5.0, n)
+        grid = GridPacket(p=p, amps=rng.normal(size=n) + 1j * rng.normal(size=n))
+        xi = np.fft.fftfreq(n, grid.dp)
+        quarter = grid.span / 4.0
+        for shifts in ((-0.37, 1.21), (quarter * (1.0 - 1e-9), 1e-13, -quarter * (1.0 - 1e-9)),
+                       (0.0, 0.0), (0.8,)):
+            weights = tuple(complex(*rng.normal(size=2)) for _ in shifts)
+            ramps = sum(w * np.exp(-2j * math.pi * xi * d) for w, d in zip(weights, shifts))
+            direct = np.fft.ifft(np.fft.fft(grid.amps) * ramps)
+            summed = displace(grid, shifts, weights=weights)
+            assert summed.p is grid.p
+            assert np.max(np.abs(summed.amps - direct)) < 1e-12
+
+    def test_sum_form_needs_a_grid(self):
+        with pytest.raises(ValueError, match="needs a grid packet"):
+            displace(GaussianPacket(0.2, 1.3), (0.4, -0.1), weights=(0.6, -0.8j))
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "displacement must be finite"),
+        (-math.inf, "displacement must be finite"),
+        (math.nan, "displacement must be finite"),
+        (2.0, "exceeds the guard range"),  # exactly span/4
+        (-2.5, "exceeds the guard range"),
+    ])
+    def test_sum_form_checks_each_shift(self, bad, message):
+        grid = grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)
+        with pytest.raises(ValueError, match=message):
+            displace(grid, (0.1, bad), weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize("weight", [math.inf, complex(0.0, math.nan)])
+    def test_sum_form_refuses_non_finite_weights(self, weight):
+        grid = grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            displace(grid, (0.1, 0.2), weights=(0.5, weight))
+
+    @pytest.mark.parametrize("delta, weights", [(0.3, (1.0,)), ((0.3, 0.1), (1.0,)), ((), ())])
+    def test_weights_need_a_tuple_of_as_many_shifts(self, delta, weights):
+        grid = grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)
+        with pytest.raises(ValueError, match="shift"):
+            displace(grid, delta, weights=weights)
+
     @settings(max_examples=60, deadline=None)
     @given(
         delta=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -230,6 +275,25 @@ class TestGridValidation:
         amps[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             GridPacket(p=p, amps=amps)
+
+    def test_derived_packets_skip_the_grid_checks(self, monkeypatch):
+        # displace and superpose keep the checked grid of their input and check only the
+        # new amplitudes; a packet built from user arrays checks its grid
+        grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
+        diffs = []
+        original = np.diff
+        monkeypatch.setattr(np, "diff", lambda *a, **k: diffs.append(1) or original(*a, **k))
+        shifted = displace(grid, 0.3)
+        summed = superpose([(1.0, grid), (0.5j, shifted)])
+        assert diffs == [] and shifted.p is grid.p and summed.p is grid.p
+        assert not (shifted.amps.flags.writeable or summed.amps.flags.writeable)
+        GridPacket(p=grid.p, amps=summed.amps)
+        assert diffs == [1]
+
+    def test_derived_packets_check_their_amplitudes(self):
+        grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
+        with pytest.raises(ValueError, match="grid samples must be finite"):
+            superpose([(math.nan, grid)])
 
     def test_immutable_after_construction(self):
         grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
