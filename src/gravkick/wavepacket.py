@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TextIO, Union
 
 import numpy as np
@@ -53,29 +54,38 @@ class GaussianPacket:
 
 @dataclass(frozen=True, eq=False)
 class GridPacket:
-    """Complex amplitudes sampled on a uniform momentum grid."""
+    """Complex amplitudes sampled on a uniform momentum grid.
+
+    The constructor copies `p` and `amps`; packets derived from a checked packet
+    share its grid.  Every array is read-only, so the grid steps, the spectrum and
+    the moments are taken once per packet.
+    """
 
     p: np.ndarray
     amps: np.ndarray
+    steps: np.ndarray = field(init=False, repr=False)  # np.diff(p)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.ndim != 1 or p.size < 16:
             raise ValueError("grid needs at least 16 points")
-        dp = np.diff(p)
-        if dp[0] <= 0 or not np.all(np.abs(dp - dp[0]) <= 1e-9 * dp[0]):
-            raise ValueError("momentum grid must be uniform and increasing")
         if not np.all(np.isfinite(p)):
             raise ValueError("grid samples must be finite")
-        amps = _checked_amps(p, self.amps)
+        steps = np.diff(p)
+        if steps[0] <= 0 or not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
+            raise ValueError("momentum grid must be uniform and increasing")
+        amps = _checked_amps(p, np.array(self.amps, dtype=complex))
         p.setflags(write=False)
+        steps.setflags(write=False)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "amps", amps)
 
     def _with_amps(self, amps: np.ndarray) -> "GridPacket":
         """A packet on this already checked grid; only the new amplitudes are checked."""
         packet = object.__new__(GridPacket)
         object.__setattr__(packet, "p", self.p)
+        object.__setattr__(packet, "steps", self.steps)
         object.__setattr__(packet, "amps", _checked_amps(self.p, amps))
         return packet
 
@@ -86,6 +96,28 @@ class GridPacket:
     @property
     def span(self) -> float:
         return float(self.p[-1] - self.p[0])
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """np.fft.fft(amps), read-only, taken on first read."""
+        spectrum = np.fft.fft(self.amps)
+        spectrum.setflags(write=False)
+        return spectrum
+
+    @cached_property
+    def _moments(self) -> Moments:
+        """The `moments` of this packet, taken on first read."""
+        w = np.abs(self.amps) ** 2
+        norm2 = self._trapezoid(w)
+        if norm2 <= 0.0:
+            raise ValueError("cannot take moments of an identically zero wavepacket")
+        mean = self._trapezoid(self.p * w) / norm2
+        var = self._trapezoid((self.p - mean) ** 2 * w) / norm2
+        return Moments(norm=math.sqrt(norm2), mean=mean, std=math.sqrt(max(var, 0.0)))
+
+    def _trapezoid(self, y: np.ndarray) -> float:
+        """np.trapezoid(y, dx=self.steps), the same arithmetic without its per-call setup."""
+        return float((self.steps * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _checked_amps(p: np.ndarray, amps) -> np.ndarray:
@@ -139,10 +171,11 @@ def displace(
     packets are multiplied by the phase ramp exp(-2 pi i xi delta) between one fft
     and one ifft, which is exact for band-limited data; shifting commutes with the
     transform, so a sum of shifts takes the same two transforms with the weighted
-    sum of the ramps.  Each shift is limited to a quarter of the grid span to guard
-    against wrap-around.  `_phase_ramp` builds each ramp from a two-level table;
-    against mpmath its worst error was 1.2e-12 at n = 8192 (the direct exp form:
-    1.5e-12).  A non-finite shift or weight is refused.
+    sum of the ramps.  The fft is the packet's kept spectrum, so a packet already
+    transformed takes only the ifft.  Each shift is limited to a quarter of the grid
+    span to guard against wrap-around.  `_phase_ramp` builds each ramp from a
+    two-level table; against mpmath its worst error was 1.2e-12 at n = 8192 (the
+    direct exp form: 1.5e-12).  A non-finite shift or weight is refused.
     """
     if weights is not None:
         return _displace_sum(psi, delta, weights)
@@ -154,7 +187,7 @@ def displace(
 
 
 def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple) -> GridPacket:
-    """sum_i w_i psi(p - delta_i) of a grid packet, from one fft and one ifft."""
+    """sum_i w_i psi(p - delta_i) of a grid packet, from its spectrum and one ifft."""
     if not (isinstance(shifts, tuple) and shifts and len(weights) == len(shifts)):
         raise ValueError("weights need a tuple of as many shifts")
     if not all(map(cmath.isfinite, weights)):
@@ -172,9 +205,8 @@ def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple) -> GridPacket:
     kernel = np.zeros(n, dtype=complex)
     for w, d in zip(weights, shifts):
         kernel += w * _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp))
-    spectrum = np.fft.fft(psi.amps)
-    spectrum *= kernel
-    return psi._with_amps(np.fft.ifft(spectrum))
+    np.multiply(psi._spectrum, kernel, out=kernel)
+    return psi._with_amps(np.fft.ifft(kernel))
 
 
 def _same_grid(a: GridPacket, b: GridPacket) -> bool:
@@ -183,17 +215,10 @@ def _same_grid(a: GridPacket, b: GridPacket) -> bool:
 
 
 def moments(psi: Wavepacket) -> Moments:
-    """L2 norm, mean momentum and momentum standard deviation."""
+    """L2 norm, mean momentum and momentum standard deviation (a grid's are kept)."""
     if isinstance(psi, GaussianPacket):
         return Moments(norm=1.0, mean=psi.center, std=psi.sigma)
-    w = np.abs(psi.amps) ** 2
-    dp = np.diff(psi.p)
-    norm2 = float(np.trapezoid(w, dx=dp))
-    if norm2 <= 0.0:
-        raise ValueError("cannot take moments of an identically zero wavepacket")
-    mean = float(np.trapezoid(psi.p * w, dx=dp)) / norm2
-    var = float(np.trapezoid((psi.p - mean) ** 2 * w, dx=dp)) / norm2
-    return Moments(norm=math.sqrt(norm2), mean=mean, std=math.sqrt(max(var, 0.0)))
+    return psi._moments
 
 
 def superpose(

@@ -12,9 +12,10 @@ from gravkick.analysis import (
     weak_value_report,
 )
 from gravkick.protocol import Scenario, SourceState, branch_weights, paper_postselection, run
-from gravkick.wavepacket import GaussianPacket
+from gravkick.wavepacket import GaussianPacket, GridPacket
 
 from . import oracles
+from .probes import grid_probe
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -204,6 +205,21 @@ class TestValidity:
         report = validity_check(scenario)
         assert report.regime is Regime.WEAK
         assert report.abs_error / abs(report.first_order_mean) < 1e-2
+
+    def test_second_check_on_a_grid_probe_takes_no_probe_moments(self, monkeypatch):
+        passes = []
+        original = GridPacket._trapezoid
+        monkeypatch.setattr(GridPacket, "_trapezoid",
+                            lambda self, y: passes.append(self) or original(self, y))
+        probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
+        scenario = Scenario(pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
+                            post=paper_postselection(), probe=probe, delta_a=0.3, delta_b=0.1)
+        first = validity_check(scenario)
+        assert [p is probe for p in passes] == [True] * 3 + [False] * 3
+        passes.clear()
+        second = validity_check(scenario)
+        assert len(passes) == 3 and probe not in passes
+        assert second == first
 
     def test_no_branch_contrast_no_error(self):
         scenario = Scenario(

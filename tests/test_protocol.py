@@ -18,7 +18,7 @@ from gravkick.protocol import (
     postselect,
     run,
 )
-from gravkick.wavepacket import GaussianPacket, displace, moments, superpose
+from gravkick.wavepacket import GaussianPacket, GridPacket, displace, moments, superpose
 
 from . import oracles
 from .probes import grid_probe
@@ -278,6 +278,8 @@ class TestGridRun:
                 (separate.norm**2, separate.mean, separate.std), rel=1e-12)
 
     def test_one_fft_and_one_ifft_per_run(self, monkeypatch):
+        # the probe keeps its spectrum: only the first run on it transforms it, and an
+        # equal but distinct probe transforms its own
         calls = []
         for name in ("fft", "ifft"):
             original = getattr(np.fft, name)
@@ -285,10 +287,25 @@ class TestGridRun:
                                 or _f(a))
         probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
         rng = np.random.default_rng(5)
-        for _ in range(3):
+        for expected in (["fft", "ifft"], ["ifft"], ["ifft"]):
             calls.clear()
             run(replace(random_phase_scenario(rng), probe=probe))
-            assert calls == ["fft", "ifft"]
+            assert calls == expected
+        calls.clear()
+        run(replace(random_phase_scenario(rng), probe=GridPacket(p=probe.p, amps=probe.amps)))
+        assert calls == ["fft", "ifft"]
+
+    def test_conditional_takes_no_further_moments(self, monkeypatch):
+        passes = []
+        original = GridPacket._trapezoid
+        monkeypatch.setattr(GridPacket, "_trapezoid",
+                            lambda self, y: passes.append(1) or original(self, y))
+        probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
+        result = run(replace(random_phase_scenario(np.random.default_rng(9)), probe=probe))
+        assert len(passes) == 3
+        conditional = result.conditional
+        assert len(passes) == 3
+        assert moments(conditional).norm == pytest.approx(1.0, abs=1e-12)
 
     def test_keeps_one_rendered_pointer(self, superpose_calls):
         probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)

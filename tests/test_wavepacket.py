@@ -247,6 +247,21 @@ class TestMoments:
         assert np.trapezoid(np.conj(grid.amps) * psi(grid.p), grid.p).real == pytest.approx(
             1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [16, 17, 2048, 2049])
+    def test_grid_moments_match_trapezoid(self, n):
+        # the kept moments take np.trapezoid's arithmetic, so they are equal, not close
+        grid = grid_probe(GaussianPacket(0.3, 1.2), -12.0, 12.0, n=n)
+        shifted = displace(grid, 0.7)
+        summed = superpose([(0.6, grid), (0.8j, shifted)])
+        for psi in (grid, shifted, summed, fig2_superposition(n)):
+            w = np.abs(psi.amps) ** 2
+            dp = np.diff(psi.p)
+            norm2 = float(np.trapezoid(w, dx=dp))
+            mean = float(np.trapezoid(psi.p * w, dx=dp)) / norm2
+            var = float(np.trapezoid((psi.p - mean) ** 2 * w, dx=dp)) / norm2
+            got = moments(psi)
+            assert (got.norm, got.mean, got.std) == (math.sqrt(norm2), mean, math.sqrt(var))
+
 
 class TestGridValidation:
     def test_too_few_points(self):
@@ -294,6 +309,24 @@ class TestGridValidation:
         grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
         with pytest.raises(ValueError, match="grid samples must be finite"):
             superpose([(math.nan, grid)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_momenta(self, bad):
+        p = np.linspace(-1, 1, 32)
+        p[7] = bad
+        with pytest.raises(ValueError, match="grid samples must be finite"):
+            GridPacket(p=p, amps=np.zeros(32, dtype=complex))
+
+    def test_constructor_copies_the_callers_arrays(self):
+        p = np.linspace(-6.0, 6.0, 64)
+        amps = GaussianPacket(0.2, 1.0)(p).astype(complex)
+        grid = GridPacket(p=p, amps=amps)
+        kept = (grid.amps.copy(), np.fft.fft(grid.amps), moments(grid))
+        assert grid._spectrum is grid._spectrum and not grid._spectrum.flags.writeable
+        assert p.flags.writeable and amps.flags.writeable
+        p[0], amps[0] = -7.0, 5.0
+        assert np.array_equal(grid.amps, kept[0]) and grid.p[0] == -6.0
+        assert np.array_equal(grid._spectrum, kept[1]) and moments(grid) == kept[2]
 
     def test_immutable_after_construction(self):
         grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
