@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import protocol
-from .wavepacket import DEFAULT_GRID_POINTS, moments
+from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket, moments
 
 OVERLAP_FLOOR = 1e-15
 
@@ -98,7 +98,7 @@ def validity_check(
 ) -> ValidityReport:
     """One `protocol.run` (exact mean) vs one `weak_value_report` (first order)."""
     s = scenario
-    sigma = moments(s.probe).std
+    sigma = s.probe.sigma if isinstance(s.probe, GaussianPacket) else moments(s.probe).std
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("probe must have a finite positive momentum spread")
     exact = protocol.run(s, n=n)

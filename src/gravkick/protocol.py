@@ -17,8 +17,8 @@ from .wavepacket import (
     DEFAULT_GRID_POINTS,
     GaussianPacket,
     GridPacket,
-    Moments,
     Wavepacket,
+    _finite,
     displace,
     moments,
     superpose,
@@ -79,13 +79,20 @@ def branch_weights(
 
 @dataclass(frozen=True)
 class PostselectedResult:
+    """Exact P, mean and std of the postselected probe.  `pointers` holds (w_X, psi, delta_X),
+    the pointer w_X psi(p - delta_X), for each branch, or a grid run's one rendered pointer
+    (1, w_A psi_A + w_B psi_B, 0); `terms` and `conditional` (n points) are built on first read."""
+
     probability: float
     mean_kick: float
     std: float
-    # the weighted branch pointers (w_X, psi_X), or a grid probe's one rendered pointer
-    # (1, w_A psi_A + w_B psi_B), and the grid size of `conditional`
-    terms: tuple[tuple[complex, Wavepacket], ...] = field(compare=False, repr=False)
+    pointers: tuple[tuple[complex, Wavepacket, float], ...] = field(compare=False, repr=False)
     n: int = field(compare=False, repr=False)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[complex, Wavepacket], ...]:
+        """((w_A, psi_A), (w_B, psi_B)), or a grid probe's ((1, psi),), built on first read."""
+        return tuple((w, displace(psi, d)) for w, psi, d in self.pointers)
 
     @cached_property
     def conditional(self) -> GridPacket:
@@ -132,17 +139,12 @@ def gaussian_postselection(
 def postselect(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> PostselectedResult:
     """Statistics of the postselected probe w_A psi_A + w_B psi_B.
 
-    `terms` holds one or two weighted pointers: ((w_A, psi_A), (w_B, psi_B)), as
-    `branch_weights` and `displace` give them, or ((1, psi),) with psi that sum
-    already rendered on a grid.  The squared norm of that unnormalized pointer is the
-    postselection probability.  Two Gaussian pointers of one width take P, mean and
-    std from `gaussian_postselection`; a rendered pointer takes them from one
-    `moments` pass as it is, and other pointers are rendered on the grid first (n
-    points unless a pointer brings its own).  The result keeps the weighted pointers
-    and renders (and normalizes) the conditional state from them only when a caller
-    first reads `conditional`.  Probabilities below 1e-30 raise
-    PostselectionImpossible instead of returning a garbage state, and a mean or std
-    that is not finite (kicks about 1e154 sigma apart overflow) raises ValueError.
+    `terms` holds one or two weighted pointers: ((w_A, psi_A), (w_B, psi_B)), or ((1, psi),)
+    with psi that sum already rendered on a grid, as `run` gives it for a grid probe.  Its
+    squared norm is P.  Two Gaussian pointers of one width take P, mean and std from
+    `gaussian_postselection`, a rendered pointer from one `moments` pass, and others are
+    rendered on the grid first (n points unless a pointer brings its own).  The conditional
+    state is rendered on first read; P < 1e-30 and a non-finite mean or std are refused.
     """
     if len(terms) == 2:
         (w_a, ptr_a), (w_b, ptr_b) = terms
@@ -153,14 +155,18 @@ def postselect(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> Postsel
     else:
         raise ValueError(f"postselect takes one or two weighted pointers, got {len(terms)}")
     if closed:
-        probability, mean, std = gaussian_postselection(
-            w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
+        stats = gaussian_postselection(w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
     else:
         try:
             mom = moments(_render(terms, n))
+            stats = mom.norm * mom.norm, mom.mean, mom.std
         except ValueError:  # identically zero: the branches cancel exactly
-            mom = Moments(norm=0.0, mean=math.nan, std=math.nan)
-        probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
+            stats = 0.0, math.nan, math.nan
+    return _result(*stats, tuple((w, psi, 0.0) for w, psi in terms), n)
+
+
+def _result(probability: float, mean: float, std: float, pointers, n) -> PostselectedResult:
+    """The result, unless P < 1e-30 (PostselectionImpossible) or a mean or std is not finite."""
     if probability < MIN_POSTSELECT_PROBABILITY:
         raise PostselectionImpossible(
             f"postselection numerically impossible (probability {probability!r})"
@@ -168,8 +174,7 @@ def postselect(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> Postsel
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise ValueError(f"postselected mean {mean!r} or std {std!r} is not finite; "
                          "the kicks are too far apart for double precision")
-    return PostselectedResult(probability=probability, mean_kick=mean, std=std,
-                              terms=terms, n=n)
+    return PostselectedResult(probability, mean, std, pointers, n)
 
 
 @dataclass(frozen=True)
@@ -189,12 +194,17 @@ def run(scenario: Scenario, n: int = DEFAULT_GRID_POINTS) -> PostselectedResult:
     """Kick the probe by delta_X on branch X and postselect the source on `post`.
 
     A grid probe is kicked on both branches in one spectral pass, the weighted sum
-    form of `displace`, and postselected as that one rendered pointer.
+    form of `displace`, and postselected as that one rendered pointer.  A Gaussian probe
+    goes straight to `gaussian_postselection`; its pointer packets are built on the first
+    read of `terms` or `conditional`.  Each phase, kick and kicked center must be finite.
     """
     s = scenario
-    w_a, w_b = branch_weights(s.pre, s.post, s.phi_a, s.phi_b)
+    w_a, w_b = branch_weights(s.pre, s.post, _finite("phase phi_a", s.phi_a),
+                              _finite("phase phi_b", s.phi_b))
     if isinstance(s.probe, GridPacket):
         kicked = displace(s.probe, (s.delta_a, s.delta_b), weights=(w_a, w_b))
         return postselect(((1.0, kicked),), n)
-    terms = ((w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b)))
-    return postselect(terms, n)
+    c_a = _finite("center", s.probe.center + _finite("displacement", s.delta_a))
+    c_b = _finite("center", s.probe.center + _finite("displacement", s.delta_b))
+    return _result(*gaussian_postselection(w_a, w_b, c_a, c_b, s.probe.sigma),
+                   ((w_a, s.probe, s.delta_a), (w_b, s.probe, s.delta_b)), n)

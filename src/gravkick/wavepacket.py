@@ -26,7 +26,7 @@ DEFAULT_HALFSPAN_SIGMAS = 10.0  # Gaussian mass outside +/-10 sigma < 1e-22
 class GaussianPacket:
     """Normalized Gaussian psi(p) ~ exp(-(p - center)^2 W^2 / (4 hbar^2)).
 
-    The momentum standard deviation is exactly hbar/width.
+    The momentum standard deviation is exactly hbar/width.  The center must be finite.
     """
 
     center: float
@@ -34,6 +34,7 @@ class GaussianPacket:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        _finite("center", self.center)
         if not 0 < self.width < math.inf:
             raise ValueError(f"width parameter must be positive and finite, got {self.width}")
         if not 0 < self.hbar < math.inf:
@@ -167,23 +168,29 @@ def displace(
 ) -> Wavepacket:
     """Return psi(p - delta), or sum_i w_i psi(p - delta_i) given a tuple of shifts and weights.
 
-    Gaussians shift their center exactly; a sum of shifts needs a grid.  Grid
-    packets are multiplied by the phase ramp exp(-2 pi i xi delta) between one fft
-    and one ifft, which is exact for band-limited data; shifting commutes with the
-    transform, so a sum of shifts takes the same two transforms with the weighted
-    sum of the ramps.  The fft is the packet's kept spectrum, so a packet already
-    transformed takes only the ifft.  Each shift is limited to a quarter of the grid
-    span to guard against wrap-around.  `_phase_ramp` builds each ramp from a
-    two-level table; against mpmath its worst error was 1.2e-12 at n = 8192 (the
-    direct exp form: 1.5e-12).  A non-finite shift or weight is refused.
+    A zero shift returns psi.  Gaussians shift their center exactly; a sum of shifts
+    needs a grid.  Grid packets are multiplied by the phase ramp exp(-2 pi i xi delta)
+    between one fft and one ifft, which is exact for band-limited data; shifting
+    commutes with the transform, so a sum of shifts takes the same two transforms with
+    the weighted sum of the ramps.  The fft is the packet's kept spectrum, so a packet
+    already transformed takes only the ifft.  Each shift is limited to a quarter of the
+    grid span to guard against wrap-around.  `_phase_ramp` builds each ramp from a
+    two-level table; against mpmath its worst error was 1.2e-12 at n = 8192 (the direct
+    exp form: 1.5e-12).  A non-finite shift or weight is refused.
     """
     if weights is not None:
         return _displace_sum(psi, delta, weights)
-    if not math.isfinite(delta):
-        raise ValueError(f"displacement must be finite, got {delta!r}")
+    if _finite("displacement", delta) == 0.0:
+        return psi
     if isinstance(psi, GaussianPacket):
         return GaussianPacket(center=psi.center + delta, width=psi.width, hbar=psi.hbar)
-    return psi if delta == 0.0 else _displace_sum(psi, (delta,), (1.0,))
+    return _displace_sum(psi, (delta,), (1.0,))
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple) -> GridPacket:
@@ -195,9 +202,7 @@ def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple) -> GridPacket:
     if isinstance(psi, GaussianPacket):
         raise ValueError("a sum of shifts needs a grid packet; superpose Gaussian shifts")
     for d in shifts:
-        if not math.isfinite(d):
-            raise ValueError(f"displacement must be finite, got {d!r}")
-        if abs(d) >= psi.span / 4.0:
+        if abs(_finite("displacement", d)) >= psi.span / 4.0:
             raise ValueError(
                 f"grid displacement {d!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
             )

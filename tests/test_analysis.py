@@ -12,7 +12,7 @@ from gravkick.analysis import (
     weak_value_report,
 )
 from gravkick.protocol import Scenario, SourceState, branch_weights, paper_postselection, run
-from gravkick.wavepacket import GaussianPacket, GridPacket
+from gravkick.wavepacket import GaussianPacket, GridPacket, Moments, moments
 
 from . import oracles
 from .probes import grid_probe
@@ -220,6 +220,20 @@ class TestValidity:
         second = validity_check(scenario)
         assert len(passes) == 3 and probe not in passes
         assert second == first
+
+    def test_gaussian_probe_check_builds_no_moments(self, monkeypatch):
+        built = []
+        original = Moments.__init__
+        monkeypatch.setattr(Moments, "__init__",
+                            lambda self, *args, **kwargs: built.append(1)
+                            or original(self, *args, **kwargs))
+        scenario = Scenario(pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
+                            post=paper_postselection(), probe=GaussianPacket(0.0, 1.3),
+                            delta_a=0.3, delta_b=0.1)
+        report = validity_check(scenario)
+        assert built == []
+        assert report.kick_ratio_a == 0.3 / moments(scenario.probe).std
+        assert built == [1]  # the counter sees a Gaussian's `moments`
 
     def test_no_branch_contrast_no_error(self):
         scenario = Scenario(

@@ -149,6 +149,15 @@ class TestNonFiniteKick:
         with pytest.raises(ValueError, match=message):
             run(scenario)
 
+    @pytest.mark.parametrize("phase", ["phi_a", "phi_b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("probe", [GaussianPacket(0.0, 1.0),
+                                       grid_probe(GaussianPacket(0.0, 1.0), -10.0, 10.0, n=256)])
+    def test_run_names_a_non_finite_phase(self, probe, phase, value):
+        scenario = replace(fig2_scenario(probe=probe), **{phase: value})
+        with pytest.raises(ValueError, match=f"^phase {phase} must be finite, got {value!r}$"):
+            run(scenario)
+
     @pytest.mark.parametrize("delta_a", [1e200, -1e160])
     def test_run_refuses_overflowing_statistics(self, delta_a):
         # kicks ~1e154 sigma apart overflow gap^2 in the closed form: std would be inf
@@ -323,6 +332,88 @@ class TestGridRun:
     def test_postselect_takes_one_or_two_pointers(self, count):
         with pytest.raises(ValueError, match="one or two weighted pointers"):
             postselect(((0.5, GaussianPacket(0.0, 1.0)),) * count, 2048)
+
+
+def eager_postselect(s: Scenario, n: int):
+    """A Gaussian run through both displaced pointer packets and `postselect`."""
+    w_a, w_b = pointer_weights(s)
+    return postselect(((w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b))),
+                      n)
+
+
+def outcome(fn):
+    """fn(), or the type and message of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:  # PostselectionImpossible is one
+        return type(exc), str(exc)
+
+
+def equivalence_scenarios(count: int, seed: int) -> list[Scenario]:
+    """Phased paper scenarios, beta - 1/sqrt(2) log-uniform in [1e-9, 1e-1] and d_A/sigma in
+    [1e-12, 1e4], then scenarios that each refusal stops."""
+    rng = np.random.default_rng(seed)
+    scenarios = []
+    for i in range(count):
+        beta = math.sqrt(0.5) + 10.0 ** rng.uniform(-9.0, -1.0)
+        probe = GaussianPacket(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        d_a = 10.0 ** rng.uniform(-12.0, 4.0) * probe.sigma * rng.choice((-1.0, 1.0))
+        phi_a, phi_b = rng.uniform(-math.pi, math.pi, size=2)
+        post = paper_postselection(phi_a, phi_b) if i % 2 else random_source(rng)
+        scenarios.append(Scenario(SourceState(complex(math.sqrt(1.0 - beta * beta)), complex(beta)),
+                                  post, probe, d_a, d_a * rng.uniform(0.05, 0.5), phi_a, phi_b))
+    base = scenarios[0]
+    return scenarios + [
+        replace(base, delta_a=math.nan), replace(base, delta_b=-math.inf),
+        replace(base, probe=GaussianPacket(1e308, 1.0), delta_a=1e308),
+        replace(base, probe=GaussianPacket(-1e308, 1.0), delta_a=0.0, delta_b=-1e308),
+        replace(base, delta_a=1e200, delta_b=1e199),
+        Scenario(SourceState.from_amplitudes(1.0, 1.0), SourceState.from_amplitudes(-1.0, 1.0),
+                 base.probe, 0.0, 0.0),
+    ]
+
+
+class TestGaussianRunMatchesEagerPointers:
+    # `run` takes a Gaussian probe straight to the closed form; the parent path displaced
+    # both pointer packets and sent them through `postselect`
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_same_statistics_terms_conditional_and_refusals(self, n):
+        refused = 0
+        for s in equivalence_scenarios(120, seed=n):
+            lazy, eager = outcome(lambda: run(s, n=n)), outcome(lambda: eager_postselect(s, n))
+            if isinstance(eager, tuple):
+                assert lazy == eager
+                refused += 1
+                continue
+            assert (lazy.probability, lazy.mean_kick, lazy.std) == (
+                eager.probability, eager.mean_kick, eager.std)
+            assert lazy == eager and repr(lazy) == repr(eager)
+            w_a, w_b = pointer_weights(s)
+            assert lazy.terms == eager.terms == (
+                (w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b)))
+            lazy_state, eager_state = (outcome(lambda: r.conditional) for r in (lazy, eager))
+            if isinstance(eager_state, tuple):
+                assert lazy_state == eager_state
+            else:
+                assert np.array_equal(lazy_state.p, eager_state.p)
+                assert np.array_equal(lazy_state.amps, eager_state.amps)
+        assert refused == 6
+
+    def test_pointer_packets_built_on_first_read(self, monkeypatch):
+        s = fig2_scenario()
+        built = []
+        original = GaussianPacket.__post_init__
+        monkeypatch.setattr(GaussianPacket, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        by_terms, by_conditional = run(s), run(s)
+        assert built == []
+        assert [psi for _, psi in by_terms.terms] == built
+        assert [psi.center for psi in built] == [FIG2_DELTA_A, FIG2_DELTA_B]
+        by_terms.conditional
+        by_terms.terms
+        assert len(built) == 2
+        by_conditional.conditional
+        assert len(built) == 4
 
 
 def pointer_weights(scenario: Scenario) -> tuple[complex, complex]:

@@ -62,6 +62,21 @@ class TestGaussian:
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
             GaussianPacket(0.0, 1.0, value)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match=f"center must be finite, got {center!r}"):
+            GaussianPacket(center, 1.0)
+
+    @pytest.mark.parametrize("center, delta", [(1e308, 1e308), (-1e308, -1e308)])
+    def test_shift_out_of_the_double_range_rejected(self, center, delta):
+        # the shifted center overflows to +-inf; each shift alone is finite
+        with pytest.raises(ValueError, match="center must be finite, got -?inf"):
+            displace(GaussianPacket(center, 1.0), delta)
+
+    def test_zero_shift_returns_the_packet(self):
+        psi = GaussianPacket(0.3, 1.2)
+        assert displace(psi, 0.0) is psi
+
 
 class TestDisplace:
     def test_analytic_center_shift(self):
