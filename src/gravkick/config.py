@@ -117,7 +117,7 @@ CONFIG_SCHEMA = {
             "required": ["trials", "seed"],
             "properties": {
                 "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": 2**128 - 1},  # a Philox key
                 "bins": {"type": "integer", "minimum": 1},
             },
         },
@@ -223,8 +223,9 @@ def build_scenario(doc: dict) -> BuiltScenario:
         raise ConfigError("SI scenarios need probe.W in meters", field="probe.W")
     width = float(probe_sec.get("W", 1.0))
     grid_points = int(probe_sec.get("grid_points", DEFAULT_GRID_POINTS))
-    probe = GaussianPacket(0.0, width, HBAR if units == UnitSystem.SI else 1.0)
-    _refuse_square_out_of_range(probe.sigma, "probe.W", "hbar/W")
+    hbar = HBAR if units == UnitSystem.SI else 1.0
+    _refuse_square_out_of_range(hbar / width, "probe.W", "hbar/W")
+    probe = GaussianPacket(0.0, width, hbar)
 
     params: ProtocolParams | None = None
     gain = doc["source"].get("gain")

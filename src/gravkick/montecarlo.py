@@ -35,6 +35,8 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
+        if not 0 <= self.seed < 2**128:  # the Philox key
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ from functools import cached_property
 
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
-    GaussianPacket,
     GridPacket,
     Wavepacket,
     _finite,
@@ -79,33 +78,29 @@ def branch_weights(
 
 @dataclass(frozen=True)
 class PostselectedResult:
-    """Exact P, mean and std of the postselected probe.  `pointers` holds (w_X, psi, delta_X),
-    the pointer w_X psi(p - delta_X), for each branch, or a grid run's one rendered pointer
-    (1, w_A psi_A + w_B psi_B, 0); `terms` and `conditional` (n points) are built on first read."""
+    """Exact P, mean and std of the postselected probe w_A psi(p - delta_A) + w_B psi(p - delta_B),
+    with the weights, probe psi, kicks and grid size n, and a grid run's unnormalized kicked
+    sum (`rendered`); `terms` and `conditional` are built on first read."""
 
     probability: float
     mean_kick: float
     std: float
-    pointers: tuple[tuple[complex, Wavepacket, float], ...] = field(compare=False, repr=False)
+    weights: tuple[complex, complex] = field(compare=False, repr=False)
+    probe: Wavepacket = field(compare=False, repr=False)
+    kicks: tuple[float, float] = field(compare=False, repr=False)
     n: int = field(compare=False, repr=False)
+    rendered: GridPacket | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def terms(self) -> tuple[tuple[complex, Wavepacket], ...]:
-        """((w_A, psi_A), (w_B, psi_B)), or a grid probe's ((1, psi),), built on first read."""
-        return tuple((w, displace(psi, d)) for w, psi, d in self.pointers)
+        """((w_A, psi_A), (w_B, psi_B)), the separately displaced branch pointers."""
+        return tuple((w, displace(self.probe, d)) for w, d in zip(self.weights, self.kicks))
 
     @cached_property
     def conditional(self) -> GridPacket:
-        """The normalized conditional probe state, rendered on first read."""
-        grid = _render(self.terms, self.n)
+        """The normalized conditional probe state: the kept grid sum, or `terms` on n points."""
+        grid = superpose(list(self.terms), n=self.n) if self.rendered is None else self.rendered
         return grid._with_amps(grid.amps / moments(grid).norm)
-
-
-def _render(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> GridPacket:
-    """The unnormalized pointer sum on a grid; a lone rendered pointer is taken as it is."""
-    if len(terms) == 1 and terms[0][0] == 1.0 and isinstance(terms[0][1], GridPacket):
-        return terms[0][1]
-    return superpose(list(terms), n=n)
 
 
 def gaussian_postselection(
@@ -136,37 +131,32 @@ def gaussian_postselection(
     return probability, mean, math.sqrt(sigma * sigma + spread)
 
 
-def postselect(terms: tuple[tuple[complex, Wavepacket], ...], n: int) -> PostselectedResult:
-    """Statistics of the postselected probe w_A psi_A + w_B psi_B.
+def postselect(
+    w_a: complex, w_b: complex, probe: Wavepacket, delta_a: float, delta_b: float,
+    n: int = DEFAULT_GRID_POINTS,
+) -> PostselectedResult:
+    """Statistics of the postselected probe w_A psi(p - delta_A) + w_B psi(p - delta_B).
 
-    `terms` holds one or two weighted pointers: ((w_A, psi_A), (w_B, psi_B)), or ((1, psi),)
-    with psi that sum already rendered on a grid, as `run` gives it for a grid probe.  Its
-    squared norm is P.  Two Gaussian pointers of one width take P, mean and std from
-    `gaussian_postselection`, a rendered pointer from one `moments` pass, and others are
-    rendered on the grid first (n points unless a pointer brings its own).  The conditional
-    state is rendered on first read; P < 1e-30 and a non-finite mean or std are refused.
+    A Gaussian probe takes P, mean and std from `gaussian_postselection` at the kicked
+    centers; no pointer packet is built.  A grid probe is kicked on both branches in one
+    spectral pass, the weighted sum form of `displace`, and takes them from one `moments`
+    pass of that sum, which the result keeps.  The weights, kicks and kicked centers must be
+    finite; P < 1e-30 (PostselectionImpossible) and a non-finite mean or std are refused.
     """
-    if len(terms) == 2:
-        (w_a, ptr_a), (w_b, ptr_b) = terms
-        closed = (isinstance(ptr_a, GaussianPacket) and isinstance(ptr_b, GaussianPacket)
-                  and ptr_a.sigma == ptr_b.sigma)
-    elif len(terms) == 1:
-        closed = False
-    else:
-        raise ValueError(f"postselect takes one or two weighted pointers, got {len(terms)}")
-    if closed:
-        stats = gaussian_postselection(w_a, w_b, ptr_a.center, ptr_b.center, ptr_a.sigma)
-    else:
+    if not (cmath.isfinite(w_a) and cmath.isfinite(w_b)):
+        raise ValueError(f"branch weights must be finite, got {(w_a, w_b)!r}")
+    rendered = None
+    if isinstance(probe, GridPacket):
+        rendered = displace(probe, (delta_a, delta_b), weights=(w_a, w_b))
         try:
-            mom = moments(_render(terms, n))
-            stats = mom.norm * mom.norm, mom.mean, mom.std
+            mom = moments(rendered)
+            probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
         except ValueError:  # identically zero: the branches cancel exactly
-            stats = 0.0, math.nan, math.nan
-    return _result(*stats, tuple((w, psi, 0.0) for w, psi in terms), n)
-
-
-def _result(probability: float, mean: float, std: float, pointers, n) -> PostselectedResult:
-    """The result, unless P < 1e-30 (PostselectionImpossible) or a mean or std is not finite."""
+            probability, mean, std = 0.0, math.nan, math.nan
+    else:
+        c_a = _finite("center", probe.center + _finite("displacement", delta_a))
+        c_b = _finite("center", probe.center + _finite("displacement", delta_b))
+        probability, mean, std = gaussian_postselection(w_a, w_b, c_a, c_b, probe.sigma)
     if probability < MIN_POSTSELECT_PROBABILITY:
         raise PostselectionImpossible(
             f"postselection numerically impossible (probability {probability!r})"
@@ -174,7 +164,8 @@ def _result(probability: float, mean: float, std: float, pointers, n) -> Postsel
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise ValueError(f"postselected mean {mean!r} or std {std!r} is not finite; "
                          "the kicks are too far apart for double precision")
-    return PostselectedResult(probability, mean, std, pointers, n)
+    return PostselectedResult(probability, mean, std, (w_a, w_b), probe, (delta_a, delta_b), n,
+                              rendered)
 
 
 @dataclass(frozen=True)
@@ -193,18 +184,10 @@ class Scenario:
 def run(scenario: Scenario, n: int = DEFAULT_GRID_POINTS) -> PostselectedResult:
     """Kick the probe by delta_X on branch X and postselect the source on `post`.
 
-    A grid probe is kicked on both branches in one spectral pass, the weighted sum
-    form of `displace`, and postselected as that one rendered pointer.  A Gaussian probe
-    goes straight to `gaussian_postselection`; its pointer packets are built on the first
-    read of `terms` or `conditional`.  Each phase, kick and kicked center must be finite.
+    The branch weights, turned by finite phases, go with the probe and the kicks to one
+    `postselect` call; n is the grid size of a Gaussian run's `conditional`.
     """
     s = scenario
     w_a, w_b = branch_weights(s.pre, s.post, _finite("phase phi_a", s.phi_a),
                               _finite("phase phi_b", s.phi_b))
-    if isinstance(s.probe, GridPacket):
-        kicked = displace(s.probe, (s.delta_a, s.delta_b), weights=(w_a, w_b))
-        return postselect(((1.0, kicked),), n)
-    c_a = _finite("center", s.probe.center + _finite("displacement", s.delta_a))
-    c_b = _finite("center", s.probe.center + _finite("displacement", s.delta_b))
-    return _result(*gaussian_postselection(w_a, w_b, c_a, c_b, s.probe.sigma),
-                   ((w_a, s.probe, s.delta_a), (w_b, s.probe, s.delta_b)), n)
+    return postselect(w_a, w_b, s.probe, s.delta_a, s.delta_b, n)

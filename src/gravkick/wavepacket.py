@@ -26,7 +26,8 @@ DEFAULT_HALFSPAN_SIGMAS = 10.0  # Gaussian mass outside +/-10 sigma < 1e-22
 class GaussianPacket:
     """Normalized Gaussian psi(p) ~ exp(-(p - center)^2 W^2 / (4 hbar^2)).
 
-    The momentum standard deviation is exactly hbar/width.  The center must be finite.
+    The momentum standard deviation is exactly hbar/width, which must be a positive
+    double, neither 0 nor inf.  The center must be finite.
     """
 
     center: float
@@ -39,6 +40,9 @@ class GaussianPacket:
             raise ValueError(f"width parameter must be positive and finite, got {self.width}")
         if not 0 < self.hbar < math.inf:
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"momentum spread hbar/width = {self.hbar!r}/{self.width!r} is "
+                             f"{self.sigma!r}, outside the positive doubles")
 
     @property
     def sigma(self) -> float:
@@ -178,7 +182,7 @@ def displace(
     two-level table; against mpmath its worst error was 1.2e-12 at n = 8192 (the direct
     exp form: 1.5e-12).  A non-finite shift or weight is refused.
     """
-    if weights is not None:
+    if weights is not None or isinstance(delta, tuple):
         return _displace_sum(psi, delta, weights)
     if _finite("displacement", delta) == 0.0:
         return psi
@@ -193,9 +197,10 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple) -> GridPacket:
+def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple | None) -> GridPacket:
     """sum_i w_i psi(p - delta_i) of a grid packet, from its spectrum and one ifft."""
-    if not (isinstance(shifts, tuple) and shifts and len(weights) == len(shifts)):
+    if not (isinstance(shifts, tuple) and shifts and weights is not None
+            and len(weights) == len(shifts)):
         raise ValueError("weights need a tuple of as many shifts")
     if not all(map(cmath.isfinite, weights)):
         raise ValueError(f"displacement weights must be finite, got {weights!r}")

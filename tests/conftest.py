@@ -5,7 +5,7 @@ from gravkick import protocol
 
 @pytest.fixture
 def superpose_calls(monkeypatch):
-    """Record every call of `protocol.superpose`, the grid render behind `postselect`."""
+    """Record every call of `protocol.superpose`, which renders a Gaussian run's `conditional`."""
     calls = []
     original = protocol.superpose
 

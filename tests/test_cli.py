@@ -732,6 +732,16 @@ class TestErrorChannels:
         code = main([command, str(config), "--out", str(out)])
         assert_refused(code, out, capsys, kind, message)
 
+    @pytest.mark.parametrize("seed, code", [(2**128 - 1, 0), (2**128, 2)])
+    def test_seed_beyond_a_philox_key_is_a_config_error(self, tmp_path, capsys, seed, code):
+        doc = load_preset("fig2")
+        doc["montecarlo"] = {**doc["montecarlo"], "trials": 1000, "seed": seed}
+        out = tmp_path / "bundle"
+        assert main(["montecarlo", doc_path(tmp_path, doc), "--out", str(out)]) == code
+        if code:
+            record = assert_refused(code, out, capsys, "config", "montecarlo.seed")
+            assert record["field"] == "montecarlo.seed"
+
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenario", "fig2", "--frobnicate"])

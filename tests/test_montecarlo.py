@@ -126,6 +126,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="trials"):
             RunConfig(scenario=fig2_scenario(), trials=0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_must_be_a_philox_key(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            RunConfig(scenario=fig2_scenario(), trials=1, seed=seed)
+
+    def test_largest_seed_runs(self):
+        stats = run_ensemble(RunConfig(scenario=fig2_scenario(), trials=1000, seed=2**128 - 1))
+        assert stats.trials == 1000
+
     def test_impossible_scenario_propagates(self):
         from gravkick.protocol import PostselectionImpossible
 

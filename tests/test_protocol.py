@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravkick import protocol
 from gravkick.config import build_scenario, load_preset
 from gravkick.protocol import (
+    PostselectedResult,
     PostselectionImpossible,
     Scenario,
     SourceState,
@@ -316,29 +318,66 @@ class TestGridRun:
         assert len(passes) == 3
         assert moments(conditional).norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_keeps_one_rendered_pointer(self, superpose_calls):
+    def test_terms_are_the_displaced_branch_pointers(self, superpose_calls):
         probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
         s = replace(random_phase_scenario(np.random.default_rng(8)), probe=probe)
         result = run(s)
-        ((weight, pointer),) = result.terms
-        assert weight == 1.0 and pointer.p is probe.p
-        assert moments(pointer).norm**2 == result.probability
+        (w_a, psi_a), (w_b, psi_b) = result.terms
+        assert (w_a, w_b) == pointer_weights(s)
+        for psi, delta in ((psi_a, s.delta_a), (psi_b, s.delta_b)):
+            assert psi.p is probe.p
+            assert np.array_equal(psi.amps, displace(probe, delta).amps)
+        kicked = displace(probe, (s.delta_a, s.delta_b), weights=(w_a, w_b))
+        assert moments(kicked).norm**2 == result.probability
         conditional = result.conditional
         assert superpose_calls == []
         assert conditional.p is probe.p
-        assert np.array_equal(conditional.amps, pointer.amps / moments(pointer).norm)
-
-    @pytest.mark.parametrize("count", [0, 3])
-    def test_postselect_takes_one_or_two_pointers(self, count):
-        with pytest.raises(ValueError, match="one or two weighted pointers"):
-            postselect(((0.5, GaussianPacket(0.0, 1.0)),) * count, 2048)
+        assert np.array_equal(conditional.amps, kicked.amps / moments(kicked).norm)
 
 
-def eager_postselect(s: Scenario, n: int):
-    """A Gaussian run through both displaced pointer packets and `postselect`."""
+@pytest.mark.parametrize("probe", [GaussianPacket(0.0, 1.0),
+                                   grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)],
+                         ids=["gaussian", "grid"])
+class TestPostselectKernel:
+    def test_run_calls_postselect_once(self, monkeypatch, probe):
+        calls = []
+        original = protocol.postselect
+        monkeypatch.setattr(protocol, "postselect",
+                            lambda *args: calls.append(args) or original(*args))
+        s = replace(fig2_scenario(), probe=probe)
+        result = run(s, n=256)
+        w_a, w_b = pointer_weights(s)
+        assert calls == [(w_a, w_b, probe, s.delta_a, s.delta_b, 256)]
+        assert result == original(w_a, w_b, probe, s.delta_a, s.delta_b)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, complex(0.0, math.inf)),
+                                         (complex(math.nan, 0.0), -math.inf)])
+    def test_refuses_non_finite_weights(self, probe, weights):
+        with pytest.raises(ValueError, match=r"^branch weights must be finite"):
+            postselect(*weights, probe, 0.3, 0.1)
+
+
+def eager_reference(s: Scenario, n: int):
+    """A Gaussian run built eagerly from both displaced pointer packets: its P, mean and std,
+    its `terms`, and its `conditional` state rendered with `superpose` (or the type and
+    message of the refusal), unless the run itself is refused."""
     w_a, w_b = pointer_weights(s)
-    return postselect(((w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b))),
-                      n)
+    terms = ((w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b)))
+    (_, psi_a), (_, psi_b) = terms
+    stats = gaussian_postselection(w_a, w_b, psi_a.center, psi_b.center, psi_a.sigma)
+    probability, mean, std = stats
+    if probability < 1e-30:
+        raise PostselectionImpossible(
+            f"postselection numerically impossible (probability {probability!r})")
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"postselected mean {mean!r} or std {std!r} is not finite; "
+                         "the kicks are too far apart for double precision")
+
+    def render():
+        grid = superpose(list(terms), n=n)
+        return GridPacket(p=grid.p, amps=grid.amps / moments(grid).norm)
+
+    return stats, terms, outcome(render)
 
 
 def outcome(fn):
@@ -374,29 +413,29 @@ def equivalence_scenarios(count: int, seed: int) -> list[Scenario]:
 
 
 class TestGaussianRunMatchesEagerPointers:
-    # `run` takes a Gaussian probe straight to the closed form; the parent path displaced
-    # both pointer packets and sent them through `postselect`
+    # `postselect` takes a Gaussian probe straight to the closed form and builds its pointer
+    # packets only when `terms` or `conditional` is read; the reference builds them first
     @pytest.mark.parametrize("n", [256, 2048])
     def test_same_statistics_terms_conditional_and_refusals(self, n):
         refused = 0
         for s in equivalence_scenarios(120, seed=n):
-            lazy, eager = outcome(lambda: run(s, n=n)), outcome(lambda: eager_postselect(s, n))
-            if isinstance(eager, tuple):
-                assert lazy == eager
+            result = outcome(lambda: run(s, n=n))
+            reference = outcome(lambda: eager_reference(s, n))
+            if not isinstance(result, PostselectedResult):
+                assert result == reference
                 refused += 1
                 continue
-            assert (lazy.probability, lazy.mean_kick, lazy.std) == (
-                eager.probability, eager.mean_kick, eager.std)
-            assert lazy == eager and repr(lazy) == repr(eager)
-            w_a, w_b = pointer_weights(s)
-            assert lazy.terms == eager.terms == (
-                (w_a, displace(s.probe, s.delta_a)), (w_b, displace(s.probe, s.delta_b)))
-            lazy_state, eager_state = (outcome(lambda: r.conditional) for r in (lazy, eager))
-            if isinstance(eager_state, tuple):
-                assert lazy_state == eager_state
+            stats, terms, state = reference
+            assert (result.probability, result.mean_kick, result.std) == stats
+            assert repr(result) == (
+                "PostselectedResult(probability=%r, mean_kick=%r, std=%r)" % stats)
+            assert result.terms == terms
+            conditional = outcome(lambda: result.conditional)
+            if isinstance(state, tuple):
+                assert conditional == state
             else:
-                assert np.array_equal(lazy_state.p, eager_state.p)
-                assert np.array_equal(lazy_state.amps, eager_state.amps)
+                assert np.array_equal(conditional.p, state.p)
+                assert np.array_equal(conditional.amps, state.amps)
         assert refused == 6
 
     def test_pointer_packets_built_on_first_read(self, monkeypatch):

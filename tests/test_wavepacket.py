@@ -62,6 +62,13 @@ class TestGaussian:
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
             GaussianPacket(0.0, 1.0, value)
 
+    @pytest.mark.parametrize("width, hbar, sigma",
+                             [(1e-300, 1e300, "inf"), (1e300, 1e-300, "0.0")])
+    def test_spread_outside_the_doubles_rejected(self, width, hbar, sigma):
+        # width and hbar are each fine, but hbar/width overflows or underflows
+        with pytest.raises(ValueError, match=f"hbar/width = .* is {sigma}, outside the positive"):
+            GaussianPacket(0.0, width, hbar)
+
     @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
     def test_non_finite_center_rejected(self, center):
         with pytest.raises(ValueError, match=f"center must be finite, got {center!r}"):
@@ -164,6 +171,14 @@ class TestDisplace:
         grid = grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)
         with pytest.raises(ValueError, match="shift"):
             displace(grid, delta, weights=weights)
+
+    @pytest.mark.parametrize("psi", [GaussianPacket(0.0, 1.0),
+                                     grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)],
+                             ids=["gaussian", "grid"])
+    @pytest.mark.parametrize("delta", [(0.1, 0.2), (0.1,), ()])
+    def test_tuple_of_shifts_needs_weights(self, psi, delta):
+        with pytest.raises(ValueError, match="weights need a tuple of as many shifts"):
+            displace(psi, delta)
 
     @settings(max_examples=60, deadline=None)
     @given(
