@@ -13,7 +13,7 @@ that misses the exact mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import protocol
@@ -32,7 +32,7 @@ class Regime(Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
+@dataclass
 class WeakValueReport:
     projector_weak_value: complex
     effective_kick: float
@@ -60,28 +60,34 @@ def weak_value_report(
     if abs(overlap) <= OVERLAP_FLOOR:
         raise ValueError("pre and post states are (numerically) orthogonal")
     d_ef = ((w_a * delta_a + w_b * delta_b) / overlap).real
-    return WeakValueReport(
-        projector_weak_value=w_a / overlap,
-        effective_kick=d_ef,
-        gain=-d_ef / delta_a if delta_a != 0.0 else math.nan,
-        postselection_overlap=overlap,
-    )
+    return WeakValueReport(w_a / overlap, d_ef, -d_ef / delta_a if delta_a != 0.0 else math.nan,
+                           overlap)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ValidityReport:
     """How trustworthy the first-order prediction is for given kicks.
 
-    Keeps the run (`exact`) and the `weak_value_report` (`report`) that it compares."""
+    Keeps the run (`exact`) and the `weak_value_report` (`report`) that it compares, and
+    reads the exact and first-order means from them."""
 
     kick_ratio_a: float  # |delta_a| / sigma_p
     kick_ratio_b: float
-    first_order_mean: float
-    exact_mean: float
-    abs_error: float
     regime: Regime
-    exact: protocol.PostselectedResult = field(compare=False, repr=False)
-    report: WeakValueReport = field(compare=False, repr=False)
+    exact: protocol.PostselectedResult
+    report: WeakValueReport
+
+    @property
+    def exact_mean(self) -> float:
+        return self.exact.mean_kick
+
+    @property
+    def first_order_mean(self) -> float:
+        return self.report.effective_kick
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.exact.mean_kick - self.report.effective_kick)
 
 
 def classify_regime(kick_ratio: float) -> Regime:
@@ -103,17 +109,8 @@ def validity_check(
         raise ValueError("probe must have a finite positive momentum spread")
     exact = protocol.run(s, n=n)
     report = weak_value_report(s.pre, s.post, s.delta_a, s.delta_b)
-    first = report.effective_kick
     ratio_a, ratio_b = abs(s.delta_a) / sigma, abs(s.delta_b) / sigma
     # the first-order expansion is in the kick amplified by the projector weak value
     amplified = abs(report.projector_weak_value) * abs(s.delta_a - s.delta_b) / sigma
-    return ValidityReport(
-        kick_ratio_a=ratio_a,
-        kick_ratio_b=ratio_b,
-        first_order_mean=first,
-        exact_mean=exact.mean_kick,
-        abs_error=abs(exact.mean_kick - first),
-        regime=classify_regime(max(ratio_a, ratio_b, amplified)),
-        exact=exact,
-        report=report,
-    )
+    return ValidityReport(ratio_a, ratio_b, classify_regime(max(ratio_a, ratio_b, amplified)),
+                          exact, report)

@@ -13,8 +13,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
+    MIN_GRID_POINTS,
     GridPacket,
     Wavepacket,
     _finite,
@@ -76,7 +79,7 @@ def branch_weights(
             complex(post.amp_b).conjugate() * (pre.amp_b * cmath.exp(1j * phi_b)))
 
 
-@dataclass(frozen=True)
+@dataclass
 class PostselectedResult:
     """Exact P, mean and std of the postselected probe w_A psi(p - delta_A) + w_B psi(p - delta_B),
     with the weights, probe psi, kicks and grid size n, and a grid run's unnormalized kicked
@@ -141,7 +144,8 @@ def postselect(
     centers; no pointer packet is built.  A grid probe is kicked on both branches in one
     spectral pass, the weighted sum form of `displace`, and takes them from one `moments`
     pass of that sum, which the result keeps.  The weights, kicks and kicked centers must be
-    finite; P < 1e-30 (PostselectionImpossible) and a non-finite mean or std are refused.
+    finite, and a Gaussian's n, the grid size of its `conditional`, an integer of at least 16;
+    P < 1e-30 (PostselectionImpossible) and a non-finite mean or std are refused.
     """
     if not (cmath.isfinite(w_a) and cmath.isfinite(w_b)):
         raise ValueError(f"branch weights must be finite, got {(w_a, w_b)!r}")
@@ -153,6 +157,8 @@ def postselect(
             probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
         except ValueError:  # identically zero: the branches cancel exactly
             probability, mean, std = 0.0, math.nan, math.nan
+    elif not (isinstance(n, (int, np.integer)) and n >= MIN_GRID_POINTS):
+        raise ValueError(f"n must be an integer of at least {MIN_GRID_POINTS}, got {n!r}")
     else:
         c_a = _finite("center", probe.center + _finite("displacement", delta_a))
         c_b = _finite("center", probe.center + _finite("displacement", delta_b))

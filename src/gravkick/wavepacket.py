@@ -19,6 +19,7 @@ import numpy as np
 from .output import table_csv
 
 DEFAULT_GRID_POINTS = 2048
+MIN_GRID_POINTS = 16
 DEFAULT_HALFSPAN_SIGMAS = 10.0  # Gaussian mass outside +/-10 sigma < 1e-22
 
 
@@ -72,8 +73,8 @@ class GridPacket:
 
     def __post_init__(self) -> None:
         p = np.array(self.p, dtype=float)
-        if p.ndim != 1 or p.size < 16:
-            raise ValueError("grid needs at least 16 points")
+        if p.ndim != 1 or p.size < MIN_GRID_POINTS:
+            raise ValueError(f"grid needs at least {MIN_GRID_POINTS} points")
         if not np.all(np.isfinite(p)):
             raise ValueError("grid samples must be finite")
         steps = np.diff(p)
@@ -182,7 +183,7 @@ def displace(
     two-level table; against mpmath its worst error was 1.2e-12 at n = 8192 (the direct
     exp form: 1.5e-12).  A non-finite shift or weight is refused.
     """
-    if weights is not None or isinstance(delta, tuple):
+    if weights is not None or isinstance(delta, (tuple, list)):
         return _displace_sum(psi, delta, weights)
     if _finite("displacement", delta) == 0.0:
         return psi

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,19 @@ from hypothesis import strategies as st
 
 from gravkick.analysis import (
     Regime,
+    WeakValueReport,
     classify_regime,
     validity_check,
     weak_value_report,
 )
-from gravkick.protocol import Scenario, SourceState, branch_weights, paper_postselection, run
+from gravkick.protocol import (
+    PostselectedResult,
+    Scenario,
+    SourceState,
+    branch_weights,
+    paper_postselection,
+    run,
+)
 from gravkick.wavepacket import GaussianPacket, GridPacket, Moments, moments
 
 from . import oracles
@@ -261,6 +270,53 @@ class TestValidity:
             errors.append(abs(run(scenario).mean_kick - s * first_order_unit))
         slope = np.polyfit(np.log(scales), np.log(errors), 1)[0]
         assert slope >= 1.9
+
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_means_are_read_from_the_run_and_the_report(self, kind):
+        rng = np.random.default_rng(2323)
+        for _ in range(20):
+            psi = GaussianPacket(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.5))
+            probe = psi if kind == "gaussian" else grid_probe(psi, -14.0, 14.0, n=512)
+            raw = rng.normal(size=(2, 4))
+            pre, post = (SourceState.from_amplitudes(complex(a, b), complex(c, d))
+                         for a, b, c, d in raw)
+            s = Scenario(pre, post, probe, *rng.uniform(-2.0, 2.0, size=2),
+                         *rng.uniform(-math.pi, math.pi, size=2))
+            validity = validity_check(s)
+            assert validity.exact_mean == run(s).mean_kick
+            first = weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).effective_kick
+            assert validity.first_order_mean == first
+            assert validity.abs_error == abs(validity.exact_mean - first)
+
+    def test_reports_whose_means_differ_compare_unequal(self):
+        s = Scenario(SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)), paper_postselection(),
+                     GaussianPacket(0.0, 1.0), 0.3, 0.1)
+        first, phased = validity_check(s), validity_check(replace(s, phi_a=0.4))
+        # the phase moves only the exact mean: the first-order report is phase-free
+        assert phased.exact_mean != first.exact_mean
+        assert (phased.kick_ratio_a, phased.kick_ratio_b, phased.regime, phased.report) == (
+            first.kick_ratio_a, first.kick_ratio_b, first.regime, first.report)
+        assert phased != first
+        shifted = replace(first, report=replace(first.report, effective_kick=1.0))
+        assert shifted.first_order_mean == 1.0 and shifted != first
+        for report in (first, phased):
+            assert repr(report.exact_mean) in repr(report)
+            assert repr(report.first_order_mean) in repr(report)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_one_check_builds_one_run_and_one_report(self, monkeypatch, kind):
+        built = []
+        for cls in (PostselectedResult, WeakValueReport):
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *args, _init=cls.__init__, **kwargs:
+                                built.append(type(self)) or _init(self, *args, **kwargs))
+        psi = GaussianPacket(0.0, 1.0)
+        probe = psi if kind == "gaussian" else grid_probe(psi, -12.0, 12.0, n=512)
+        validity = validity_check(Scenario(SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
+                                           paper_postselection(), probe, 0.3, 0.1))
+        assert built == [PostselectedResult, WeakValueReport]
+        validity.exact_mean, validity.first_order_mean, validity.abs_error, repr(validity)
+        assert built == [PostselectedResult, WeakValueReport]
 
     def test_regime_thresholds(self):
         assert classify_regime(0.05) is Regime.WEAK

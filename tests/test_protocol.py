@@ -252,6 +252,19 @@ class TestPostselect:
         result = run(fig2_scenario())
         assert moments(result.conditional).norm == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [8, 15, 2048.5])
+    def test_gaussian_grid_size_refused_at_the_call(self, n):
+        s = fig2_scenario()
+        w_a, w_b = pointer_weights(s)
+        for call in (lambda: run(s, n=n),
+                     lambda: postselect(w_a, w_b, s.probe, s.delta_a, s.delta_b, n=n)):
+            with pytest.raises(ValueError, match=r"^n must be an integer of at least 16, got "):
+                call()
+
+    @pytest.mark.parametrize("n", [16, np.int64(16)])
+    def test_smallest_gaussian_grid_size_renders(self, n):
+        assert run(fig2_scenario(), n=n).conditional.p.size == 16
+
     def test_conditional_rendered_once_on_first_read(self, superpose_calls):
         result = run(fig2_scenario(), n=65536)
         assert len(superpose_calls) == 0

@@ -175,7 +175,7 @@ class TestDisplace:
     @pytest.mark.parametrize("psi", [GaussianPacket(0.0, 1.0),
                                      grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)],
                              ids=["gaussian", "grid"])
-    @pytest.mark.parametrize("delta", [(0.1, 0.2), (0.1,), ()])
+    @pytest.mark.parametrize("delta", [(0.1, 0.2), (0.1,), (), [0.1, 0.2], [0.1], []])
     def test_tuple_of_shifts_needs_weights(self, psi, delta):
         with pytest.raises(ValueError, match="weights need a tuple of as many shifts"):
             displace(psi, delta)
