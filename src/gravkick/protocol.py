@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .wavepacket import (
     DEFAULT_GRID_POINTS,
-    MIN_GRID_POINTS,
     GridPacket,
     Wavepacket,
     _finite,
+    _grid_points,
     displace,
     moments,
     superpose,
@@ -157,9 +155,8 @@ def postselect(
             probability, mean, std = mom.norm * mom.norm, mom.mean, mom.std
         except ValueError:  # identically zero: the branches cancel exactly
             probability, mean, std = 0.0, math.nan, math.nan
-    elif not (isinstance(n, (int, np.integer)) and n >= MIN_GRID_POINTS):
-        raise ValueError(f"n must be an integer of at least {MIN_GRID_POINTS}, got {n!r}")
     else:
+        _grid_points(n)
         c_a = _finite("center", probe.center + _finite("displacement", delta_a))
         c_b = _finite("center", probe.center + _finite("displacement", delta_b))
         probability, mean, std = gaussian_postselection(w_a, w_b, c_a, c_b, probe.sigma)

@@ -173,17 +173,18 @@ def displace(
 ) -> Wavepacket:
     """Return psi(p - delta), or sum_i w_i psi(p - delta_i) given a tuple of shifts and weights.
 
-    A zero shift returns psi.  Gaussians shift their center exactly; a sum of shifts
-    needs a grid.  Grid packets are multiplied by the phase ramp exp(-2 pi i xi delta)
-    between one fft and one ifft, which is exact for band-limited data; shifting
-    commutes with the transform, so a sum of shifts takes the same two transforms with
-    the weighted sum of the ramps.  The fft is the packet's kept spectrum, so a packet
-    already transformed takes only the ifft.  Each shift is limited to a quarter of the
-    grid span to guard against wrap-around.  `_phase_ramp` builds each ramp from a
-    two-level table; against mpmath its worst error was 1.2e-12 at n = 8192 (the direct
-    exp form: 1.5e-12).  A non-finite shift or weight is refused.
+    A delta of dimension 0 is one shift; anything else is a sequence of shifts, which must
+    be a tuple with as many weights.  A zero shift returns psi.  Gaussians shift their
+    center exactly; a sum of shifts needs a grid.  Grid packets are multiplied by the
+    phase ramp exp(-2 pi i xi delta) between one fft and one ifft, which is exact for
+    band-limited data; shifting commutes with the transform, so a sum of shifts takes the
+    same two transforms with the weighted sum of the ramps.  The fft is the packet's kept
+    spectrum, so a packet already transformed takes only the ifft.  Each shift is limited
+    to a quarter of the grid span to guard against wrap-around.  `_phase_ramp` builds each
+    ramp from a two-level table; against mpmath its worst error was 1.2e-12 at n = 8192
+    (the direct exp form: 1.5e-12).  A non-finite shift or weight is refused.
     """
-    if weights is not None or isinstance(delta, (tuple, list)):
+    if weights is not None or np.ndim(delta) != 0:
         return _displace_sum(psi, delta, weights)
     if _finite("displacement", delta) == 0.0:
         return psi
@@ -196,6 +197,13 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _grid_points(n: int) -> int:
+    """n, refused unless it is an integer of at least MIN_GRID_POINTS."""
+    if not (isinstance(n, (int, np.integer)) and n >= MIN_GRID_POINTS):
+        raise ValueError(f"n must be an integer of at least {MIN_GRID_POINTS}, got {n!r}")
+    return n
 
 
 def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple | None) -> GridPacket:
@@ -220,11 +228,6 @@ def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple | None) -> Grid
     return psi._with_amps(np.fft.ifft(kernel))
 
 
-def _same_grid(a: GridPacket, b: GridPacket) -> bool:
-    return a.p is b.p or (
-        a.p.size == b.p.size and np.allclose(a.p, b.p, rtol=1e-12, atol=0.0))
-
-
 def moments(psi: Wavepacket) -> Moments:
     """L2 norm, mean momentum and momentum standard deviation (a grid's are kept)."""
     if isinstance(psi, GaussianPacket):
@@ -233,32 +236,23 @@ def moments(psi: Wavepacket) -> Moments:
 
 
 def superpose(
-    terms: list[tuple[complex, Wavepacket]],
+    terms: list[tuple[complex, GaussianPacket]],
     n: int = DEFAULT_GRID_POINTS,
 ) -> GridPacket:
-    """Linear combination sum_i c_i psi_i rendered on a common grid (unnormalized).
-
-    Grid terms must already share one grid; analytic terms are evaluated on
-    it.  With only analytic terms the grid covers the hull of their
-    +/- 10 sigma supports.
-    """
+    """sum_i c_i psi_i of Gaussian pointers on n points over the hull of their +/- 10 sigma
+    supports (unnormalized).  Grid packets are summed by displace(psi, shifts, weights=...)."""
     if not terms:
         raise ValueError("superpose needs at least one term")
-    grids = [psi for _, psi in terms if isinstance(psi, GridPacket)]
-    if grids:
-        base = grids[0]
-        for g in grids[1:]:
-            if not _same_grid(base, g):
-                raise ValueError("grid packets must share the same momentum grid")
-        p = base.p
-    else:
-        lo = min(psi.center - DEFAULT_HALFSPAN_SIGMAS * psi.sigma for _, psi in terms)
-        hi = max(psi.center + DEFAULT_HALFSPAN_SIGMAS * psi.sigma for _, psi in terms)
-        p = np.linspace(lo, hi, n)
-    amps = np.zeros(p.size, dtype=complex)
+    if not all(isinstance(psi, GaussianPacket) for _, psi in terms):
+        raise ValueError("superpose renders Gaussian pointers; "
+                         "sum grid packets with displace(psi, shifts, weights=...)")
+    lo = min(psi.center - DEFAULT_HALFSPAN_SIGMAS * psi.sigma for _, psi in terms)
+    hi = max(psi.center + DEFAULT_HALFSPAN_SIGMAS * psi.sigma for _, psi in terms)
+    p = np.linspace(lo, hi, _grid_points(n))
+    amps = np.zeros(n, dtype=complex)
     for coeff, psi in terms:
-        amps += coeff * (psi.amps if isinstance(psi, GridPacket) else psi(p))
-    return grids[0]._with_amps(amps) if grids else GridPacket(p=p, amps=amps)
+        amps += coeff * psi(p)
+    return GridPacket(p=p, amps=amps)
 
 
 # --- CSV serialization (header `p,re,im`, metadata comment line) ---

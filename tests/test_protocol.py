@@ -295,8 +295,8 @@ class TestGridRun:
         for _ in range(10):
             s = replace(random_phase_scenario(rng), probe=probe)
             w_a, w_b = pointer_weights(s)
-            separate = moments(superpose([(w_a, displace(probe, s.delta_a)),
-                                          (w_b, displace(probe, s.delta_b))]))
+            a, b = displace(probe, s.delta_a), displace(probe, s.delta_b)
+            separate = moments(GridPacket(p=probe.p, amps=w_a * a.amps + w_b * b.amps))
             result = run(s)
             assert (result.probability, result.mean_kick, result.std) == pytest.approx(
                 (separate.norm**2, separate.mean, separate.std), rel=1e-12)

@@ -29,6 +29,11 @@ from .refvals import (
 )
 
 
+both_probes = pytest.mark.parametrize(
+    "psi", [GaussianPacket(0.0, 1.0), grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)],
+    ids=["gaussian", "grid"])
+
+
 def fig2_superposition(n=2048):
     psi = GaussianPacket(0.0, 1.0, 1.0)
     return superpose(
@@ -172,13 +177,20 @@ class TestDisplace:
         with pytest.raises(ValueError, match="shift"):
             displace(grid, delta, weights=weights)
 
-    @pytest.mark.parametrize("psi", [GaussianPacket(0.0, 1.0),
-                                     grid_probe(GaussianPacket(0.0, 1.0), -4.0, 4.0, n=64)],
-                             ids=["gaussian", "grid"])
-    @pytest.mark.parametrize("delta", [(0.1, 0.2), (0.1,), (), [0.1, 0.2], [0.1], []])
+    @both_probes
+    @pytest.mark.parametrize("delta", [(0.1, 0.2), (0.1,), (), [0.1, 0.2], [0.1], [],
+                                       np.array([0.1, 0.2]), np.array([0.1])])
     def test_tuple_of_shifts_needs_weights(self, psi, delta):
         with pytest.raises(ValueError, match="weights need a tuple of as many shifts"):
             displace(psi, delta)
+
+    @both_probes
+    @pytest.mark.parametrize("delta", [np.float64(0.3), np.array(0.3)], ids=["float64", "0-d"])
+    def test_zero_dimensional_delta_is_one_shift(self, psi, delta):
+        shifted, reference = displace(psi, delta), displace(psi, 0.3)
+        assert moments(shifted) == moments(reference)
+        if isinstance(psi, GridPacket):
+            assert np.array_equal(shifted.amps, reference.amps)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -217,12 +229,6 @@ class TestOverlap:
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-20
 
-    def test_incompatible_grids_rejected(self):
-        a = grid_probe(GaussianPacket(0.0, 1.0), -8.0, 8.0, n=128)
-        b = grid_probe(GaussianPacket(0.0, 1.0), -9.0, 9.0, n=128)
-        with pytest.raises(ValueError, match="grid"):
-            superpose([(1.0, a), (1.0, b)])
-
     @settings(max_examples=50, deadline=None)
     @given(
         c1=st.floats(min_value=-2, max_value=2),
@@ -234,8 +240,29 @@ class TestOverlap:
         # for every phase is |<psi_2|psi_1>| <= 1
         grid = grid_probe(GaussianPacket(c1, 1.0), -16.0, 16.0, n=512)
         other = grid_probe(GaussianPacket(c2, 1.0), -16.0, 16.0, n=512)
-        summed = superpose([(0.5 * np.exp(1j * phase), grid), (0.5, other)])
+        summed = grid._with_amps(0.5 * np.exp(1j * phase) * grid.amps + 0.5 * other.amps)
         assert moments(summed).norm <= 1.0 + 1e-12
+
+
+class TestSuperpose:
+    @pytest.mark.parametrize("kinds", [("grid",), ("grid", "grid"), ("gaussian", "grid"),
+                                       ("grid", "gaussian")])
+    def test_renders_gaussian_pointers_only(self, kinds):
+        psi = GaussianPacket(0.0, 1.0)
+        packets = {"gaussian": psi, "grid": grid_probe(psi, -8.0, 8.0, n=128)}
+        with pytest.raises(ValueError, match=r"^superpose renders Gaussian pointers; "
+                                             r"sum grid packets with displace\(psi, shifts, "):
+            superpose([(1.0, packets[kind]) for kind in kinds])
+
+    @pytest.mark.parametrize("n", [8, 15, 2048.5, pytest.param("16", id="str-16")])
+    def test_grid_size_refused(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer of at least 16, got "):
+            superpose([(1.0, GaussianPacket(0.0))], n=n)
+
+    @pytest.mark.parametrize("n", [16, np.int64(16)])
+    def test_smallest_grid_size_renders(self, n):
+        grid = superpose([(1.0, GaussianPacket(0.0))], n=n)
+        assert grid.p.size == 16 and (grid.p[0], grid.p[-1]) == (-10.0, 10.0)
 
 
 class TestMoments:
@@ -282,7 +309,7 @@ class TestMoments:
         # the kept moments take np.trapezoid's arithmetic, so they are equal, not close
         grid = grid_probe(GaussianPacket(0.3, 1.2), -12.0, 12.0, n=n)
         shifted = displace(grid, 0.7)
-        summed = superpose([(0.6, grid), (0.8j, shifted)])
+        summed = displace(grid, (0.0, 0.7), weights=(0.6, 0.8j))
         for psi in (grid, shifted, summed, fig2_superposition(n)):
             w = np.abs(psi.amps) ** 2
             dp = np.diff(psi.p)
@@ -322,14 +349,14 @@ class TestGridValidation:
             GridPacket(p=p, amps=amps)
 
     def test_derived_packets_skip_the_grid_checks(self, monkeypatch):
-        # displace and superpose keep the checked grid of their input and check only the
-        # new amplitudes; a packet built from user arrays checks its grid
+        # displace keeps the checked grid of its input, one shift or a weighted sum, and checks
+        # only the new amplitudes; a packet built from user arrays checks its grid
         grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
         diffs = []
         original = np.diff
         monkeypatch.setattr(np, "diff", lambda *a, **k: diffs.append(1) or original(*a, **k))
         shifted = displace(grid, 0.3)
-        summed = superpose([(1.0, grid), (0.5j, shifted)])
+        summed = displace(grid, (0.0, 0.3), weights=(1.0, 0.5j))
         assert diffs == [] and shifted.p is grid.p and summed.p is grid.p
         assert not (shifted.amps.flags.writeable or summed.amps.flags.writeable)
         GridPacket(p=grid.p, amps=summed.amps)
@@ -338,7 +365,7 @@ class TestGridValidation:
     def test_derived_packets_check_their_amplitudes(self):
         grid = grid_probe(GaussianPacket(0.0, 1.0), -4, 4, n=64)
         with pytest.raises(ValueError, match="grid samples must be finite"):
-            superpose([(math.nan, grid)])
+            grid._with_amps(math.nan * grid.amps)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_momenta(self, bad):
