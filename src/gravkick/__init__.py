@@ -4,42 +4,29 @@ Exact and first-order (weak-value) postselected momentum transfer, physical
 feasibility estimates, and reproducible Monte Carlo experiment statistics.
 """
 
-from .analysis import (
-    Regime,
-    ValidityReport,
-    WeakValueReport,
-    validity_check,
-    weak_value_report,
-)
-from .feasibility import (
-    ProtocolParams,
-    amplitudes_for_gain,
-    delta_kick,
-    evaluate_case,
-    feasibility_ratio,
-    solve_parameter,
-    spreading_time,
-    sweep,
-)
-from .montecarlo import EnsembleStats, RunConfig, run_ensemble
-from .protocol import (
-    PostselectedResult,
-    PostselectionImpossible,
-    Scenario,
-    SourceState,
-    branch_weights,
-    paper_postselection,
-    postselect,
-)
-from .units import G, HBAR, UnitSystem
-from .wavepacket import (
-    GaussianPacket,
-    GridPacket,
-    Moments,
-    Wavepacket,
-    displace,
-    moments,
-    superpose,
-)
+import importlib
 
+# The re-exports load their module on first access (PEP 562): `import gravkick` imports no numpy.
+_EXPORTS = {
+    "analysis": "Regime ValidityReport WeakValueReport validity_check weak_value_report",
+    "feasibility": "ProtocolParams amplitudes_for_gain delta_kick evaluate_case "
+                   "feasibility_ratio solve_parameter spreading_time sweep",
+    "montecarlo": "EnsembleStats RunConfig run_ensemble",
+    "protocol": "PostselectedResult PostselectionImpossible Scenario SourceState "
+                "branch_weights paper_postselection postselect",
+    "units": "G HBAR UnitSystem",
+    "wavepacket": "GaussianPacket GridPacket Moments Wavepacket displace moments superpose",
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "config", "output", "svg"}
+
+__all__ = list(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,20 @@
-import sys
+"""The process entry of `python -m gravkick` and of the `gravkick` console script."""
 
-from .cli import main
+import gc
 
-sys.exit(main())
+
+def run() -> int:
+    """Run the CLI; its imports' heap is made with the collector paused, then frozen."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        from . import cli
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    return cli.main()
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())

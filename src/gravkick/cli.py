@@ -34,6 +34,7 @@ from .feasibility import (
     SEPARATION_FACTOR,
     SOLVABLE_FIELDS,
     ProtocolParams,
+    check_axes,
     evaluate_case,
     solve_parameter,
     sweep,
@@ -271,6 +272,10 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(args.axis)]
     if args.axis2:
         axes.append(_parse_axis(args.axis2))
+    try:
+        check_axes(axes)
+    except ValueError as exc:  # the command line's axes, not a point of the sweep
+        raise ConfigError(str(exc)) from exc
     s = built.scenario
     cases = sweep(built.params, axes, args.workers, s.post, (s.phi_a, s.phi_b))
 
@@ -380,7 +385,3 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # an intermediate over- or underflowed
         _emit_record("error", "runtime", f"{type(exc).__name__}: {exc}")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

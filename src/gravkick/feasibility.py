@@ -175,6 +175,19 @@ def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -
 Axis = tuple[str, float, float, int]  # (field, start, stop, count)
 
 
+def check_axes(axes: list[Axis]) -> None:
+    """Refuse with ValueError an axis list `sweep` cannot grid, before any point is built."""
+    if not 1 <= len(axes) <= 2:
+        raise ValueError("sweep takes one or two axes")
+    if len({a[0] for a in axes}) != len(axes):
+        raise ValueError("sweep axes must name distinct fields")
+    for field, _, _, count in axes:
+        if field not in SWEEP_FIELDS:
+            raise ValueError(f"unknown sweep field {field!r}; valid fields: {SWEEP_FIELDS}")
+        if count < 2:
+            raise ValueError("each axis needs at least 2 points")
+
+
 def sweep(
     base: ProtocolParams,
     axes: list[Axis],
@@ -189,20 +202,10 @@ def sweep(
     ps_prob as in `evaluate_case`.  `workers` is accepted and ignored: the
     columns are evaluated in one pass.
     """
-    if not 1 <= len(axes) <= 2:
-        raise ValueError("sweep takes one or two axes")
-    fields = [a[0] for a in axes]
-    if len(set(fields)) != len(fields):
-        raise ValueError("sweep axes must name distinct fields")
-    for field, _, _, count in axes:
-        if field not in SWEEP_FIELDS:
-            raise ValueError(f"unknown sweep field {field!r}; valid fields: {SWEEP_FIELDS}")
-        if count < 2:
-            raise ValueError("each axis needs at least 2 points")
-
+    check_axes(axes)
     grids = np.meshgrid(*(np.linspace(start, stop, count) for _, start, stop, count in axes),
                         indexing="ij")
-    columns = {f: grid.ravel() for f, grid in zip(fields, grids)}
+    columns = {a[0]: grid.ravel() for a, grid in zip(axes, grids)}
     return evaluate_case(replace(base, **columns), final, phases)
 
 

@@ -15,10 +15,8 @@ def format_value(value: object) -> str:
     """CSV cell: floats in 9-significant-digit scientific form, None as n/a."""
     if value is None:
         return "n/a"
-    if isinstance(value, bool):
+    if isinstance(value, int):  # bool included, written as 0 or 1
         return str(int(value))
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.8e}"
     return str(value)
@@ -51,12 +49,8 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_bundle(out_dir: str, files: dict[str, str]) -> list[str]:
+def write_bundle(out_dir: str, files: dict[str, str]) -> None:
     """Write a fully materialized bundle; content is built before any I/O."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     for name, text in files.items():
-        path = os.path.join(out_dir, name)
-        write_text_atomic(path, text)
-        written.append(path)
-    return written
+        write_text_atomic(os.path.join(out_dir, name), text)

@@ -551,6 +551,18 @@ class TestSweep:
         assert code == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("axes, message", [
+        (["--axis", "Q=1:2:3"], "unknown sweep field 'Q'; valid fields: "),
+        (["--axis", "M=1e-15:1e-13:1"], "each axis needs at least 2 points"),
+        (["--axis", "M=1e-15:1e-13:3", "--axis2", "M=1e-14:1e-13:2"],
+         "sweep axes must name distinct fields"),
+    ], ids=["unknown-field", "one-point", "same-field-twice"])
+    def test_axis_the_sweep_cannot_grid_is_a_config_error(self, tmp_path, capsys, axes,
+                                                          message):
+        out = tmp_path / "bundle"
+        code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), *axes, "--out", str(out)])
+        assert_refused(code, out, capsys, "config", message)
+
 
 class TestFig2Command:
     def test_svg_structure_and_samples(self, tmp_path):
@@ -801,15 +813,49 @@ def test_presets_list(capsys):
         assert name in out
 
 
-def test_module_entry_point(tmp_path):
+# Runs `gravkick ARGS` through runpy as `python -m gravkick` does.  At exit it reports on
+# stderr the collector's state and the passes that started before cli.main was called.
+ENTRY_PROBE = """
+import atexit, gc, json, runpy, sys
+
+seen = {"main": False, "passes_before_main": 0, "frozen_before": gc.get_freeze_count()}
+
+def on_call(frame, event, arg):
+    called = (event, frame.f_code.co_name, frame.f_globals.get("__name__"))
+    if called == ("call", "main", "gravkick.cli"):
+        seen["main"] = True
+        sys.setprofile(None)
+
+def on_collect(phase, info):
+    seen["passes_before_main"] += phase == "start" and not seen["main"]
+
+def report():
+    seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count())
+    print(json.dumps(seen), file=sys.stderr)
+
+gc.collect()  # an empty generation 0: only allocations from here on can start a pass
+gc.callbacks.append(on_collect)
+sys.setprofile(on_call)
+atexit.register(report)
+sys.argv = ["gravkick", *sys.argv[1:]]
+runpy.run_module("gravkick", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_module_entry_point(capsys):
     # run the copy of the package these tests import, whether or not PYTHONPATH names it
     src = str(Path(gravkick.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "gravkick", "presets", "list"],
+        [sys.executable, "-c", ENTRY_PROBE, "presets", "list"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
-    assert "fig2" in result.stdout
+    assert main(["presets", "list"]) == 0
+    assert result.stdout == capsys.readouterr().out
+    # the imports ran with the collector paused and were frozen; it is back on for main
+    state = json.loads(result.stderr.splitlines()[-1])
+    assert state["main"] and state["enabled"] and state["frozen"] > state["frozen_before"]
+    assert state["passes_before_main"] == 0

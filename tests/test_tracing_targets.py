@@ -5,18 +5,27 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gravkick
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
-def load_targets():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("gravkick_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_tracing().TARGETS
 
 
 def positional_reads():
@@ -59,3 +68,16 @@ def test_traced_argument_position(module, attr, index, name):
     fn = getattr(importlib.import_module(f"gravkick.{module}"), attr)
     params = list(inspect.signature(fn).parameters)
     assert params[index] == name, f"gravkick.{module}.{attr}: {params}"
+
+
+def test_cli_import_lists_numpy_and_jsonschema():
+    """tracing.import_times takes the median of the `-X importtime` lines of both top-level
+    imports under `import gravkick.cli`, and raises when either is missing."""
+    src = str(Path(gravkick.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import gravkick.cli"],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": pythonpath})
+    pattern = load_tracing()._IMPORT_LINE
+    imported = {m[4] for m in map(pattern.match, result.stderr.splitlines()) if m}
+    assert {"numpy", "jsonschema"} <= imported
