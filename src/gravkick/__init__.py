@@ -30,3 +30,8 @@ def __getattr__(name: str):
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    """The module's globals, its lazy re-exports and its submodules, none of them imported."""
+    return sorted({*globals(), *__all__, *_SUBMODULES})

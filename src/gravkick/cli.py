@@ -253,15 +253,16 @@ def cmd_montecarlo(args) -> int:
     return _emit_bundle(args, files)
 
 
-def _parse_axis(text: str):
+def _parse_axis(text: str, flag: str):
     try:
         field, rng = text.split("=", 1)
         start, stop, count = rng.split(":")
         axis = (field.strip(), float(start), float(stop), int(count))
     except ValueError as exc:
-        raise ConfigError(f"axis must look like FIELD=start:stop:count, got {text!r}") from exc
+        raise ConfigError(f"axis must look like FIELD=start:stop:count, got {text!r}",
+                          field=flag) from exc
     if not (math.isfinite(axis[1]) and math.isfinite(axis[2])):
-        raise ConfigError(f"axis bounds must be finite numbers, got {text!r}")
+        raise ConfigError(f"axis bounds must be finite numbers, got {text!r}", field=flag)
     return axis
 
 
@@ -269,13 +270,13 @@ def cmd_sweep(args) -> int:
     built = build_scenario(_resolve_doc(args))
     if built.params is None:
         raise ConfigError("sweep needs physical (SI) kick parameters", field="kicks")
-    axes = [_parse_axis(args.axis)]
-    if args.axis2:
-        axes.append(_parse_axis(args.axis2))
-    try:
-        check_axes(axes)
-    except ValueError as exc:  # the command line's axes, not a point of the sweep
-        raise ConfigError(str(exc)) from exc
+    flags = ("--axis", "--axis2") if args.axis2 else ("--axis",)
+    axes = [_parse_axis(text, flag) for text, flag in zip((args.axis, args.axis2), flags)]
+    for i, flag in enumerate(flags, start=1):
+        try:  # the first axis alone, then with the second: a refusal names the flag that added it
+            check_axes(axes[:i])
+        except ValueError as exc:  # the command line's axes, not a point of the sweep
+            raise ConfigError(str(exc), field=flag) from exc
     s = built.scenario
     cases = sweep(built.params, axes, args.workers, s.post, (s.phi_a, s.phi_b))
 
@@ -385,3 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # an intermediate over- or underflowed
         _emit_record("error", "runtime", f"{type(exc).__name__}: {exc}")
         return 1
+
+
+if __name__ == "__main__":  # the entry point is gravkick.__main__, which this would bypass
+    _emit_record("error", "usage", "gravkick.cli is not an entry point; run `python -m gravkick`")
+    sys.exit(2)

@@ -113,17 +113,24 @@ class GridPacket:
     @cached_property
     def _moments(self) -> Moments:
         """The `moments` of this packet, taken on first read."""
-        w = np.abs(self.amps) ** 2
+        # in place, with the arithmetic (so the bytes) of |amps|**2, p * w and (p - mean)**2 * w
+        w = np.abs(self.amps)
+        np.square(w, out=w)
         norm2 = self._trapezoid(w)
         if norm2 <= 0.0:
             raise ValueError("cannot take moments of an identically zero wavepacket")
-        mean = self._trapezoid(self.p * w) / norm2
-        var = self._trapezoid((self.p - mean) ** 2 * w) / norm2
+        y = np.multiply(self.p, w)
+        mean = self._trapezoid(y) / norm2
+        np.subtract(self.p, mean, out=y)
+        np.multiply(np.square(y, out=y), w, out=y)
+        var = self._trapezoid(y) / norm2
         return Moments(norm=math.sqrt(norm2), mean=mean, std=math.sqrt(max(var, 0.0)))
 
     def _trapezoid(self, y: np.ndarray) -> float:
         """np.trapezoid(y, dx=self.steps), the same arithmetic without its per-call setup."""
-        return float((self.steps * (y[1:] + y[:-1]) / 2.0).sum())
+        mid = np.add(y[1:], y[:-1])
+        np.multiply(self.steps, mid, out=mid)
+        return float(np.divide(mid, 2.0, out=mid).sum())
 
 
 def _checked_amps(p: np.ndarray, amps) -> np.ndarray:
@@ -147,22 +154,23 @@ class Moments:
     std: float
 
 
-def _phase_ramp(n: int, c: float) -> np.ndarray:
+def _phase_ramp(n: int, c: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(i c k) for the signed FFT frequency index k of each of n bins.
 
     The half k = 0..n//2 is the outer product of exp(i c b q) and exp(i c r)
     for k = q b + r, so it takes about 2 sqrt(n/2) complex exponentials
-    instead of n; the negative frequencies are its mirrored conjugate.
+    instead of n; the negative frequencies are its mirrored conjugate.  The ramp is
+    written into `out` (n complex) when one is given.
     """
     half = n // 2 + 1
     b = math.isqrt(half - 1) + 1
     q = -(-half // b)
     coarse = np.exp(1j * c * np.arange(0, q * b, b))
     table = np.outer(coarse, np.exp(1j * c * np.arange(b))).ravel()
-    ramp = np.empty(n, dtype=complex)
+    ramp = np.empty(n, dtype=complex) if out is None else out
     pos = (n + 1) // 2
     ramp[:pos] = table[:pos]
-    ramp[pos:] = table[n // 2:0:-1].conj()
+    np.conjugate(table[n // 2:0:-1], out=ramp[pos:])
     return ramp
 
 
@@ -221,11 +229,18 @@ def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple | None) -> Grid
                 f"grid displacement {d!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
             )
     n = psi.p.size
-    kernel = np.zeros(n, dtype=complex)
+    kernel = term = None  # the first weighted ramp becomes the result; one buffer holds the rest
     for w, d in zip(weights, shifts):
-        kernel += w * _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp))
+        ramp = _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp), out=term)
+        # w first, as in w * ramp: `ramp *= w` takes another SIMD kernel and another last bit
+        np.multiply(w, ramp, out=ramp)
+        if kernel is None:
+            kernel = ramp
+        else:
+            np.add(kernel, ramp, out=kernel)
+            term = ramp
     np.multiply(psi._spectrum, kernel, out=kernel)
-    return psi._with_amps(np.fft.ifft(kernel))
+    return psi._with_amps(np.fft.ifft(kernel, out=kernel))
 
 
 def moments(psi: Wavepacket) -> Moments:

@@ -67,6 +67,18 @@ def test_bare_import_loads_no_numpy_and_resolves_submodules():
     assert loaded == [[], "gravkick.protocol", "gravkick.cli", True]
 
 
+def test_dir_lists_the_lazy_names_without_loading_them():
+    listed, loaded = json.loads(run_child(
+        "import json, sys, gravkick\n"
+        "listed = dir(gravkick)\n"
+        "print(json.dumps([listed, [m for m in sys.modules if m in ('numpy', 'jsonschema')\n"
+        "                           or m.startswith('gravkick.')]]))"))
+    submodules = {*EXPORTS, "cli", "config", "output", "svg"}
+    assert {*ORIGIN, *submodules, "__version__"} <= set(listed)
+    assert listed == sorted(listed)
+    assert loaded == []
+
+
 @pytest.mark.parametrize("collector", ["on", "off"])
 def test_library_import_leaves_the_collector_as_the_caller_had_it(collector):
     before, after = json.loads(run_child(

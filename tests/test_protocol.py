@@ -307,8 +307,8 @@ class TestGridRun:
         calls = []
         for name in ("fft", "ifft"):
             original = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda a, _f=original, _n=name: calls.append(_n)
-                                or _f(a))
+            monkeypatch.setattr(np.fft, name, lambda a, _f=original, _n=name, **kwargs:
+                                calls.append(_n) or _f(a, **kwargs))
         probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
         rng = np.random.default_rng(5)
         for expected in (["fft", "ifft"], ["ifft"], ["ifft"]):

@@ -10,6 +10,7 @@ from gravkick.protocol import gaussian_postselection
 from gravkick.wavepacket import (
     GaussianPacket,
     GridPacket,
+    _phase_ramp,
     displace,
     moments,
     superpose,
@@ -148,6 +149,39 @@ class TestDisplace:
             summed = displace(grid, shifts, weights=weights)
             assert summed.p is grid.p
             assert np.max(np.abs(summed.amps - direct)) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 17, 2048, 2049, 8192])
+    def test_kick_bytes_match_the_summed_ramps(self, n, k):
+        # the kick is built in one buffer with the same arithmetic as this composition, so its
+        # bytes are equal; tobytes, because array_equal counts -0.0 as equal to 0.0
+        rng = np.random.default_rng(10 * n + k)
+        p = np.linspace(-3.0, 5.0, n)
+        grid = GridPacket(p=p, amps=rng.normal(size=n) + 1j * rng.normal(size=n))
+        shifts = tuple(float(d) for d in rng.uniform(-0.24, 0.24, k) * grid.span)
+        weights = tuple(complex(*rng.normal(size=2)) for _ in shifts)
+        forms = [(shifts, weights, displace(grid, shifts, weights=weights))]
+        if k == 1:
+            forms.append((shifts, (1.0,), displace(grid, shifts[0])))
+        for shifts, weights, kicked in forms:
+            kernel = np.zeros(n, dtype=complex)
+            for w, d in zip(weights, shifts):
+                kernel += w * _phase_ramp(n, -2.0 * math.pi * d / (n * grid.dp))
+            expected = np.fft.ifft(np.fft.fft(grid.amps) * kernel)
+            assert kicked.amps.tobytes() == expected.tobytes()
+
+    def test_kicks_share_no_memory(self):
+        # each kick owns its buffer; the probe's amplitudes and kept spectrum stay as they were
+        grid = grid_probe(GaussianPacket(0.3, 1.2), -12.0, 12.0, n=512)
+        amps, spectrum = grid.amps.tobytes(), np.fft.fft(grid.amps).tobytes()
+        first = displace(grid, (0.4, -0.9, 1.3), weights=(0.6, 0.8j, -0.2))
+        second = displace(grid, (0.4, -0.9, 1.3), weights=(0.6, 0.8j, -0.2))
+        assert first.amps.tobytes() == second.amps.tobytes()
+        for kicked in (first, second):
+            for other in (grid.amps, grid._spectrum):
+                assert not np.shares_memory(kicked.amps, other)
+        assert not np.shares_memory(first.amps, second.amps)
+        assert (grid.amps.tobytes(), grid._spectrum.tobytes()) == (amps, spectrum)
 
     def test_sum_form_needs_a_grid(self):
         with pytest.raises(ValueError, match="needs a grid packet"):
