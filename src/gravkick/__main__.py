@@ -1,16 +1,10 @@
 """The process entry of `python -m gravkick` and of the `gravkick` console script."""
 
 import gc
-import os
 
 
 def run() -> int:
-    """Run the CLI; its imports' heap is made with the collector paused, then frozen.
-
-    Unless the caller set OPENBLAS_NUM_THREADS, it is 1: the CLI makes no BLAS call, and
-    numpy's OpenBLAS would otherwise start a worker pool that spins through the start-up.
-    """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    """Run the CLI; its imports' heap is made with the collector paused, then frozen."""
     enabled = gc.isenabled()
     gc.disable()
     try:

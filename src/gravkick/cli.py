@@ -271,10 +271,11 @@ def cmd_sweep(args) -> int:
     if built.params is None:
         raise ConfigError("sweep needs physical (SI) kick parameters", field="kicks")
     flags = ("--axis", "--axis2") if args.axis2 else ("--axis",)
-    axes = [_parse_axis(text, flag) for text, flag in zip((args.axis, args.axis2), flags)]
-    for i, flag in enumerate(flags, start=1):
+    axes = []
+    for text, flag in zip((args.axis, args.axis2), flags):
+        axes.append(_parse_axis(text, flag))
         try:  # the first axis alone, then with the second: a refusal names the flag that added it
-            check_axes(axes[:i])
+            check_axes(axes)
         except ValueError as exc:  # the command line's axes, not a point of the sweep
             raise ConfigError(str(exc), field=flag) from exc
     s = built.scenario

@@ -154,20 +154,19 @@ class Moments:
     std: float
 
 
-def _phase_ramp(n: int, c: float, out: np.ndarray | None = None) -> np.ndarray:
+def _phase_ramp(n: int, c: float) -> np.ndarray:
     """exp(i c k) for the signed FFT frequency index k of each of n bins.
 
     The half k = 0..n//2 is the outer product of exp(i c b q) and exp(i c r)
     for k = q b + r, so it takes about 2 sqrt(n/2) complex exponentials
-    instead of n; the negative frequencies are its mirrored conjugate.  The ramp is
-    written into `out` (n complex) when one is given.
+    instead of n; the negative frequencies are its mirrored conjugate.
     """
     half = n // 2 + 1
     b = math.isqrt(half - 1) + 1
     q = -(-half // b)
     coarse = np.exp(1j * c * np.arange(0, q * b, b))
     table = np.outer(coarse, np.exp(1j * c * np.arange(b))).ravel()
-    ramp = np.empty(n, dtype=complex) if out is None else out
+    ramp = np.empty(n, dtype=complex)
     pos = (n + 1) // 2
     ramp[:pos] = table[:pos]
     np.conjugate(table[n // 2:0:-1], out=ramp[pos:])
@@ -229,16 +228,12 @@ def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple | None) -> Grid
                 f"grid displacement {d!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
             )
     n = psi.p.size
-    kernel = term = None  # the first weighted ramp becomes the result; one buffer holds the rest
+    kernel = None  # the first weighted ramp becomes the result; later ones are added to it
     for w, d in zip(weights, shifts):
-        ramp = _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp), out=term)
+        ramp = _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp))
         # w first, as in w * ramp: `ramp *= w` takes another SIMD kernel and another last bit
         np.multiply(w, ramp, out=ramp)
-        if kernel is None:
-            kernel = ramp
-        else:
-            np.add(kernel, ramp, out=kernel)
-            term = ramp
+        kernel = ramp if kernel is None else np.add(kernel, ramp, out=kernel)
     np.multiply(psi._spectrum, kernel, out=kernel)
     return psi._with_amps(np.fft.ifft(kernel, out=kernel))
 

@@ -565,10 +565,17 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", ["M=broken", "g=10:inf:3", "Q=1:2:3", "M=1e-15:1e-13:1"],
                              ids=["malformed", "non-finite", "unknown-field", "one-point"])
-    @pytest.mark.parametrize("flag", ["--axis", "--axis2"])
-    def test_axis_refusal_names_its_flag(self, tmp_path, capsys, flag, axis):
-        good = "W=5e-8:2e-7:3"
-        axes = ["--axis", axis] if flag == "--axis" else ["--axis", good, "--axis2", axis]
+    @pytest.mark.parametrize("second, flag", [(None, "--axis"), ("W=5e-8:2e-7:3", "--axis2"),
+                                              ("M=broken", "--axis"), ("g=1:nan:3", "--axis")],
+                             ids=["alone", "second", "both-malformed", "both-non-finite"])
+    def test_axis_refusal_names_its_flag(self, tmp_path, capsys, second, flag, axis):
+        # the bad axis is the one on `flag`; where both are bad, the first is refused first
+        if second is None:
+            axes = ["--axis", axis]
+        elif flag == "--axis2":
+            axes = ["--axis", second, "--axis2", axis]
+        else:
+            axes = ["--axis", axis, "--axis2", second]
         out = tmp_path / "bundle"
         code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), *axes, "--out", str(out)])
         assert assert_refused(code, out, capsys, "config", "")["field"] == flag
@@ -878,36 +885,13 @@ def test_module_entry_point(capsys):
     assert state["passes_before_main"] == 0
 
 
-def run_child(args, env=os.environ):
+def run_child(args):
     """`python args...` on the copy of the package these tests import, whether or not
     PYTHONPATH names it."""
     src = str(Path(gravkick.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**env, "PYTHONPATH": pythonpath})
-
-
-RUN_PROBE = """
-import json, os, sys
-from gravkick.__main__ import run
-sys.argv = ["gravkick", "presets", "list"]
-code = run()
-tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]), file=sys.stderr)
-"""
-
-
-@pytest.mark.parametrize("caller, expected", [(None, "1"), ("3", "3")])
-def test_process_entry_starts_no_blas_workers(caller, expected):
-    # only an unset OPENBLAS_NUM_THREADS is defaulted: numpy then starts no worker thread
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if caller is not None:
-        env["OPENBLAS_NUM_THREADS"] = caller
-    result = run_child(["-c", RUN_PROBE], env)
-    code, blas, tasks = json.loads(result.stderr.splitlines()[-1])
-    assert (code, blas) == (0, expected)
-    if caller is None and tasks is not None:  # Linux lists the process's threads
-        assert tasks == 1
+                          env={**os.environ, "PYTHONPATH": pythonpath})
 
 
 def test_cli_module_is_not_an_entry_point(tmp_path):
