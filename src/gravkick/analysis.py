@@ -85,10 +85,6 @@ class ValidityReport:
     def first_order_mean(self) -> float:
         return self.report.effective_kick
 
-    @property
-    def abs_error(self) -> float:
-        return abs(self.exact.mean_kick - self.report.effective_kick)
-
 
 def classify_regime(kick_ratio: float) -> Regime:
     if kick_ratio < WEAK_THRESHOLD:

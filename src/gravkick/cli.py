@@ -109,7 +109,7 @@ def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
     return built.scenario.probe.sigma  # one natural momentum unit, hbar/W in SI
 
 
-def _decomposition_curves(result: protocol.PostselectedResult, n: int = FIG2_SAMPLES):
+def _decomposition_curves(result: protocol.PostselectedResult):
     """A run's two branch pointers and their sum over sqrt(2 P), in natural units.
 
     Each Gaussian psi_X is read at p sigma and scaled by sqrt(sigma).  The branches are
@@ -119,7 +119,7 @@ def _decomposition_curves(result: protocol.PostselectedResult, n: int = FIG2_SAM
     (w_a, psi_a), (w_b, psi_b) = result.terms
     sigma = psi_b.sigma
     scale = math.sqrt(2.0) * math.sqrt(sigma) * cmath.exp(-1j * cmath.phase(w_b))
-    p = np.linspace(-4.0, 4.0, n)
+    p = np.linspace(-4.0, 4.0, FIG2_SAMPLES)
     branch_b = scale * w_b * psi_b(p * sigma)
     branch_a = scale * w_a * psi_a(p * sigma)
     total = (branch_b + branch_a) / math.sqrt(2.0) / math.sqrt(result.probability)
@@ -278,6 +278,8 @@ def cmd_sweep(args) -> int:
             check_axes(axes)
         except ValueError as exc:  # the command line's axes, not a point of the sweep
             raise ConfigError(str(exc), field=flag) from exc
+    if args.svg and len(axes) != 2:
+        raise ConfigError("--svg heatmaps need two axes", field="--svg")
     s = built.scenario
     cases = sweep(built.params, axes, args.workers, s.post, (s.phi_a, s.phi_b))
 
@@ -288,8 +290,6 @@ def cmd_sweep(args) -> int:
     files["summary.csv"] = summary_csv(rows)
 
     if args.svg:
-        if len(axes) != 2:
-            raise ConfigError("--svg heatmaps need two axes")
         (f1, s1, e1, c1), (f2, s2, e2, c2) = axes
         z = np.abs(cases.ratio).reshape(c1, c2)
         files["sweep.svg"] = svg.heatmap(
@@ -304,10 +304,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    result = protocol.run(build_scenario(load_preset("fig2")).scenario)
-    curves_csv, image = _decomposition_files(result)
     out = args.out or os.path.join(os.environ.get("GRAVKICK_OUT", "."), "fig2.svg")
     stem, _ = os.path.splitext(out)
+    if stem + ".csv" == out:
+        raise ConfigError(f"--out {out!r} is also the curves CSV path; give the SVG another "
+                          "extension", field="--out")
+    result = protocol.run(build_scenario(load_preset("fig2")).scenario)
+    curves_csv, image = _decomposition_files(result)
     write_text_atomic(out, image)
     write_text_atomic(stem + ".csv", curves_csv)
     print(f"wrote {out} and {stem + '.csv'}")

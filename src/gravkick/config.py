@@ -51,6 +51,7 @@ CONFIG_SCHEMA = {
                 "beta": {"type": "number"},
                 "gain": {"type": "number", "minimum": 0},
             },
+            "dependentRequired": {"alpha": ["beta"]},  # a gain source derives alpha itself
             "oneOf": [
                 {"required": ["beta"]},
                 {"required": ["gain"]},
@@ -151,11 +152,25 @@ def _double_int(literal: str) -> int:
     return int(literal)
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:  # json would keep the last value and drop the others silently
+            raise ConfigError(f"config key {key!r} is given more than once in one object",
+                              field=key)
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float,
-                             parse_int=_double_int)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant,
+                             parse_float=_finite_float, parse_int=_double_int)
+    except UnicodeDecodeError as exc:  # the file's bytes, read and decoded in one piece
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"invalid UTF-8 at line {line}: byte 0x{exc.object[exc.start]:02x} at "
+                          f"offset {exc.start}", field=f"line {line}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -20,6 +20,7 @@ import numpy as np
 from .output import table_csv
 from .protocol import SourceState, gaussian_postselection, paper_postselection
 from .units import G, HBAR
+from .wavepacket import _finite
 
 SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
 SWEEP_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g")
@@ -116,9 +117,11 @@ def evaluate_case(
     `protocol.branch_weights` gives, hoisted out of the row loop and grouped
     as it groups them: amp = (alpha, beta) realises the record's gain, `final`
     and `phases` are the scenario's, and `final` defaults to the paper
-    postselection with those phases.  Kicks, ratio or tau that overflow the
-    double range at any point raise ValueError.
+    postselection with those phases.  A non-finite phase, and kicks, ratio or tau that
+    overflow the double range at any point, raise ValueError.
     """
+    turn_a, turn_b = (cmath.exp(1j * _finite(f"phase phi_{x}", phi))
+                      for x, phi in zip("ab", phases))
     p = params
     with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
         derived = {"delta_a": delta_kick(p.M, p.m, p.T, p.x_A),
@@ -132,7 +135,6 @@ def evaluate_case(
     alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
     final = final if final is not None else paper_postselection(*phases)
     post_a, post_b = complex(final.amp_a).conjugate(), complex(final.amp_b).conjugate()
-    turn_a, turn_b = (cmath.exp(1j * phi) for phi in phases)
     cases["ps_prob"] = [
         gaussian_postselection(post_a * (complex(a) * turn_a), post_b * (complex(b) * turn_b),
                                da, db, HBAR / w)[0]

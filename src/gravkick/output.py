@@ -35,13 +35,19 @@ def summary_csv(rows: list[tuple[str, object]]) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` atomically (same-directory temp file + rename)."""
+    """Write `text` to `path` atomically (same-directory temp file + rename).
+
+    The file gets the mode a plain open() would give, 0o666 less the umask; mkstemp's
+    temp file alone would leave it 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # read by setting it, then put back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

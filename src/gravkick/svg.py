@@ -19,8 +19,8 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]  # five ticks, lo to hi
 
 
 def _page(page_height: int, title: str, xlabel: str, ylabel: str,

@@ -191,13 +191,33 @@ def displace(
     ramp from a two-level table; against mpmath its worst error was 1.2e-12 at n = 8192
     (the direct exp form: 1.5e-12).  A non-finite shift or weight is refused.
     """
-    if weights is not None or np.ndim(delta) != 0:
-        return _displace_sum(psi, delta, weights)
-    if _finite("displacement", delta) == 0.0:
-        return psi
+    if weights is None and np.ndim(delta) == 0:
+        if _finite("displacement", delta) == 0.0:
+            return psi
+        if isinstance(psi, GaussianPacket):
+            return GaussianPacket(center=psi.center + delta, width=psi.width, hbar=psi.hbar)
+        delta, weights = (delta,), (1.0,)  # one shift of a grid: the one-term sum
+    if not (isinstance(delta, tuple) and delta and weights is not None
+            and len(weights) == len(delta)):
+        raise ValueError("weights need a tuple of as many shifts")
+    if not all(map(cmath.isfinite, weights)):
+        raise ValueError(f"displacement weights must be finite, got {weights!r}")
     if isinstance(psi, GaussianPacket):
-        return GaussianPacket(center=psi.center + delta, width=psi.width, hbar=psi.hbar)
-    return _displace_sum(psi, (delta,), (1.0,))
+        raise ValueError("a sum of shifts needs a grid packet; superpose Gaussian shifts")
+    for d in delta:
+        if abs(_finite("displacement", d)) >= psi.span / 4.0:
+            raise ValueError(
+                f"grid displacement {d!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
+            )
+    n = psi.p.size
+    kernel = None  # the first weighted ramp becomes the result; later ones are added to it
+    for w, d in zip(weights, delta):
+        ramp = _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp))
+        # w first, as in w * ramp: `ramp *= w` takes another SIMD kernel and another last bit
+        np.multiply(w, ramp, out=ramp)
+        kernel = ramp if kernel is None else np.add(kernel, ramp, out=kernel)
+    np.multiply(psi._spectrum, kernel, out=kernel)
+    return psi._with_amps(np.fft.ifft(kernel, out=kernel))
 
 
 def _finite(name: str, value: float) -> float:
@@ -211,31 +231,6 @@ def _grid_points(n: int) -> int:
     if not (isinstance(n, (int, np.integer)) and n >= MIN_GRID_POINTS):
         raise ValueError(f"n must be an integer of at least {MIN_GRID_POINTS}, got {n!r}")
     return n
-
-
-def _displace_sum(psi: Wavepacket, shifts: tuple, weights: tuple | None) -> GridPacket:
-    """sum_i w_i psi(p - delta_i) of a grid packet, from its spectrum and one ifft."""
-    if not (isinstance(shifts, tuple) and shifts and weights is not None
-            and len(weights) == len(shifts)):
-        raise ValueError("weights need a tuple of as many shifts")
-    if not all(map(cmath.isfinite, weights)):
-        raise ValueError(f"displacement weights must be finite, got {weights!r}")
-    if isinstance(psi, GaussianPacket):
-        raise ValueError("a sum of shifts needs a grid packet; superpose Gaussian shifts")
-    for d in shifts:
-        if abs(_finite("displacement", d)) >= psi.span / 4.0:
-            raise ValueError(
-                f"grid displacement {d!r} exceeds the guard range (span/4 = {psi.span / 4.0!r})"
-            )
-    n = psi.p.size
-    kernel = None  # the first weighted ramp becomes the result; later ones are added to it
-    for w, d in zip(weights, shifts):
-        ramp = _phase_ramp(n, -2.0 * math.pi * d / (n * psi.dp))
-        # w first, as in w * ramp: `ramp *= w` takes another SIMD kernel and another last bit
-        np.multiply(w, ramp, out=ramp)
-        kernel = ramp if kernel is None else np.add(kernel, ramp, out=kernel)
-    np.multiply(psi._spectrum, kernel, out=kernel)
-    return psi._with_amps(np.fft.ifft(kernel, out=kernel))
 
 
 def moments(psi: Wavepacket) -> Moments:

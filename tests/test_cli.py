@@ -587,8 +587,28 @@ class TestSweep:
         record = assert_refused(code, out, capsys, "config", "must name distinct fields")
         assert record["field"] == "--axis2"
 
+    def test_svg_with_one_axis_is_refused_before_the_sweep(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import gravkick.cli
+
+        swept = []
+        monkeypatch.setattr(gravkick.cli, "sweep", lambda *args: swept.append(args))
+        out = tmp_path / "bundle"
+        code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-13:3",
+                     "--svg", "--out", str(out)])
+        record = assert_refused(code, out, capsys, "config", "--svg heatmaps need two axes")
+        assert record["field"] == "--svg"
+        assert swept == []
+
 
 class TestFig2Command:
+    def test_out_that_is_its_own_curves_path_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "fig.csv"
+        code = main(["fig2", "--out", str(out)])
+        record = assert_refused(code, out, capsys, "config", "is also the curves CSV path")
+        assert record["field"] == "--out"
+        assert list(tmp_path.iterdir()) == []
+
     def test_svg_structure_and_samples(self, tmp_path):
         target = tmp_path / "fig2.svg"
         assert main(["fig2", "--out", str(target)]) == 0
@@ -828,6 +848,20 @@ class TestOutputDirDefaults:
         assert main(["simulate", "--scenario", "fig2", "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "summary.csv").exists()
         assert not (tmp_path / "envout").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_output_files_take_the_umask_mode(tmp_path, umask, mode):
+    # as a plain open() would create them, not mkstemp's 0o600
+    previous = os.umask(umask)
+    try:
+        assert main(["simulate", "--scenario", "fig2", "--out", str(tmp_path / "bundle")]) == 0
+        assert main(["fig2", "--out", str(tmp_path / "fig" / "fig2.svg")]) == 0
+    finally:
+        os.umask(previous)
+    files = sorted((p for p in tmp_path.rglob("*") if p.is_file()), key=lambda p: p.name)
+    assert [p.name for p in files] == ["fig2.csv", "fig2.svg", "summary.csv", "wavefunction.csv"]
+    assert [p.stat().st_mode & 0o777 for p in files] == [mode] * 4
 
 
 def test_presets_list(capsys):

@@ -90,6 +90,41 @@ class TestValidation:
             load_config(str(path))
 
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"source": {"beta": 0.9, "beta": 0.1}, "kicks": {"delta_A": 0.7, "delta_B": 0.1}}',
+         "beta"),
+        ('{"kicks": {"delta_A": 0.7, "delta_B": 0.1}, "source": {"beta": 0.9}, "kicks": {}}',
+         "kicks"),
+    ], ids=["nested", "top-level"])
+    def test_repeated_key_refused(self, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"config key {key!r} is given more than once in one object"
+        assert exc.value.field == key
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys):
+        from gravkick.cli import main
+
+        path = tmp_path / "latin1.json"
+        head = b'{"units": "natural",\n"description": "caf'  # then a Latin-1 e-acute
+        path.write_bytes(head + b'\xe9",\n"source": {"beta": 0.9}, '
+                                b'"kicks": {"delta_A": 0.7, "delta_B": 0.1}}')
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"invalid UTF-8 at line 2: byte 0xe9 at offset {len(head)}"
+        assert exc.value.field == "line 2"
+        assert main(["simulate", str(path), "--out", str(tmp_path / "bundle")]) == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (record["error"], record["field"]) == ("config", "line 2")
+
+    def test_alpha_needs_beta(self):
+        with pytest.raises(ConfigError) as exc:
+            build_scenario({**CASE_B_DOC, "source": {"gain": 100, "alpha": 0.123}})
+        assert str(exc.value) == "config field source: 'beta' is a dependency of 'alpha'"
+        assert exc.value.field == "source"
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literal_named(self, tmp_path, literal):
         path = tmp_path / "bad.json"

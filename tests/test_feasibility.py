@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gravkick import feasibility
 from gravkick.cli import _momentum_unit
-from gravkick.config import build_scenario
+from gravkick.config import build_scenario, load_preset
 from gravkick.feasibility import (
     SWEEP_CSV_HEADER,
     ProtocolParams,
@@ -26,6 +26,7 @@ from gravkick.protocol import (
     branch_weights,
     gaussian_postselection,
     paper_postselection,
+    run,
 )
 from gravkick.units import HBAR, UnitSystem
 
@@ -344,6 +345,34 @@ class TestAcceptance:
             expected = gaussian_postselection(w_a, w_b, cases.delta_a[i], cases.delta_b[i],
                                               HBAR / cases.W[i])[0]
             assert cases.ps_prob[i] == expected
+
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("evaluate", [
+        lambda params, phases: evaluate_case(params, None, phases),
+        lambda params, phases: sweep(params, [("M", 1e-15, 1e-13, 3)], 1, None, phases),
+    ], ids=["evaluate_case", "sweep"])
+    def test_non_finite_phase_refused(self, evaluate, value, index):
+        phases = [0.3, -0.2]
+        phases[index] = value
+        message = f"^phase phi_{'ab'[index]} must be finite, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(case_b_params(), tuple(phases))
+        s = build_scenario(CASE_B_DOC).scenario
+        with pytest.raises(ValueError, match=message):  # as `protocol.run` refuses it
+            run(replace(s, phi_a=phases[0], phi_b=phases[1]))
+
+    def test_beta_document_ps_prob_agrees_with_simulate(self):
+        # an SI beta document's amplitudes are re-derived from its gain, so the two agree to
+        # rounding, not bit for bit; a gain document's agree exactly
+        doc = load_preset("caseB")
+        rng = np.random.default_rng(27)
+        for offset in 10.0 ** rng.uniform(-9.0, -3.0, size=300):
+            built = build_scenario({**doc, "source": {"beta": 1.0 / math.sqrt(2.0) + offset}})
+            s = built.scenario
+            (case,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
+            assert case.ps_prob == pytest.approx(run(s).probability, rel=1e-9, abs=0.0)
 
 
 class TestCsvFormat:
