@@ -8,13 +8,13 @@ import importlib
 
 # The re-exports load their module on first access (PEP 562): `import gravkick` imports no numpy.
 _EXPORTS = {
-    "analysis": "Regime ValidityReport WeakValueReport validity_check weak_value_report",
+    "analysis": "ValidityReport WeakValueReport validity_check weak_value_report",
     "feasibility": "ProtocolParams amplitudes_for_gain delta_kick evaluate_case "
                    "feasibility_ratio solve_parameter spreading_time sweep",
     "montecarlo": "EnsembleStats RunConfig run_ensemble",
     "protocol": "PostselectedResult PostselectionImpossible Scenario SourceState "
                 "branch_weights paper_postselection postselect",
-    "units": "G HBAR UnitSystem",
+    "units": "G HBAR",
     "wavepacket": "GaussianPacket GridPacket Moments Wavepacket displace moments superpose",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import protocol
 from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket, moments
@@ -24,12 +23,6 @@ OVERLAP_FLOOR = 1e-15
 # Kick-to-uncertainty thresholds for the first-order expansion to be trusted.
 WEAK_THRESHOLD = 0.1
 STRONG_THRESHOLD = 0.5
-
-
-class Regime(Enum):
-    WEAK = "weak"
-    MARGINAL = "marginal"
-    STRONG = "strong"
 
 
 @dataclass
@@ -73,7 +66,7 @@ class ValidityReport:
 
     kick_ratio_a: float  # |delta_a| / sigma_p
     kick_ratio_b: float
-    regime: Regime
+    regime: str  # classify_regime's "weak", "marginal" or "strong"
     exact: protocol.PostselectedResult
     report: WeakValueReport
 
@@ -86,12 +79,12 @@ class ValidityReport:
         return self.report.effective_kick
 
 
-def classify_regime(kick_ratio: float) -> Regime:
+def classify_regime(kick_ratio: float) -> str:
     if kick_ratio < WEAK_THRESHOLD:
-        return Regime.WEAK
+        return "weak"
     if kick_ratio > STRONG_THRESHOLD:
-        return Regime.STRONG
-    return Regime.MARGINAL
+        return "strong"
+    return "marginal"
 
 
 def validity_check(

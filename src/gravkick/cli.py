@@ -42,7 +42,7 @@ from .feasibility import (
 )
 from .output import summary_csv, table_csv, write_bundle, write_text_atomic
 from .protocol import PostselectionImpossible
-from .units import UnitSystem
+from .units import UNITS
 from .wavepacket import GridPacket, moments, to_csv
 
 FIG2_SAMPLES = 401
@@ -100,11 +100,11 @@ def _resolve_doc(args) -> dict:
     raise ConfigError("a config file or --scenario preset is required")
 
 
-def _momentum_unit(built: BuiltScenario, display: UnitSystem) -> float:
+def _momentum_unit(built: BuiltScenario, display: str) -> float:
     """Factor dividing scenario momenta for display in `display` units."""
     if display == built.units:
         return 1.0
-    if built.units == UnitSystem.NATURAL:
+    if built.units == "natural":
         raise ConfigError("natural-unit scenarios have no SI anchor; cannot convert")
     return built.scenario.probe.sigma  # one natural momentum unit, hbar/W in SI
 
@@ -151,13 +151,13 @@ def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]
 
 def cmd_simulate(args) -> int:
     built = build_scenario(_resolve_doc(args))
-    display = UnitSystem(args.units) if args.units else built.units
+    display = args.units or built.units
     unit = _momentum_unit(built, display)
 
     validity = analysis.validity_check(built.scenario, n=built.grid_points)
     result, report = validity.exact, validity.report
 
-    rows: list[tuple[str, object]] = [("units", display.value)]
+    rows: list[tuple[str, object]] = [("units", display)]
     rows += [
         ("delta_a", built.scenario.delta_a / unit),
         ("delta_b", built.scenario.delta_b / unit),
@@ -172,14 +172,14 @@ def cmd_simulate(args) -> int:
         ("postselection_overlap_im", report.postselection_overlap.imag),
         ("kick_ratio_a", validity.kick_ratio_a),
         ("kick_ratio_b", validity.kick_ratio_b),
-        ("regime", validity.regime.value),
+        ("regime", validity.regime),
     ]
 
     _warn_grid_resolution(result, "the wavefunction.csv amplitudes")
     conditional = result.conditional
     shown = GridPacket(p=conditional.p / unit, amps=conditional.amps * math.sqrt(unit))
     buf = io.StringIO()
-    to_csv(shown, buf, units=display.value, width=built.scenario.probe.width)
+    to_csv(shown, buf, units=display, width=built.scenario.probe.width)
 
     files = {"summary.csv": summary_csv(rows), "wavefunction.csv": buf.getvalue()}
     if args.svg:
@@ -306,6 +306,10 @@ def cmd_sweep(args) -> int:
 def cmd_fig2(args) -> int:
     out = args.out or os.path.join(os.environ.get("GRAVKICK_OUT", "."), "fig2.svg")
     stem, _ = os.path.splitext(out)
+    for path in (out, stem + ".csv"):  # os.replace onto a directory fails after the work
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise ConfigError(f"{path!r} names a directory, not a file; give --out the SVG's "
+                              "file path", field="--out")
     if stem + ".csv" == out:
         raise ConfigError(f"--out {out!r} is also the curves CSV path; give the SVG another "
                           "extension", field="--out")
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="exact + first-order postselected statistics")
     _add_config_args(p_sim)
-    p_sim.add_argument("--units", choices=["si", "natural"], help="unit system for the summary")
+    p_sim.add_argument("--units", choices=UNITS, help="unit system for the summary")
     p_sim.add_argument("--svg", action="store_true", help="also render the decomposition plot")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -20,7 +20,7 @@ from . import protocol
 from .analysis import weak_value_report
 from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
 from .montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
-from .units import HBAR, UnitSystem
+from .units import HBAR, UNITS
 from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket
 
 _COMPLEX_ENTRY = {
@@ -42,7 +42,7 @@ CONFIG_SCHEMA = {
     "required": ["source", "kicks"],
     "properties": {
         "description": {"type": "string"},
-        "units": {"enum": ["si", "natural"]},
+        "units": {"enum": list(UNITS)},
         "source": {
             "type": "object",
             "additionalProperties": False,
@@ -152,21 +152,28 @@ def _double_int(literal: str) -> int:
     return int(literal)
 
 
-def _unique_keys(pairs: list) -> dict:
+def _unique_keys(node, path: str = ""):
+    """The parsed document with each object, read as a tuple of (key, value) pairs, made a
+    dict; a key given twice in one object is refused with its dotted path."""
+    prefix = f"{path}." if path else ""
+    if isinstance(node, list):
+        return [_unique_keys(item, f"{prefix}{i}") for i, item in enumerate(node)]
+    if not isinstance(node, tuple):
+        return node
     doc = {}
-    for key, value in pairs:
+    for key, value in node:
         if key in doc:  # json would keep the last value and drop the others silently
-            raise ConfigError(f"config key {key!r} is given more than once in one object",
-                              field=key)
-        doc[key] = value
+            raise ConfigError(f"config key {prefix + key!r} is given more than once in one "
+                              "object", field=prefix + key)
+        doc[key] = _unique_keys(value, prefix + key)
     return doc
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant,
-                             parse_float=_finite_float, parse_int=_double_int)
+            pairs = json.load(fh, object_pairs_hook=tuple, parse_constant=_refuse_constant,
+                              parse_float=_finite_float, parse_int=_double_int)
     except UnicodeDecodeError as exc:  # the file's bytes, read and decoded in one piece
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"invalid UTF-8 at line {line}: byte 0x{exc.object[exc.start]:02x} at "
@@ -176,13 +183,15 @@ def load_config(path: str) -> dict:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             field=f"line {exc.lineno}",
         ) from exc
+    return _unique_keys(pairs)
 
 
 def load_preset(name: str) -> dict:
+    """A shipped preset, read by `load_config` like any scenario file."""
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    text = resources.files("gravkick").joinpath(f"presets/{name}.json").read_text("utf-8")
-    return json.loads(text)
+    with resources.as_file(resources.files("gravkick").joinpath(f"presets/{name}.json")) as path:
+        return load_config(str(path))
 
 
 def preset_descriptions() -> list[tuple[str, str]]:
@@ -216,7 +225,7 @@ class BuiltScenario:
     """A validated config resolved into protocol-ready objects."""
 
     scenario: protocol.Scenario
-    units: UnitSystem
+    units: str  # "si" or "natural"
     grid_points: int
     params: ProtocolParams | None  # physical parameters for SI scenarios
     mc: RunConfig | None
@@ -228,17 +237,17 @@ def build_scenario(doc: dict) -> BuiltScenario:
 
     kicks = doc["kicks"]
     explicit = "delta_A" in kicks
-    units = UnitSystem(doc.get("units", "natural" if explicit else "si"))
-    if (units == UnitSystem.NATURAL) != explicit:
+    units = doc.get("units", "natural" if explicit else "si")
+    if (units == "natural") != explicit:
         raise ConfigError("explicit kicks are stated in natural units" if explicit
                           else "physical kick parameters are stated in SI", field="units")
 
     probe_sec = doc.get("probe", {})
-    if units == UnitSystem.SI and "W" not in probe_sec:
+    if units == "si" and "W" not in probe_sec:
         raise ConfigError("SI scenarios need probe.W in meters", field="probe.W")
     width = float(probe_sec.get("W", 1.0))
     grid_points = int(probe_sec.get("grid_points", DEFAULT_GRID_POINTS))
-    hbar = HBAR if units == UnitSystem.SI else 1.0
+    hbar = HBAR if units == "si" else 1.0
     _refuse_square_out_of_range(hbar / width, "probe.W", "hbar/W")
     probe = GaussianPacket(0.0, width, hbar)
 

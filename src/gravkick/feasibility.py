@@ -23,13 +23,13 @@ from .units import G, HBAR
 from .wavepacket import _finite
 
 SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
-SWEEP_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g")
 
 SWEEP_CSV_HEADER = "M,m,T,xA,xB,W,g,deltaA,deltaB,ratio,tau,ps_prob,valid_flag"
 # Record fields of `evaluate_case` and `sweep`, in sweep.csv column order.  `T` is read as
 # cases["T"]: the attribute `.T` of a record array is its transpose.
 CASE_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g",
                "delta_a", "delta_b", "ratio", "tau", "ps_prob", "valid_flag")
+SWEEP_FIELDS = CASE_FIELDS[:7]  # the parameters; the rest are computed
 _CSV_ROW = ",".join(["%.8e"] * 12) + ",%d"
 
 # Below x_A = 10 W the "separations much larger than packet widths" modeling

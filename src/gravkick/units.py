@@ -6,15 +6,9 @@ comes out in units of hbar/W, the momentum spread of an SI probe, which is
 how the interferometer scenarios are parameterized.
 """
 
-from __future__ import annotations
-
-from enum import Enum
-
 # CODATA 2018, fixed at build time for reproducibility.
 G = 6.67430e-11  # gravitational constant [m^3 kg^-1 s^-2]
 HBAR = 1.054571817e-34  # reduced Planck constant [J s]
 
-
-class UnitSystem(Enum):
-    SI = "si"
-    NATURAL = "natural"
+# The names of the unit systems, as config files, `simulate --units` and the CSVs spell them.
+UNITS = ("si", "natural")

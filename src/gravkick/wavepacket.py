@@ -17,6 +17,7 @@ from typing import TextIO, Union
 import numpy as np
 
 from .output import table_csv
+from .units import UNITS
 
 DEFAULT_GRID_POINTS = 2048
 MIN_GRID_POINTS = 16
@@ -266,7 +267,7 @@ def superpose(
 def to_csv(psi: GridPacket, dest: TextIO, units: str = "natural", width: float = 1.0) -> None:
     """Write a grid packet to the text stream `dest` as CSV rows `p,re,im` with a unit
     metadata comment."""
-    if units not in ("natural", "si"):
+    if units not in UNITS:
         raise ValueError(f"units must be 'natural' or 'si', got {units!r}")
     rows = table_csv("p,re,im", "%r,%r,%r",
                      zip(psi.p.tolist(), psi.amps.real.tolist(), psi.amps.imag.tolist()))

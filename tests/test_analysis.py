@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravkick.analysis import (
-    Regime,
     WeakValueReport,
     classify_regime,
     validity_check,
@@ -200,7 +199,7 @@ class TestValidity:
             delta_b=FIG2_DELTA_B,
         )
         report = validity_check(scenario)
-        assert report.regime is Regime.STRONG
+        assert report.regime == "strong"
         assert abs(report.exact_mean - report.first_order_mean) == pytest.approx(
             FIG2_ABS_ERROR, abs=1e-9)
 
@@ -213,7 +212,7 @@ class TestValidity:
             delta_b=1e-3,
         )
         report = validity_check(scenario)
-        assert report.regime is Regime.WEAK
+        assert report.regime == "weak"
         error = abs(report.exact_mean - report.first_order_mean)
         assert error / abs(report.first_order_mean) < 1e-2
 
@@ -321,9 +320,9 @@ class TestValidity:
         assert built == [PostselectedResult, WeakValueReport]
 
     def test_regime_thresholds(self):
-        assert classify_regime(0.05) is Regime.WEAK
-        assert classify_regime(0.3) is Regime.MARGINAL
-        assert classify_regime(0.7) is Regime.STRONG
+        assert classify_regime(0.05) == "weak"
+        assert classify_regime(0.3) == "marginal"
+        assert classify_regime(0.7) == "strong"
 
 
 class TestRepulsionCondition:

@@ -149,6 +149,17 @@ class TestSimulate:
         assert "SI anchor" in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 
+    @pytest.mark.parametrize("name", ["fig2", "amplification", "caseA", "caseB"])
+    def test_regime_row_is_the_validity_check_regime(self, tmp_path, name):
+        from gravkick.analysis import validity_check
+        from gravkick.config import build_scenario
+
+        built = build_scenario(load_preset(name))
+        out = tmp_path / "bundle"
+        assert main(["simulate", "--scenario", name, "--out", str(out)]) == 0
+        regime = validity_check(built.scenario, n=built.grid_points).regime
+        assert read_summary(out / "summary.csv")["regime"] == regime
+
     def test_svg_bundle_member(self, tmp_path):
         out = tmp_path / "bundle"
         assert main(["simulate", "--scenario", "fig2", "--out", str(out), "--svg"]) == 0
@@ -608,6 +619,30 @@ class TestFig2Command:
         record = assert_refused(code, out, capsys, "config", "is also the curves CSV path")
         assert record["field"] == "--out"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("form", ["missing-dir/", "existing-dir", "existing-dir/",
+                                      "curves-dir"])
+    def test_out_naming_a_directory_is_refused_before_the_work(self, tmp_path, capsys,
+                                                               monkeypatch, form):
+        import gravkick.cli
+
+        built = []
+        monkeypatch.setattr(gravkick.cli, "build_scenario", lambda doc: built.append(doc))
+        (tmp_path / "existing-dir").mkdir()
+        (tmp_path / "fig.csv").mkdir()
+        out = str(tmp_path / form.rstrip("/")) + ("/" if form.endswith("/") else "")
+        named = out
+        if form == "curves-dir":
+            out, named = str(tmp_path / "fig.svg"), str(tmp_path / "fig.csv")
+        assert main(["fig2", "--out", out]) == 2
+        human, line = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["field"]) == ("config", "--out")
+        assert record["message"] == (f"{named!r} names a directory, not a file; give --out the "
+                                     "SVG's file path")
+        assert human == f"error: {record['message']}"
+        assert built == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir", "fig.csv"]
 
     def test_svg_structure_and_samples(self, tmp_path):
         target = tmp_path / "fig2.svg"

@@ -1,8 +1,11 @@
 import json
 import math
+import types
+from importlib import resources
 
 import pytest
 
+import gravkick.config
 from gravkick import protocol
 from gravkick.analysis import weak_value_report
 from gravkick.config import (
@@ -16,7 +19,6 @@ from gravkick.config import (
 )
 from gravkick.feasibility import evaluate_case
 from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
-from gravkick.units import UnitSystem
 from gravkick.wavepacket import DEFAULT_GRID_POINTS
 
 from . import oracles
@@ -92,10 +94,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("text, key", [
         ('{"source": {"beta": 0.9, "beta": 0.1}, "kicks": {"delta_A": 0.7, "delta_B": 0.1}}',
-         "beta"),
+         "source.beta"),
         ('{"kicks": {"delta_A": 0.7, "delta_B": 0.1}, "source": {"beta": 0.9}, "kicks": {}}',
          "kicks"),
-    ], ids=["nested", "top-level"])
+        ('{"source": {"beta": 0.9}, "kicks": {"delta_A": 0.7, "delta_B": 0.1}, "postselection": '
+         '{"amp_A": [{"re": 1, "re": 2}, 0], "amp_B": 1}}', "postselection.amp_A.0.re"),
+    ], ids=["nested", "top-level", "in-array"])
     def test_repeated_key_refused(self, tmp_path, text, key):
         path = tmp_path / "repeated.json"
         path.write_text(text)
@@ -136,7 +140,7 @@ class TestAssembly:
     def test_alpha_derived_from_beta(self):
         built = build_scenario(minimal_natural())
         assert built.scenario.pre.amp_a == pytest.approx(FIG2_ALPHA, abs=1e-15)
-        assert built.units is UnitSystem.NATURAL
+        assert built.units == "natural"
         assert built.scenario.probe.hbar == 1.0
 
     def test_gain_derived_from_amplitudes(self):
@@ -246,3 +250,51 @@ class TestAssembly:
         path.write_text(json.dumps(minimal_natural()))
         built = build_scenario(load_config(str(path)))
         assert built.scenario.delta_a == 0.7
+
+
+class TestPresetReader:
+    """Presets go through the strict reader of config files, the four hooks included."""
+
+    @staticmethod
+    def shipped(name):
+        return resources.files("gravkick").joinpath(f"presets/{name}.json").read_text("utf-8")
+
+    @staticmethod
+    def serve(monkeypatch, tmp_path, name, text):
+        """Make `load_preset(name)` read `text` in place of the shipped file."""
+        (tmp_path / "presets").mkdir(exist_ok=True)
+        (tmp_path / "presets" / f"{name}.json").write_text(text, encoding="utf-8")
+        monkeypatch.setattr(gravkick.config, "resources", types.SimpleNamespace(
+            files=lambda package: tmp_path, as_file=resources.as_file))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_parses_as_a_config_file(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(self.shipped(name), encoding="utf-8")
+        doc = load_preset(name)
+        assert doc == load_config(str(path)) == json.loads(self.shipped(name))
+        assert json.dumps(doc) == json.dumps(json.loads(self.shipped(name)))  # int stays int
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("insert, message, field", [
+        ('"grid": 1, "grid": 2, ', "config key 'source.grid' is given more than once",
+         "source.grid"),
+        ('"grid": NaN, ', "invalid JSON: NaN is not a finite number", ""),
+        ('"grid": 1e400, ', "invalid JSON: 1e400 overflows the double range", ""),
+    ], ids=["repeated-key", "nan", "overflow"])
+    def test_malformed_preset_is_refused(self, monkeypatch, tmp_path, name, insert, message,
+                                         field):
+        text = self.shipped(name)
+        assert text.count('"source": {') == 1
+        self.serve(monkeypatch, tmp_path, name, text.replace('"source": {', '"source": {' + insert))
+        with pytest.raises(ConfigError) as exc:
+            load_preset(name)
+        assert str(exc.value).startswith(message)
+        assert exc.value.field == field
+
+    def test_repeated_top_level_key_in_a_preset_is_refused(self, monkeypatch, tmp_path):
+        text = self.shipped("fig2").rstrip()
+        self.serve(monkeypatch, tmp_path, "fig2", text[:-1] + ', "kicks": {}}')
+        with pytest.raises(ConfigError) as exc:
+            load_preset("fig2")
+        assert exc.value.field == "kicks"

@@ -15,14 +15,14 @@ import gravkick
 
 # Each name `gravkick` re-exports, by the module that defines it.
 EXPORTS = {
-    "analysis": ["Regime", "ValidityReport", "WeakValueReport", "validity_check",
+    "analysis": ["ValidityReport", "WeakValueReport", "validity_check",
                  "weak_value_report"],
     "feasibility": ["ProtocolParams", "amplitudes_for_gain", "delta_kick", "evaluate_case",
                     "feasibility_ratio", "solve_parameter", "spreading_time", "sweep"],
     "montecarlo": ["EnsembleStats", "RunConfig", "run_ensemble"],
     "protocol": ["PostselectedResult", "PostselectionImpossible", "Scenario", "SourceState",
                  "branch_weights", "paper_postselection", "postselect"],
-    "units": ["G", "HBAR", "UnitSystem"],
+    "units": ["G", "HBAR"],
     "wavepacket": ["GaussianPacket", "GridPacket", "Moments", "Wavepacket", "displace",
                    "moments", "superpose"],
 }
