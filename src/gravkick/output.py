@@ -8,7 +8,6 @@ rename so a crashed run never leaves a half-written bundle member.
 from __future__ import annotations
 
 import os
-import tempfile
 
 
 def format_value(value: object) -> str:
@@ -37,17 +36,15 @@ def summary_csv(rows: list[tuple[str, object]]) -> str:
 def write_text_atomic(path: str, text: str) -> None:
     """Write `text` to `path` atomically (same-directory temp file + rename).
 
-    The file gets the mode a plain open() would give, 0o666 less the umask; mkstemp's
-    temp file alone would leave it 0o600."""
+    The temp file is created as open() creates a file: the kernel gives it 0o666 less
+    the umask, and the umask is never changed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        umask = os.umask(0)  # read by setting it, then put back
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,6 +54,5 @@ def write_text_atomic(path: str, text: str) -> None:
 
 def write_bundle(out_dir: str, files: dict[str, str]) -> None:
     """Write a fully materialized bundle; content is built before any I/O."""
-    os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():
         write_text_atomic(os.path.join(out_dir, name), text)
