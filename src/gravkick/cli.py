@@ -81,16 +81,26 @@ def _warn_grid_resolution(result: protocol.PostselectedResult, use: str) -> None
 
 
 def _out_dir(args) -> str:
-    return args.out or os.environ.get("GRAVKICK_OUT") or "gravkick-out"
+    """The bundle directory; one that is, or lies under, an existing file is refused."""
+    out = args.out or os.environ.get("GRAVKICK_OUT") or "gravkick-out"
+    head = os.path.abspath(out)
+    while not os.path.isdir(head):  # the root is a directory
+        if os.path.lexists(head):
+            raise ConfigError(f"{out!r} is not a directory: {head!r} is a file; give --out the "
+                              "bundle's directory path", field="--out")
+        head = os.path.dirname(head)
+    return out
 
 
 def _emit_bundle(args, files: dict[str, str]) -> int:
-    write_bundle(_out_dir(args), files)
-    print(f"wrote {', '.join(sorted(files))} to {_out_dir(args)}")
+    out = _out_dir(args)
+    write_bundle(out, files)
+    print(f"wrote {', '.join(sorted(files))} to {out}")
     return 0
 
 
 def _resolve_doc(args) -> dict:
+    _out_dir(args)  # checked first: a long run must not end at a directory it cannot make
     if args.scenario and args.config:
         raise ConfigError("give either a config file or --scenario, not both")
     if args.scenario:

@@ -183,6 +183,9 @@ def load_config(path: str) -> dict:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             field=f"line {exc.lineno}",
         ) from exc
+    except OSError as exc:  # a missing file, a directory, no read permission
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}",
+                          field="config") from exc
     return _unique_keys(pairs)
 
 
@@ -236,10 +239,9 @@ def build_scenario(doc: dict) -> BuiltScenario:
     validate_config(doc)
 
     kicks = doc["kicks"]
-    explicit = "delta_A" in kicks
-    units = doc.get("units", "natural" if explicit else "si")
-    if (units == "natural") != explicit:
-        raise ConfigError("explicit kicks are stated in natural units" if explicit
+    units = "natural" if "delta_A" in kicks else "si"  # explicit kicks, or physical parameters
+    if doc.get("units", units) != units:
+        raise ConfigError("explicit kicks are stated in natural units" if units == "natural"
                           else "physical kick parameters are stated in SI", field="units")
 
     probe_sec = doc.get("probe", {})
@@ -253,7 +255,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
 
     params: ProtocolParams | None = None
     gain = doc["source"].get("gain")
-    if explicit:
+    if units == "natural":
         delta_a = float(kicks["delta_A"])
         delta_b = float(kicks["delta_B"])
     else:
@@ -285,23 +287,22 @@ def build_scenario(doc: dict) -> BuiltScenario:
                 field="source.gain",
             )
         alpha, beta = amplitudes_for_gain(float(gain), delta_b / delta_a)
+    elif "alpha" in doc["source"]:
+        alpha, beta = float(doc["source"]["alpha"]), float(doc["source"]["beta"])
+        norm = alpha * alpha + beta * beta
+        if abs(norm - 1.0) > 1e-6:
+            raise ConfigError(
+                f"source amplitudes have |alpha|^2+|beta|^2 = {norm!r}, expected 1",
+                field="source.alpha",
+            )
+        scale = math.sqrt(norm)
+        alpha, beta = alpha / scale, beta / scale
     else:
         beta = float(doc["source"]["beta"])
-        if "alpha" in doc["source"]:
-            alpha = float(doc["source"]["alpha"])
-            norm = alpha * alpha + beta * beta
-            if abs(norm - 1.0) > 1e-6:
-                raise ConfigError(
-                    f"source amplitudes have |alpha|^2+|beta|^2 = {norm!r}, expected 1",
-                    field="source.alpha",
-                )
-            scale = math.sqrt(norm)
-            alpha, beta = alpha / scale, beta / scale
-        else:
-            if not -1.0 <= beta <= 1.0:
-                raise ConfigError("beta must be in [-1, 1] when alpha is derived",
-                                  field="source.beta")
-            alpha = math.sqrt(1.0 - beta * beta)
+        if not -1.0 <= beta <= 1.0:
+            raise ConfigError("beta must be in [-1, 1] when alpha is derived",
+                              field="source.beta")
+        alpha = math.sqrt(1.0 - beta * beta)
     pre = protocol.SourceState(complex(alpha), complex(beta))
 
     phases = doc.get("phases", {})

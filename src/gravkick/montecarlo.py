@@ -87,22 +87,25 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
     accepted and ignored: a thread pool measured no faster than this loop."""
     exact, p, cdf, edges = _conditional_cdf(cfg)
 
-    accepted, total, total_sq = 0, 0.0, 0.0
+    # variance sums of deviations from the exact mean: raw kicks far from zero would cancel
+    accepted, total, dev, dev_sq = 0, 0.0, 0.0, 0.0
     counts = np.zeros(cfg.bins, dtype=np.int64)
     for block in range((cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
         u = _block_rng(cfg.seed, block).random(2 * nb)
         accepted_mask = u[:nb] < exact.probability
         samples = np.interp(u[nb:][accepted_mask], cdf, p)
+        deviations = samples - exact.mean_kick
         accepted += int(accepted_mask.sum())
         total += float(samples.sum())
-        total_sq += float(np.sum(samples**2))
+        dev += float(deviations.sum())
+        dev_sq += float(np.sum(deviations**2))
         counts += np.histogram(samples, bins=edges)[0]
 
     mean = total / accepted if accepted >= 1 else None
     std_error = None
     if accepted >= 2:
-        var = max(total_sq - total * total / accepted, 0.0) / (accepted - 1)
+        var = max(dev_sq - dev * dev / accepted, 0.0) / (accepted - 1)
         std_error = math.sqrt(var / accepted)
     return EnsembleStats(
         trials=cfg.trials,

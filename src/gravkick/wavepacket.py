@@ -79,7 +79,9 @@ class GridPacket:
         if not np.all(np.isfinite(p)):
             raise ValueError("grid samples must be finite")
         steps = np.diff(p)
-        if steps[0] <= 0 or not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
+        # each sample rounds at the grid's magnitude: far from zero that, not the step, bounds
+        tolerance = 1e-9 * steps[0] + 2.0 * np.spacing(max(abs(p[0]), abs(p[-1])))
+        if steps[0] <= 0 or not np.all(np.abs(steps - steps[0]) <= tolerance):
             raise ValueError("momentum grid must be uniform and increasing")
         amps = _checked_amps(p, np.array(self.amps, dtype=complex))
         p.setflags(write=False)

@@ -21,9 +21,11 @@ from .refvals import (
     CASE_A_MASS,
     CASE_B_DOC,
     CASE_B_RATIO,
+    FIG2_BETA,
     FIG2_CSV_SHA256,
     FIG2_DELTA_EF,
     FIG2_MEAN,
+    FIG2_STD,
     FIG2_SVG_SHA256,
     HISTOGRAM_CSV_SHA256_FIG2,
     PHASED_DOC,
@@ -470,6 +472,24 @@ class TestMontecarlo:
         assert "montecarlo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offset", [1e5, 1e6, 1e8])
+def test_kicks_far_from_zero_run(tmp_path, capsys, offset):
+    # the natural fig2 document with both kicks moved by `offset` sigma
+    doc = {"units": "natural", "source": {"beta": FIG2_BETA}, "probe": {"W": 1.0},
+           "kicks": {"delta_A": offset + 0.7, "delta_B": offset + 0.1},
+           "montecarlo": {"trials": 20000, "seed": 5}}
+    config = doc_path(tmp_path, doc)
+    for command in ("simulate", "montecarlo"):
+        assert main([command, config, "--out", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().err == ""  # no grid-resolution or other warning
+    rows = read_summary(tmp_path / "simulate" / "summary.csv")
+    assert as_float(rows, "exact_mean") == pytest.approx(offset + FIG2_MEAN, rel=1e-8)
+    # the kicks round at the offset's ulp, 1.5e-8 at 1e8, so their distance 0.6 does too
+    assert as_float(rows, "exact_std") == pytest.approx(FIG2_STD, rel=1e-7)
+    rows = read_summary(tmp_path / "montecarlo" / "summary.csv")
+    assert int(rows["accepted"]) > 2000
+
+
 class TestSweep:
     def test_two_point_axis(self, tmp_path):
         out = tmp_path / "bundle"
@@ -883,6 +903,37 @@ class TestOutputDirDefaults:
         assert main(["simulate", "--scenario", "fig2", "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "summary.csv").exists()
         assert not (tmp_path / "envout").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scenario", "fig2"],
+        ["feasibility", "--scenario", "caseB"],
+        ["montecarlo", "--scenario", "fig2"],
+        ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:3"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("form", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("given", ["--out", "GRAVKICK_OUT"])
+    def test_out_through_a_file_is_refused_before_the_work(self, tmp_path, capsys,
+                                                           monkeypatch, command, form, given):
+        import gravkick.cli
+
+        built = []
+        monkeypatch.setattr(gravkick.cli, "build_scenario", lambda doc: built.append(doc))
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path / form)
+        if given == "--out":
+            command = [*command, "--out", out]
+        else:
+            monkeypatch.setenv("GRAVKICK_OUT", out)
+        assert main(command) == 2
+        human, line = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["field"]) == ("config", "--out")
+        assert record["message"] == (f"{out!r} is not a directory: {str(tmp_path / 'afile')!r} "
+                                     "is a file; give --out the bundle's directory path")
+        assert human == f"error: {record['message']}"
+        assert built == []
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])

@@ -123,6 +123,24 @@ class TestValidation:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (record["error"], record["field"]) == ("config", "line 2")
 
+    @pytest.mark.parametrize("name, reason", [("adir", "Is a directory"),
+                                              ("missing.json", "No such file or directory")])
+    def test_unreadable_config_path_is_a_config_error(self, tmp_path, capsys, name, reason):
+        from gravkick.cli import main
+
+        (tmp_path / "adir").mkdir()
+        path = str(tmp_path / name)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"cannot read config file {path!r}: {reason}"
+        assert exc.value.field == "config"
+        assert main(["simulate", path, "--out", str(tmp_path / "bundle")]) == 2
+        human, line = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["field"]) == ("config", "config")
+        assert human == f"error: cannot read config file {path!r}: {reason}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
     def test_alpha_needs_beta(self):
         with pytest.raises(ConfigError) as exc:
             build_scenario({**CASE_B_DOC, "source": {"gain": 100, "alpha": 0.123}})

@@ -5,7 +5,10 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gravkick.montecarlo import (
+    BLOCK_TRIALS,
     RunConfig,
+    _block_rng,
+    _conditional_cdf,
     expected_bin_masses,
     run_ensemble,
 )
@@ -80,6 +83,24 @@ class TestStatistics:
         scenario = fig2_scenario(delta_a=0.0, delta_b=0.0)
         stats = run_ensemble(RunConfig(scenario=scenario, trials=400000, seed=9))
         assert abs(stats.mean_kick_estimate) < 4 * stats.std_error
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+    def test_std_error_is_the_two_pass_value_far_from_zero(self, offset):
+        # both kicks moved by `offset` sigma: sums of the raw kicks' squares would cancel
+        scenario = fig2_scenario(delta_a=offset + FIG2_DELTA_A, delta_b=offset + FIG2_DELTA_B)
+        cfg = RunConfig(scenario=scenario, trials=200000, seed=5)
+        stats = run_ensemble(cfg)
+        _, p, cdf, _ = _conditional_cdf(cfg)
+        draws = []
+        for block in range(-(-cfg.trials // BLOCK_TRIALS)):
+            nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
+            u = _block_rng(cfg.seed, block).random(2 * nb)
+            draws.append(np.interp(u[nb:][u[:nb] < stats.exact.probability], cdf, p))
+        x = np.concatenate(draws)
+        assert x.size == stats.accepted > 20000
+        two_pass = math.sqrt(np.sum((x - x.mean()) ** 2) / (x.size - 1) / x.size)
+        assert stats.std_error == pytest.approx(two_pass, rel=1e-12, abs=0.0)
+        assert abs(stats.mean_kick_estimate - offset - FIG2_MEAN) < 4 * stats.std_error
 
     def test_single_trial_edge_case(self):
         stats = run_ensemble(fig2_config(trials=1))

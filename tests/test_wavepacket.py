@@ -375,6 +375,21 @@ class TestGridValidation:
             with pytest.raises(ValueError, match="uniform"):
                 GridPacket(p=p, amps=np.zeros(32, dtype=complex))
 
+    @pytest.mark.parametrize("magnitude", [0.0, 1e6])
+    def test_steps_a_millionth_of_a_step_apart_are_refused(self, magnitude):
+        # far from zero the bound grows by the samples' own rounding, 2.3e-10 at 1e6
+        p = magnitude + 0.01 * np.arange(2048.0)
+        p[1000:] += 1e-6 * 0.01
+        with pytest.raises(ValueError, match="uniform"):
+            GridPacket(p=p, amps=np.zeros(p.size, dtype=complex))
+
+    @pytest.mark.parametrize("magnitude", [1e5, 1e6, 1e8])
+    def test_linspace_far_from_zero_is_uniform(self, magnitude):
+        # steps of 0.01 vary by an ulp of the samples, 1.5e-8 at 1e8
+        p = np.linspace(magnitude - 10.0, magnitude + 10.0, 2048)
+        assert np.ptp(np.diff(p)) > 1e-9 * 0.01
+        assert GridPacket(p=p, amps=np.zeros(p.size, dtype=complex)).p[0] == p[0]
+
     def test_nonfinite_amplitudes(self):
         p = np.linspace(-1, 1, 32)
         amps = np.zeros(32, dtype=complex)
