@@ -1,10 +1,10 @@
 """Stochastic simulation of repeated postselected runs.
 
-Each trial is a Bernoulli acceptance at the exact postselection probability
-followed, when accepted, by one momentum draw from the conditional
-distribution (inverse CDF on the grid).  Randomness is counter-based: trials
-are grouped into fixed blocks and block b draws from Philox(key=seed,
-counter=b << 64), so a block's stream depends only on the seed and b.
+The accepted count is one Binomial(trials, P) draw at the exact postselection
+probability, and each accepted trial one momentum draw from the conditional
+distribution (inverse CDF on the grid).  Randomness is counter-based: block b
+draws from Philox(key=seed, counter=b << 64), so its stream depends only on
+the seed and b; block 0 draws the count, blocks 1, 2, ... the samples.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import protocol
 from .output import table_csv
 from .wavepacket import DEFAULT_GRID_POINTS
 
-BLOCK_TRIALS = 8192
+BLOCK_SAMPLES = 8192
 DEFAULT_HISTOGRAM_BINS = 64
 
 
@@ -87,22 +87,20 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
     accepted and ignored: a thread pool measured no faster than this loop."""
     exact, p, cdf, edges = _conditional_cdf(cfg)
 
-    # variance sums of deviations from the exact mean: raw kicks far from zero would cancel
-    accepted, total, dev, dev_sq = 0, 0.0, 0.0, 0.0
+    # P rounds above 1 on a few documents whose postselection keeps the whole state
+    accepted = int(_block_rng(cfg.seed, 0).binomial(cfg.trials, min(exact.probability, 1.0)))
+    # deviations from the exact mean: sums of raw kicks far from zero would cancel
+    dev, dev_sq = 0.0, 0.0
     counts = np.zeros(cfg.bins, dtype=np.int64)
-    for block in range((cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-        nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
-        u = _block_rng(cfg.seed, block).random(2 * nb)
-        accepted_mask = u[:nb] < exact.probability
-        samples = np.interp(u[nb:][accepted_mask], cdf, p)
+    for block, start in enumerate(range(0, accepted, BLOCK_SAMPLES), start=1):
+        u = _block_rng(cfg.seed, block).random(min(BLOCK_SAMPLES, accepted - start))
+        samples = np.interp(u, cdf, p)
         deviations = samples - exact.mean_kick
-        accepted += int(accepted_mask.sum())
-        total += float(samples.sum())
         dev += float(deviations.sum())
         dev_sq += float(np.sum(deviations**2))
         counts += np.histogram(samples, bins=edges)[0]
 
-    mean = total / accepted if accepted >= 1 else None
+    mean = exact.mean_kick + dev / accepted if accepted >= 1 else None
     std_error = None
     if accepted >= 2:
         var = max(dev_sq - dev * dev / accepted, 0.0) / (accepted - 1)

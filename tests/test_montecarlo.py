@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gravkick.montecarlo import (
-    BLOCK_TRIALS,
+    BLOCK_SAMPLES,
     RunConfig,
     _block_rng,
     _conditional_cdf,
@@ -91,12 +91,11 @@ class TestStatistics:
         cfg = RunConfig(scenario=scenario, trials=200000, seed=5)
         stats = run_ensemble(cfg)
         _, p, cdf, _ = _conditional_cdf(cfg)
-        draws = []
-        for block in range(-(-cfg.trials // BLOCK_TRIALS)):
-            nb = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
-            u = _block_rng(cfg.seed, block).random(2 * nb)
-            draws.append(np.interp(u[nb:][u[:nb] < stats.exact.probability], cdf, p))
-        x = np.concatenate(draws)
+        # block 0 draws the accepted count, blocks 1, 2, ... BLOCK_SAMPLES samples each
+        n = _block_rng(cfg.seed, 0).binomial(cfg.trials, stats.exact.probability)
+        u = [_block_rng(cfg.seed, 1 + start // BLOCK_SAMPLES).random(
+            min(BLOCK_SAMPLES, n - start)) for start in range(0, n, BLOCK_SAMPLES)]
+        x = np.interp(np.concatenate(u), cdf, p)
         assert x.size == stats.accepted > 20000
         two_pass = math.sqrt(np.sum((x - x.mean()) ** 2) / (x.size - 1) / x.size)
         assert stats.std_error == pytest.approx(two_pass, rel=1e-12, abs=0.0)
