@@ -80,15 +80,23 @@ def _warn_grid_resolution(result: protocol.PostselectedResult, use: str) -> None
         _emit_record("warning", "grid-resolution", message, field="probe.grid_points")
 
 
+def _file_on_path(directory: str) -> str | None:
+    """The existing file that `directory` is or lies under, if any."""
+    head = os.path.abspath(directory)
+    while not os.path.isdir(head):  # the root is a directory
+        if os.path.lexists(head):
+            return head
+        head = os.path.dirname(head)
+    return None
+
+
 def _out_dir(args) -> str:
     """The bundle directory; one that is, or lies under, an existing file is refused."""
     out = args.out or os.environ.get("GRAVKICK_OUT") or "gravkick-out"
-    head = os.path.abspath(out)
-    while not os.path.isdir(head):  # the root is a directory
-        if os.path.lexists(head):
-            raise ConfigError(f"{out!r} is not a directory: {head!r} is a file; give --out the "
-                              "bundle's directory path", field="--out")
-        head = os.path.dirname(head)
+    blocked = _file_on_path(out)
+    if blocked:
+        raise ConfigError(f"{out!r} is not a directory: {blocked!r} is a file; give --out the "
+                          "bundle's directory path", field="--out")
     return out
 
 
@@ -323,6 +331,10 @@ def cmd_fig2(args) -> int:
     if stem + ".csv" == out:
         raise ConfigError(f"--out {out!r} is also the curves CSV path; give the SVG another "
                           "extension", field="--out")
+    blocked = _file_on_path(os.path.dirname(out))  # "" is the working directory
+    if blocked:  # os.makedirs would fail after the work
+        raise ConfigError(f"{out!r} lies under {blocked!r}, which is a file; give --out the "
+                          "SVG's file path", field="--out")
     result = protocol.run(build_scenario(load_preset("fig2")).scenario)
     curves_csv, image = _decomposition_files(result)
     write_text_atomic(out, image)

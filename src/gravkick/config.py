@@ -117,7 +117,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["trials", "seed"],
             "properties": {
-                "trials": {"type": "integer", "minimum": 1},
+                "trials": {"type": "integer", "minimum": 1, "maximum": 2**63 - 1},  # int64 count
                 "seed": {"type": "integer", "minimum": 0, "maximum": 2**128 - 1},  # a Philox key
                 "bins": {"type": "integer", "minimum": 1},
             },
@@ -313,9 +313,13 @@ def build_scenario(doc: dict) -> BuiltScenario:
     if post_sec == "paper-default":
         post = protocol.paper_postselection(phi_a, phi_b)
     else:
-        post = protocol.SourceState.from_amplitudes(
-            _as_complex(post_sec["amp_A"]), _as_complex(post_sec["amp_B"])
-        )
+        try:
+            post = protocol.SourceState.from_amplitudes(
+                _as_complex(post_sec["amp_A"]), _as_complex(post_sec["amp_B"])
+            )
+        except ValueError as exc:  # both zero: the schema admits only finite numbers
+            raise ConfigError(f"config field postselection: {exc}",
+                              field="postselection") from None
 
     if params is not None and gain is None:
         try:  # the phase-free paper postselection's gain, what `simulate` prints without phases

@@ -31,8 +31,8 @@ class RunConfig:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials < 2**63:  # the int64 count of the binomial draw
+            raise ValueError(f"trials must be in [1, 2**63), got {self.trials!r}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if not 0 <= self.seed < 2**128:  # the Philox key

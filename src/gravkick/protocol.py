@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,10 +47,18 @@ class SourceState:
 
     @classmethod
     def from_amplitudes(cls, amp_a: complex, amp_b: complex) -> "SourceState":
-        """Build a normalized state from arbitrary (not both zero) amplitudes."""
-        n = math.sqrt(abs(amp_a) ** 2 + abs(amp_b) ** 2)
-        if n == 0.0:
-            raise ValueError("amplitudes cannot both be zero")
+        """Build a normalized state from arbitrary finite amplitudes, not both zero."""
+        try:
+            n2 = abs(amp_a) ** 2 + abs(amp_b) ** 2
+        except OverflowError:
+            n2 = math.inf
+        if not sys.float_info.min <= n2 < math.inf:  # the squares under- or overflowed
+            big = max(map(abs, (amp_a.real, amp_a.imag, amp_b.real, amp_b.imag)))
+            if not 0.0 < big < math.inf:
+                raise ValueError("amplitudes must be finite and not both zero")
+            amp_a, amp_b = amp_a / big, amp_b / big
+            n2 = abs(amp_a) ** 2 + abs(amp_b) ** 2
+        n = math.sqrt(n2)
         return cls(amp_a / n, amp_b / n)
 
 

@@ -664,6 +664,26 @@ class TestFig2Command:
         assert built == []
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir", "fig.csv"]
 
+    @pytest.mark.parametrize("form", ["afile/fig.svg", "afile/sub/fig.svg"])
+    def test_out_under_a_file_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                         form):
+        import gravkick.cli
+
+        built = []
+        monkeypatch.setattr(gravkick.cli, "build_scenario", lambda doc: built.append(doc))
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path / form)
+        assert main(["fig2", "--out", out]) == 2
+        human, line = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["field"]) == ("config", "--out")
+        assert record["message"] == (f"{out!r} lies under {str(tmp_path / 'afile')!r}, which is "
+                                     "a file; give --out the SVG's file path")
+        assert human == f"error: {record['message']}"
+        assert built == []
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_svg_structure_and_samples(self, tmp_path):
         target = tmp_path / "fig2.svg"
         assert main(["fig2", "--out", str(target)]) == 0
@@ -818,8 +838,9 @@ class TestErrorChannels:
         # x_A^2 overflows, so delta_A would underflow to 0
         ("feasibility", '"x_A": 4e-07, "x_B": 1.2649110640673517e-06',
          '"x_A": 1e200, "x_B": 1e201', "config", "kicks.x_A"),
-        ("simulate", '"W": 1.0}', '"W": 1.0}, "postselection": {"amp_A": 1e300, "amp_B": 1e300}',
-         "runtime", "OverflowError"),
+        # amplitudes of any finite size normalise; a zero pair has no direction
+        ("simulate", '"W": 1.0}', '"W": 1.0}, "postselection": {"amp_A": 0, "amp_B": 0}',
+         "config", "config field postselection: amplitudes must be finite and not both zero"),
         # kicks ~9e199 sigma apart: exact_std would be inf, and rendering the grid warns
         ("simulate", '"delta_A": 0.3, "delta_B": 0.05', '"delta_A": 1e200, "delta_B": 1e199',
          "runtime", "std inf is not finite"),
@@ -830,7 +851,7 @@ class TestErrorChannels:
         ("feasibility", '"M": 1e-14, "m": 1e-20', '"M": 1e-300, "m": 1e-300', "config",
          "config field kicks: "),
     ], ids=["tiny-separation", "huge-integer", "wide-probe", "reversed-distances", "narrow-probe",
-            "huge-distances", "huge-amplitudes", "huge-kicks", "huge-masses", "tiny-masses"])
+            "huge-distances", "zero-amplitudes", "huge-kicks", "huge-masses", "tiny-masses"])
     def test_out_of_range_document_is_refused(self, tmp_path, capsys, command, literal, edited,
                                               kind, message):
         natural = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 1.0},

@@ -183,6 +183,30 @@ class TestAssembly:
         assert built.scenario.post.amp_a == pytest.approx(-1 / math.sqrt(2))
         assert built.scenario.post.amp_b == pytest.approx(1 / math.sqrt(2))
 
+    @pytest.mark.parametrize("amps", [{"amp_A": 0, "amp_B": 0}, {"amp_A": [0, 0], "amp_B": 0.0}])
+    def test_zero_postselection_amplitudes_are_a_config_error(self, tmp_path, capsys, amps):
+        from gravkick.cli import main
+
+        doc = minimal_natural(postselection=amps)
+        with pytest.raises(ConfigError) as exc:
+            build_scenario(doc)
+        assert exc.value.field == "postselection"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "bundle")]) == 2
+        human, line = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["field"]) == ("config", "postselection")
+        assert record["message"] == ("config field postselection: amplitudes must be finite "
+                                     "and not both zero")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.json"]
+
+    def test_tiny_and_huge_postselection_amplitudes_build(self):
+        for amp_a, amp_b in [(1e-200, 0), (1e-170, 1e-170), (1e200, 1), (1e308, 1e308)]:
+            post = build_scenario(minimal_natural(
+                postselection={"amp_A": amp_a, "amp_B": amp_b})).scenario.post
+            assert abs(post.amp_a) ** 2 + abs(post.amp_b) ** 2 == pytest.approx(1.0, abs=1e-15)
+
     def test_phases_threaded_through(self):
         doc = minimal_natural(phases={"phi_A": 0.4, "phi_B": -0.1})
         built = build_scenario(doc)
@@ -203,6 +227,16 @@ class TestAssembly:
         assert built.mc == RunConfig(scenario=built.scenario, trials=10, seed=3,
                                      bins=DEFAULT_HISTOGRAM_BINS, grid_points=DEFAULT_GRID_POINTS)
         assert build_scenario(minimal_natural()).mc is None
+
+    def test_trials_stop_at_the_int64_range_of_the_binomial_count(self):
+        built = build_scenario(minimal_natural(montecarlo={"trials": 2**63 - 1, "seed": 3}))
+        assert built.mc.trials == 2**63 - 1
+        with pytest.raises(ConfigError) as exc:
+            build_scenario(minimal_natural(montecarlo={"trials": 2**63, "seed": 3}))
+        assert exc.value.field == "montecarlo.trials"
+        assert str(exc.value).startswith("config field montecarlo.trials: ")
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 2\*\*63\)"):
+            RunConfig(scenario=built.scenario, trials=2**63, seed=3)
 
     def test_beta_source_carries_its_gain_into_params(self):
         built = build_scenario({**CASE_B_DOC, "source": {"beta": 0.9}})

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import gravkick.montecarlo
+from gravkick.config import build_scenario, load_preset
 from gravkick.montecarlo import (
     BLOCK_SAMPLES,
     RunConfig,
@@ -182,3 +185,55 @@ def test_amplified_scenario_rare_acceptance():
     stats = run_ensemble(RunConfig(scenario=scenario, trials=10000000, seed=3))
     lam = exact * stats.trials
     assert stats.accepted <= lam + 4 * math.sqrt(lam) + 1
+
+
+def test_one_uniform_per_accepted_sample(monkeypatch):
+    # the accepted count is one binomial draw; no uniform is spent on a rejected trial
+    drawn = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            drawn.append(size)
+            return self.rng.random(size)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    block_rng = _block_rng
+    monkeypatch.setattr(gravkick.montecarlo, "_block_rng",
+                        lambda seed, block: Counting(block_rng(seed, block)))
+    stats = run_ensemble(fig2_config(trials=100000))
+    assert 10000 < stats.accepted == sum(drawn)
+
+
+def test_amplification_witness_at_its_5_sigma_budget():
+    # N = ceil(25 std^2 / ((delta_B - mean)^2 P)) trials put the postselected mean 5 standard
+    # errors below delta_B, outside the classical hull [delta_B, delta_A]
+    built = build_scenario(load_preset("amplification"))
+    s, exact = built.scenario, run(built.scenario, n=built.grid_points)
+    gap = s.delta_b - exact.mean_kick
+    trials = math.ceil(25 * exact.std**2 / (gap * gap * exact.probability))
+    assert trials == 1235581875522
+    z = []
+    for seed in range(20):
+        stats = run_ensemble(replace(built.mc, trials=trials, seed=seed))
+        z.append((s.delta_b - stats.mean_kick_estimate) / stats.std_error)
+    assert abs(np.mean(z) - 5.0) < 0.7
+
+
+def test_postselection_that_keeps_the_whole_state_accepts_every_trial():
+    # post = pre with no kicks: P rounds to 1 + 4e-16, which a binomial draw would refuse
+    alpha, beta = 0.8884398201263108, 0.4589931219679968
+    built = build_scenario({
+        "units": "natural",
+        "source": {"alpha": alpha, "beta": beta},
+        "kicks": {"delta_A": 0, "delta_B": 0},
+        "postselection": {"amp_A": alpha, "amp_B": beta},
+        "montecarlo": {"trials": 5000, "seed": 4},
+    })
+    assert run(built.scenario, n=built.grid_points).probability > 1.0
+    stats = run_ensemble(built.mc)
+    assert stats.accepted == stats.trials == 5000

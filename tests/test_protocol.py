@@ -74,6 +74,34 @@ class TestSourceState:
         s = SourceState.from_amplitudes(3.0, 4.0)
         assert abs(s.amp_a) ** 2 + abs(s.amp_b) ** 2 == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("amps, expected", [
+        ((1e-200, 0.0), (1.0, 0.0)),
+        ((1e-170, 1e-170), (math.sqrt(0.5), math.sqrt(0.5))),
+        ((1e200, 1.0), (1.0, 1e-200)),
+        ((1e308, 1e308), (math.sqrt(0.5), math.sqrt(0.5))),
+        ((complex(1.7e308, -1.7e308), 1.0), (complex(0.5, -0.5) * math.sqrt(2.0), 0.0)),
+    ])
+    def test_from_amplitudes_normalizes_squares_outside_the_double_range(self, amps, expected):
+        # the squared moduli under- or overflow; the direction is still well defined
+        s = SourceState.from_amplitudes(*amps)
+        assert (s.amp_a, s.amp_b) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("amps", [(0.0, 0.0), (0, 0j), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_from_amplitudes_refuses_zero_and_non_finite_pairs(self, amps):
+        with pytest.raises(ValueError):
+            SourceState.from_amplitudes(*amps)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_from_amplitudes_keeps_its_arithmetic_where_the_squares_are_normal(self, kind):
+        # bit for bit the direct formula, over magnitudes from 1e-150 to 1e150
+        rng = np.random.default_rng(12)
+        parts = rng.choice([-1.0, 1.0], (10000, 4)) * 10.0 ** rng.uniform(-150, 150, (10000, 4))
+        for ar, ai, br, bi in parts.tolist():
+            a, b = (complex(ar, ai), complex(br, bi)) if kind == "complex" else (ar, br)
+            n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            s = SourceState.from_amplitudes(a, b)
+            assert (s.amp_a, s.amp_b) == (a / n, b / n)
+
     def test_paper_postselection_phases(self):
         s = paper_postselection(0.3, -0.2)
         assert s.amp_a == pytest.approx(-np.exp(0.3j) / math.sqrt(2))
