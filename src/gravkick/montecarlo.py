@@ -10,6 +10,7 @@ the seed and b; block 0 draws the count, blocks 1, 2, ... the samples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,8 @@ class RunConfig:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
-        if not 1 <= self.trials < 2**63:  # the int64 count of the binomial draw
+        # the int64 count of the binomial draw, which would truncate a float
+        if not 1 <= operator.index(self.trials) < 2**63:
             raise ValueError(f"trials must be in [1, 2**63), got {self.trials!r}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")

@@ -149,6 +149,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="trials"):
             RunConfig(scenario=fig2_scenario(), trials=0, seed=1)
 
+    def test_trials_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            RunConfig(scenario=fig2_scenario(), trials=1000.5, seed=1)
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_must_be_a_philox_key(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
