@@ -11,14 +11,13 @@ either.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .output import table_csv
-from .protocol import SourceState, gaussian_postselection, paper_postselection
+from .protocol import SourceState, branch_weights, gaussian_postselection, paper_postselection
 from .units import G, HBAR
 from .wavepacket import _finite
 
@@ -112,16 +111,13 @@ def evaluate_case(
 ) -> np.recarray:
     """All derived quantities, one record per point of `params` (one for float fields).
 
-    ps_prob is the exact Gaussian-probe acceptance, one closed-form call per
-    record, of the weights w_X = conj(final_X) (amp_X e^{i phi_X}) that
-    `protocol.branch_weights` gives, hoisted out of the row loop and grouped
-    as it groups them: amp = (alpha, beta) realises the record's gain, `final`
-    and `phases` are the scenario's, and `final` defaults to the paper
-    postselection with those phases.  A non-finite phase, and kicks, ratio or tau that
-    overflow the double range at any point, raise ValueError.
+    ps_prob is the exact Gaussian-probe acceptance, in one column pass: `protocol.branch_weights`
+    weighs the column source state (alpha, beta) realising each record's gain with `final` and
+    `phases`, the scenario's, and `protocol.gaussian_postselection` takes P from those weights.
+    `final` defaults to the paper postselection with those phases.  A non-finite phase, and
+    kicks, ratio or tau that overflow the double range at any point, raise ValueError.
     """
-    turn_a, turn_b = (cmath.exp(1j * _finite(f"phase phi_{x}", phi))
-                      for x, phi in zip("ab", phases))
+    phases = tuple(_finite(f"phase phi_{x}", phi) for x, phi in zip("ab", phases))
     p = params
     with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
         derived = {"delta_a": delta_kick(p.M, p.m, p.T, p.x_A),
@@ -132,15 +128,11 @@ def evaluate_case(
             raise ValueError(f"{name} overflows the double range; the inputs are too extreme")
     values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, *derived.values(), math.nan, p.separation_ok)
     cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
-    alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
-    final = final if final is not None else paper_postselection(*phases)
-    post_a, post_b = complex(final.amp_a).conjugate(), complex(final.amp_b).conjugate()
-    cases["ps_prob"] = [
-        gaussian_postselection(post_a * (complex(a) * turn_a), post_b * (complex(b) * turn_b),
-                               da, db, HBAR / w)[0]
-        for a, b, da, db, w in zip(alpha.tolist(), beta.tolist(), cases.delta_a.tolist(),
-                                   cases.delta_b.tolist(), cases.W.tolist())
-    ]
+    pre = SourceState(*amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a))
+    weights = branch_weights(pre, final or paper_postselection(*phases), *phases)
+    with np.errstate(over="ignore", invalid="ignore"):  # in the mean and std, which go unused
+        cases["ps_prob"] = gaussian_postselection(*weights, cases.delta_a, cases.delta_b,
+                                                  HBAR / cases.W)[0]
     return cases
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,13 @@ from .refvals import (
 )
 
 RNG = np.random.default_rng(5150)
+
+# (final state, phases) of ps_prob: the paper postselection unphased and phased, and another
+POSTSELECTIONS = [
+    (None, (0.0, 0.0)),
+    (None, (0.4, -1.1)),
+    (SourceState.from_amplitudes(0.6, 0.8j), (2.0, 0.3)),
+]
 
 
 def case_b_params() -> ProtocolParams:
@@ -329,11 +337,7 @@ class TestAcceptance:
         assert case.ps_prob == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
-    @pytest.mark.parametrize("post, phases", [
-        (None, (0.0, 0.0)),
-        (None, (0.4, -1.1)),
-        (SourceState.from_amplitudes(0.6, 0.8j), (2.0, 0.3)),
-    ])
+    @pytest.mark.parametrize("post, phases", POSTSELECTIONS)
     def test_ps_prob_is_the_branch_weights_acceptance(self, post, phases):
         cases = sweep(case_b_params(), [("g", 1.0, 1e4, 4), ("M", 1e-15, 1e-13, 3)],
                       final=post, phases=phases)
@@ -344,7 +348,43 @@ class TestAcceptance:
             w_a, w_b = branch_weights(pre, final, *phases)
             expected = gaussian_postselection(w_a, w_b, cases.delta_a[i], cases.delta_b[i],
                                               HBAR / cases.W[i])[0]
-            assert cases.ps_prob[i] == expected
+            assert cases.ps_prob[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("preset, axes, post, phases", [
+        ("caseB", [("M", 1e-15, 1e-13, 200), ("x_A", 2e-7, 1e-6, 200)], None, (0.0, 0.0)),
+        ("caseA", [("g", 1e3, 1e7, 200)], None, (0.0, 0.0)),
+        ("caseB", [("g", 1e3, 1e7, 200)], None, (0.0, 0.0)),
+        *(("caseB", [("g", 1.0, 1e4, 4), ("M", 1e-15, 1e-13, 3)], post, phases)
+          for post, phases in POSTSELECTIONS),
+    ], ids=["caseB M x x_A", "caseA gains", "caseB gains", "unphased", "phased", "other post"])
+    def test_column_closed_form_matches_per_row_calls(self, preset, axes, post, phases):
+        # numpy's complex kernels round differently from cmath's, so rows agree to 1e-12, not
+        # bit for bit: the phased paper case by up to 8.2e-13 with numpy's AVX-512 kernels
+        cases = sweep(build_scenario(load_preset(preset)).params, axes, 1, post, phases)
+        final = post if post is not None else paper_postselection(*phases)
+        alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
+        column = gaussian_postselection(*branch_weights(SourceState(alpha, beta), final, *phases),
+                                        cases.delta_a, cases.delta_b, HBAR / cases.W)
+        rows = [gaussian_postselection(*branch_weights(SourceState(a, b), final, *phases),
+                                       d_a, d_b, HBAR / w)
+                for a, b, d_a, d_b, w in zip(*(c.tolist() for c in (
+                    alpha, beta, cases.delta_a, cases.delta_b, cases.W)))]
+        assert cases.ps_prob.tolist() == column[0].tolist()
+        np.testing.assert_allclose(column, np.transpose(rows), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("evaluate, points", [
+        (lambda: evaluate_case(case_b_params()), 1),
+        (lambda: sweep(case_b_params(), [("M", 1e-15, 1e-13, 20), ("x_A", 2e-7, 1e-6, 20)]), 400),
+    ], ids=["one point", "20x20"])
+    def test_one_column_pass_per_evaluation(self, monkeypatch, evaluate, points):
+        calls = Counter()
+        for name in ("branch_weights", "gaussian_postselection"):
+            def counted(*args, name=name, call=getattr(feasibility, name)):
+                calls[name] += 1
+                return call(*args)
+            monkeypatch.setattr(feasibility, name, counted)
+        assert len(evaluate()) == points
+        assert calls == {"branch_weights": 1, "gaussian_postselection": 1}
 
 
     @pytest.mark.parametrize("index", [0, 1])

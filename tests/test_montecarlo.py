@@ -241,3 +241,14 @@ def test_postselection_that_keeps_the_whole_state_accepts_every_trial():
     assert run(built.scenario, n=built.grid_points).probability > 1.0
     stats = run_ensemble(built.mc)
     assert stats.accepted == stats.trials == 5000
+
+
+@pytest.mark.parametrize("name", ["caseA", "caseB"])
+def test_si_preset_accepts_enough_for_a_kick_estimate(name):
+    # P is 2.0e-7 (caseA) and 2.0e-5 (caseB); each preset's trials expect over 1000 acceptances
+    built = build_scenario(load_preset(name))
+    stats = run_ensemble(built.mc)
+    p = stats.exact.probability
+    assert stats.trials * p >= 1000
+    assert stats.accepted >= 2
+    assert abs(stats.accepted - stats.trials * p) <= 5 * math.sqrt(stats.trials * p * (1 - p))
