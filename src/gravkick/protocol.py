@@ -45,7 +45,8 @@ class SourceState:
 
     def __post_init__(self) -> None:
         n = abs(self.amp_a) ** 2 + abs(self.amp_b) ** 2
-        if not np.all(abs(n - 1.0) <= NORM_TOL):
+        ok = abs(n - 1.0) <= NORM_TOL  # np.all would cost a scalar state microseconds
+        if not (ok if isinstance(ok, bool) else ok.all()):
             raise ValueError(f"source amplitudes must be normalized, |a|^2+|b|^2 = {n!r}")
 
     @classmethod
@@ -128,19 +129,18 @@ def gaussian_postselection(
         var    = sigma^2 + D^2 [(|s|^2 n - Re[(w_a - w_b) conj(s)]^2) / 4 + c e n / 2] / P^2
     No term subtracts numbers of order one, as (1 - 2 alpha beta I) / 2 does, so
     near-orthogonal postselection (s -> 0) keeps full relative precision.
-    Mean and std are nan where P is exactly 0.  Scalars keep libm's bits.  Numpy column weights
-    give columns from numpy's kernels, within about 1e-12 relative of scalar calls unless s -> 0.
+    Mean and std are nan where P is exactly 0.  Scalar weights keep libm's bits; numpy column
+    weights give columns within about 1e-12 relative of the scalar calls, unless s -> 0.
     """
-    xp = np if isinstance(w_a, np.ndarray) else math
+    xp = math if isinstance(w_a, (complex, float, int)) else np  # float64, complex128 too
     s = w_a + w_b
     s2, n = abs(s) ** 2, abs(w_a) ** 2 + abs(w_b) ** 2
     c = (w_a.conjugate() * w_b).real
     gap = d_a - d_b
     e = xp.expm1(-(gap / sigma) * (gap / sigma) / 8.0)
     probability = s2 + 2.0 * c * e
-    if xp is math and probability == 0.0:  # exact destructive interference leaves no state
-        return probability, math.nan, math.nan
-    p = probability if xp is math else np.where(probability == 0.0, np.nan, probability)
+    # exact destructive interference leaves no state: dividing by nan makes its mean and std nan
+    p = (probability or math.nan) if xp is math else np.where(probability, probability, np.nan)
     mean = ((s.conjugate() * (w_a * d_a + w_b * d_b)).real + c * (d_a + d_b) * e) / p
     u = ((w_a - w_b) * s.conjugate()).real
     spread = gap * gap * ((s2 * n - u * u) / 4.0 + c * e * n / 2.0) / p / p
