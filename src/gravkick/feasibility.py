@@ -130,7 +130,7 @@ def evaluate_case(
     cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
     pre = SourceState(*amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a))
     weights = branch_weights(pre, final or paper_postselection(*phases), *phases)
-    with np.errstate(over="ignore", invalid="ignore"):  # in the mean and std, which go unused
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused mean and std may overflow
         cases["ps_prob"] = gaussian_postselection(*weights, cases.delta_a, cases.delta_b,
                                                   HBAR / cases.W)[0]
     return cases
