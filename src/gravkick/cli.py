@@ -1,10 +1,11 @@
 """Command-line front end: scenario presets, CSV/SVG bundles, sweeps.
 
 Subcommands: simulate, feasibility, montecarlo, sweep, fig2, presets.
-Output always lands as a bundle of atomically written files under --out
-(or $GRAVKICK_OUT).  Errors produce a one-line JSON record on stderr next
-to the human-readable message, and a nonzero exit code; warnings use the
-same two lines and leave the exit code at 0.
+Output always lands as a bundle of atomically written files in one directory:
+--out, else $GRAVKICK_OUT, else gravkick-out; fig2's --out names its SVG there.
+Errors produce a one-line JSON record on stderr next to the human-readable
+message, and a nonzero exit code; warnings use the same two lines and leave
+the exit code at 0.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .feasibility import (
     sweep,
     sweep_csv,
 )
-from .output import summary_csv, table_csv, write_bundle, write_text_atomic
+from .output import summary_csv, table_csv, write_bundle
 from .protocol import PostselectionImpossible
 from .units import UNITS
 from .wavepacket import GridPacket, moments, to_csv
@@ -80,35 +81,35 @@ def _warn_grid_resolution(result: protocol.PostselectedResult, use: str) -> None
         _emit_record("warning", "grid-resolution", message, field="probe.grid_points")
 
 
-def _file_on_path(directory: str) -> str | None:
-    """The existing file that `directory` is or lies under, if any."""
-    head = os.path.abspath(directory)
+def _bundle_dir(args) -> str:
+    return args.out or os.environ.get("GRAVKICK_OUT") or "gravkick-out"
+
+
+def _out_dir(out: str, names=()) -> str:
+    """The bundle directory `out`, refused if it is, or lies under, an existing file, or if
+    one of its member paths `names` is an existing directory: either would fail the write."""
+    head = os.path.abspath(out)
     while not os.path.isdir(head):  # the root is a directory
         if os.path.lexists(head):
-            return head
+            raise ConfigError(f"cannot make the bundle directory {out!r}: {head!r} is a file",
+                              field="--out")
         head = os.path.dirname(head)
-    return None
-
-
-def _out_dir(args) -> str:
-    """The bundle directory; one that is, or lies under, an existing file is refused."""
-    out = args.out or os.environ.get("GRAVKICK_OUT") or "gravkick-out"
-    blocked = _file_on_path(out)
-    if blocked:
-        raise ConfigError(f"{out!r} is not a directory: {blocked!r} is a file; give --out the "
-                          "bundle's directory path", field="--out")
+    for name in names:
+        path = os.path.join(out, name)
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write the bundle file {path!r}: it is a directory",
+                              field="--out")
     return out
 
 
-def _emit_bundle(args, files: dict[str, str]) -> int:
-    out = _out_dir(args)
-    write_bundle(out, files)
+def _emit_bundle(out: str, files: dict[str, str]) -> int:
+    write_bundle(_out_dir(out, files), files)
     print(f"wrote {', '.join(sorted(files))} to {out}")
     return 0
 
 
 def _resolve_doc(args) -> dict:
-    _out_dir(args)  # checked first: a long run must not end at a directory it cannot make
+    _out_dir(_bundle_dir(args))  # first: a long run must not end at a directory it cannot make
     if args.scenario and args.config:
         raise ConfigError("give either a config file or --scenario, not both")
     if args.scenario:
@@ -204,7 +205,7 @@ def cmd_simulate(args) -> int:
         curves_csv, image = _decomposition_files(result)
         files["fig2.svg"] = image
         files["fig2_curves.csv"] = curves_csv
-    return _emit_bundle(args, files)
+    return _emit_bundle(_bundle_dir(args), files)
 
 
 def _warn_outside_domain(params: ProtocolParams, field: str, solved: float) -> None:
@@ -244,7 +245,7 @@ def cmd_feasibility(args) -> int:
         "summary.csv": summary_csv(rows),
         "sweep.csv": sweep_csv(cases),
     }
-    return _emit_bundle(args, files)
+    return _emit_bundle(_bundle_dir(args), files)
 
 
 def cmd_montecarlo(args) -> int:
@@ -268,7 +269,7 @@ def cmd_montecarlo(args) -> int:
         "summary.csv": summary_csv(rows),
         "histogram.csv": stats.histogram_csv(),
     }
-    return _emit_bundle(args, files)
+    return _emit_bundle(_bundle_dir(args), files)
 
 
 def _parse_axis(text: str, flag: str):
@@ -318,29 +319,21 @@ def cmd_sweep(args) -> int:
             xlabel=f1,
             ylabel=f2,
         )
-    return _emit_bundle(args, files)
+    return _emit_bundle(_bundle_dir(args), files)
 
 
 def cmd_fig2(args) -> int:
-    out = args.out or os.path.join(os.environ.get("GRAVKICK_OUT", "."), "fig2.svg")
-    stem, _ = os.path.splitext(out)
-    for path in (out, stem + ".csv"):  # os.replace onto a directory fails after the work
-        if not os.path.basename(path) or os.path.isdir(path):
-            raise ConfigError(f"{path!r} names a directory, not a file; give --out the SVG's "
-                              "file path", field="--out")
-    if stem + ".csv" == out:
-        raise ConfigError(f"--out {out!r} is also the curves CSV path; give the SVG another "
-                          "extension", field="--out")
-    blocked = _file_on_path(os.path.dirname(out))  # "" is the working directory
-    if blocked:  # os.makedirs would fail after the work
-        raise ConfigError(f"{out!r} lies under {blocked!r}, which is a file; give --out the "
-                          "SVG's file path", field="--out")
-    result = protocol.run(build_scenario(load_preset("fig2")).scenario)
-    curves_csv, image = _decomposition_files(result)
-    write_text_atomic(out, image)
-    write_text_atomic(stem + ".csv", curves_csv)
-    print(f"wrote {out} and {stem + '.csv'}")
-    return 0
+    out = args.out or os.path.join(_bundle_dir(args), "fig2.svg")
+    directory, svg_name = os.path.split(out)
+    csv_name = os.path.splitext(svg_name)[0] + ".csv"
+    if svg_name in ("", csv_name):
+        problem = "is also the curves CSV path" if svg_name else "ends in a separator"
+        raise ConfigError(f"--out {out!r} {problem}; give --out the SVG's file path",
+                          field="--out")
+    directory = _out_dir(directory or os.curdir, (svg_name, csv_name))
+    curves_csv, image = _decomposition_files(
+        protocol.run(build_scenario(load_preset("fig2")).scenario))
+    return _emit_bundle(directory, {svg_name: image, csv_name: curves_csv})
 
 
 def cmd_presets(args) -> int:
@@ -356,7 +349,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         choices=PRESET_NAMES,
         help="use a shipped preset instead of a config file",
     )
-    parser.add_argument("--out", help="output directory (default: $GRAVKICK_OUT)")
+    parser.add_argument("--out", help="bundle directory (default: $GRAVKICK_OUT, else gravkick-out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig2 = sub.add_parser("fig2", help="render the decomposition figure")
-    p_fig2.add_argument("--out", help="output SVG path (curves CSV lands next to it)")
+    p_fig2.add_argument("--out", help="output SVG path, the curves CSV next to it "
+                        "(default: fig2.svg in $GRAVKICK_OUT, else gravkick-out)")
     p_fig2.set_defaults(func=cmd_fig2)
 
     p_presets = sub.add_parser("presets", help="preset management")

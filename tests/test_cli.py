@@ -658,8 +658,9 @@ class TestFig2Command:
         human, line = capsys.readouterr().err.strip().splitlines()
         record = json.loads(line)
         assert (record["error"], record["field"]) == ("config", "--out")
-        assert record["message"] == (f"{named!r} names a directory, not a file; give --out the "
-                                     "SVG's file path")
+        assert record["message"] == (
+            f"--out {out!r} ends in a separator; give --out the SVG's file path"
+            if form.endswith("/") else f"cannot write the bundle file {named!r}: it is a directory")
         assert human == f"error: {record['message']}"
         assert built == []
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir", "fig.csv"]
@@ -677,8 +678,8 @@ class TestFig2Command:
         human, line = capsys.readouterr().err.strip().splitlines()
         record = json.loads(line)
         assert (record["error"], record["field"]) == ("config", "--out")
-        assert record["message"] == (f"{out!r} lies under {str(tmp_path / 'afile')!r}, which is "
-                                     "a file; give --out the SVG's file path")
+        assert record["message"] == (f"cannot make the bundle directory {os.path.dirname(out)!r}: "
+                                     f"{str(tmp_path / 'afile')!r} is a file")
         assert human == f"error: {record['message']}"
         assert built == []
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
@@ -913,11 +914,31 @@ class TestErrorChannels:
         assert not (tmp_path / "x").exists()
 
 
+BUNDLE_COMMANDS = [
+    ["simulate", "--scenario", "fig2"],
+    ["feasibility", "--scenario", "caseB"],
+    ["montecarlo", "--scenario", "fig2"],
+    ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:3"],
+]
+
+
 class TestOutputDirDefaults:
-    def test_env_var_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRAVKICK_OUT", str(tmp_path / "envout"))
-        assert main(["simulate", "--scenario", "fig2"]) == 0
-        assert (tmp_path / "envout" / "summary.csv").exists()
+    @pytest.mark.parametrize("command, files", [
+        (["simulate", "--scenario", "fig2"], ["summary.csv", "wavefunction.csv"]),
+        (["fig2"], ["fig2.csv", "fig2.svg"]),
+    ], ids=["simulate", "fig2"])
+    @pytest.mark.parametrize("env", [None, "envout"])
+    def test_default_directory(self, tmp_path, capsys, monkeypatch, command, files, env):
+        # $GRAVKICK_OUT, else gravkick-out in the working directory, for every command
+        monkeypatch.chdir(tmp_path)
+        if env:
+            monkeypatch.setenv("GRAVKICK_OUT", env)
+        else:
+            monkeypatch.delenv("GRAVKICK_OUT", raising=False)
+        assert main(command) == 0
+        out = env or "gravkick-out"
+        assert capsys.readouterr().out == f"wrote {', '.join(files)} to {out}\n"
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == files
 
     def test_out_flag_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRAVKICK_OUT", str(tmp_path / "envout"))
@@ -925,12 +946,7 @@ class TestOutputDirDefaults:
         assert (tmp_path / "flag" / "summary.csv").exists()
         assert not (tmp_path / "envout").exists()
 
-    @pytest.mark.parametrize("command", [
-        ["simulate", "--scenario", "fig2"],
-        ["feasibility", "--scenario", "caseB"],
-        ["montecarlo", "--scenario", "fig2"],
-        ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:3"],
-    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("command", BUNDLE_COMMANDS, ids=lambda command: command[0])
     @pytest.mark.parametrize("form", ["afile", "afile/sub"])
     @pytest.mark.parametrize("given", ["--out", "GRAVKICK_OUT"])
     def test_out_through_a_file_is_refused_before_the_work(self, tmp_path, capsys,
@@ -949,12 +965,36 @@ class TestOutputDirDefaults:
         human, line = capsys.readouterr().err.strip().splitlines()
         record = json.loads(line)
         assert (record["error"], record["field"]) == ("config", "--out")
-        assert record["message"] == (f"{out!r} is not a directory: {str(tmp_path / 'afile')!r} "
-                                     "is a file; give --out the bundle's directory path")
+        assert record["message"] == (f"cannot make the bundle directory {out!r}: "
+                                     f"{str(tmp_path / 'afile')!r} is a file")
         assert human == f"error: {record['message']}"
         assert built == []
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+    @pytest.mark.parametrize("command, member", zip(
+        BUNDLE_COMMANDS, ["wavefunction.csv", "sweep.csv", "histogram.csv", "summary.csv"]),
+        ids=[command[0] for command in BUNDLE_COMMANDS])
+    def test_member_that_is_a_directory_is_refused_before_any_write(self, tmp_path, capsys,
+                                                                     command, member):
+        # the member is written after another one, which must keep its old bytes
+        out = tmp_path / "bundle"
+        assert main([*command, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / member).unlink()
+        (out / member).mkdir()
+        capsys.readouterr()
+        assert main([*command, "--out", str(out)]) == 2
+        human, line = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["field"]) == ("config", "--out")
+        assert record["message"] == (f"cannot write the bundle file {str(out / member)!r}: "
+                                     "it is a directory")
+        assert human == f"error: {record['message']}"
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == {
+            name: data for name, data in before.items() if name != member}
+        assert list((out / member).iterdir()) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
