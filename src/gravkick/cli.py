@@ -111,12 +111,12 @@ def _emit_bundle(out: str, files: dict[str, str]) -> int:
 def _resolve_doc(args) -> dict:
     _out_dir(_bundle_dir(args))  # first: a long run must not end at a directory it cannot make
     if args.scenario and args.config:
-        raise ConfigError("give either a config file or --scenario, not both")
+        raise ConfigError("give either a config file or --scenario, not both", field="--scenario")
     if args.scenario:
         return load_preset(args.scenario)
     if args.config:
         return load_config(args.config)
-    raise ConfigError("a config file or --scenario preset is required")
+    raise ConfigError("a config file or --scenario preset is required", field="--scenario")
 
 
 def _momentum_unit(built: BuiltScenario, display: str) -> float:
@@ -124,7 +124,8 @@ def _momentum_unit(built: BuiltScenario, display: str) -> float:
     if display == built.units:
         return 1.0
     if built.units == "natural":
-        raise ConfigError("natural-unit scenarios have no SI anchor; cannot convert")
+        raise ConfigError("natural-unit scenarios have no SI anchor; cannot convert",
+                          field="--units")
     return built.scenario.probe.sigma  # one natural momentum unit, hbar/W in SI
 
 
@@ -230,7 +231,8 @@ def cmd_feasibility(args) -> int:
     if built.params is None:
         raise ConfigError("feasibility needs physical (SI) kick parameters", field="kicks")
     if (args.solve is None) != (args.target is None):
-        raise ConfigError("--solve and --target must be given together")
+        raise ConfigError("--solve and --target must be given together",
+                          field="--target" if args.target is not None else "--solve")
 
     s = built.scenario
     cases = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
@@ -349,7 +351,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         choices=PRESET_NAMES,
         help="use a shipped preset instead of a config file",
     )
-    parser.add_argument("--out", help="bundle directory (default: $GRAVKICK_OUT, else gravkick-out)")
+    parser.add_argument("--out", help="bundle directory (default: $GRAVKICK_OUT or gravkick-out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig2 = sub.add_parser("fig2", help="render the decomposition figure")
     p_fig2.add_argument("--out", help="output SVG path, the curves CSV next to it "
-                        "(default: fig2.svg in $GRAVKICK_OUT, else gravkick-out)")
+                        "(default: fig2.svg in $GRAVKICK_OUT or gravkick-out)")
     p_fig2.set_defaults(func=cmd_fig2)
 
     p_presets = sub.add_parser("presets", help="preset management")
@@ -404,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except PostselectionImpossible as exc:
         _emit_record("error", "postselection-impossible", str(exc))
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy's names the array it cannot make
         _emit_record("error", "runtime", str(exc))
         return 1
     except ArithmeticError as exc:  # an intermediate over- or underflowed

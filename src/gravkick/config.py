@@ -19,9 +19,9 @@ import jsonschema
 from . import protocol
 from .analysis import weak_value_report
 from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
-from .montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
+from .montecarlo import DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS, RunConfig
 from .units import HBAR, UNITS
-from .wavepacket import DEFAULT_GRID_POINTS, GaussianPacket
+from .wavepacket import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, GaussianPacket
 
 _COMPLEX_ENTRY = {
     "oneOf": [
@@ -62,7 +62,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "W": {"type": "number", "exclusiveMinimum": 0},
-                "grid_points": {"type": "integer", "minimum": 16},
+                "grid_points": {"type": "integer", "minimum": MIN_GRID_POINTS},
             },
         },
         "kicks": {
@@ -117,8 +117,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["trials", "seed"],
             "properties": {
-                "trials": {"type": "integer", "minimum": 1, "maximum": 2**63 - 1},  # int64 count
-                "seed": {"type": "integer", "minimum": 0, "maximum": 2**128 - 1},  # a Philox key
+                "trials": {"type": "integer", "minimum": 1, "maximum": MAX_TRIALS},
+                "seed": {"type": "integer", "minimum": 0, "maximum": MAX_SEED},
                 "bins": {"type": "integer", "minimum": 1},
             },
         },

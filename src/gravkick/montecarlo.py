@@ -21,6 +21,8 @@ from .wavepacket import DEFAULT_GRID_POINTS
 
 BLOCK_SAMPLES = 8192
 DEFAULT_HISTOGRAM_BINS = 64
+MAX_TRIALS = 2**63 - 1  # the int64 count of the binomial draw, which would truncate a float
+MAX_SEED = 2**128 - 1  # the Philox key
 
 
 @dataclass(frozen=True)
@@ -32,12 +34,11 @@ class RunConfig:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
-        # the int64 count of the binomial draw, which would truncate a float
-        if not 1 <= operator.index(self.trials) < 2**63:
+        if not 1 <= operator.index(self.trials) <= MAX_TRIALS:
             raise ValueError(f"trials must be in [1, 2**63), got {self.trials!r}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-        if not 0 <= self.seed < 2**128:  # the Philox key
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -149,7 +150,8 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert "SI anchor" in err
-        assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+        record = json.loads(err.strip().splitlines()[-1])
+        assert (record["error"], record["field"]) == ("config", "--units")
 
     @pytest.mark.parametrize("name", ["fig2", "amplification", "caseA", "caseB"])
     def test_regime_row_is_the_validity_check_regime(self, tmp_path, name):
@@ -896,6 +898,33 @@ class TestErrorChannels:
             for flag in flags:
                 assert flag in text
 
+    @pytest.mark.parametrize("args, field, message", [
+        (["feasibility", "--scenario", "caseB", "--solve", "M"], "--solve",
+         "--solve and --target must be given together"),
+        (["feasibility", "--scenario", "caseB", "--target", "1e-3"], "--target",
+         "--solve and --target must be given together"),
+        (["simulate", "cfg.json", "--scenario", "fig2"], "--scenario",
+         "give either a config file or --scenario, not both"),
+        (["simulate"], "--scenario", "a config file or --scenario preset is required"),
+    ])
+    def test_flag_refusal_names_its_flag(self, tmp_path, capsys, args, field, message):
+        out = tmp_path / "bundle"
+        code = main([*args, "--out", str(out)])
+        record = assert_refused(code, out, capsys, "config", message)
+        assert (record["message"], record["field"]) == (message, field)
+
+    def test_memory_error_is_a_runtime_record(self, tmp_path, capsys, monkeypatch):
+        import gravkick.cli
+
+        def refuse(*args, **kwargs):  # what numpy raises for an array it cannot allocate
+            raise MemoryError("Unable to allocate 8.00 PiB for an array with shape (2**50,)")
+
+        monkeypatch.setattr(gravkick.cli.analysis, "validity_check", refuse)
+        out = tmp_path / "bundle"
+        code = main(["simulate", "--scenario", "fig2", "--out", str(out)])
+        record = assert_refused(code, out, capsys, "runtime", "Unable to allocate")
+        assert record["message"] == "Unable to allocate 8.00 PiB for an array with shape (2**50,)"
+
     def test_impossible_postselection_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -1016,6 +1045,41 @@ def test_presets_list(capsys):
     out = capsys.readouterr().out
     for name in ("fig2", "amplification", "caseA", "caseB"):
         assert name in out
+
+
+def readme_commands():
+    """The arguments of each `python -m gravkick` line in README's sh blocks, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines()]
+    return [shlex.split(line.split("python -m gravkick", 1)[1])
+            for line in lines if "python -m gravkick " in line]
+
+
+def test_readme_usage_runs(tmp_path, capsys, monkeypatch):
+    # each line exits 0 and writes the files it names where the output rule puts them
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRAVKICK_OUT", raising=False)
+    commands = readme_commands()
+    assert {args[0] for args in commands} == {"simulate", "feasibility", "montecarlo", "sweep",
+                                              "fig2", "presets"}
+    for args in commands:
+        assert main(args) == 0, args
+        out = capsys.readouterr().out
+        if args[0] == "presets":
+            continue
+        written = re.fullmatch(r"wrote (.*) to (.*)\n", out)
+        assert written, (args, out)
+        files, directory = set(written[1].split(", ")), written[2]
+        named = args[args.index("--out") + 1] if "--out" in args else None
+        if args[0] == "fig2":
+            svg_path = named or os.path.join("gravkick-out", "fig2.svg")
+            svg_name = os.path.basename(svg_path)
+            assert (directory, files) == (os.path.dirname(svg_path),
+                                          {svg_name, os.path.splitext(svg_name)[0] + ".csv"})
+        else:
+            assert directory == (named or "gravkick-out")
+        assert all((tmp_path / directory / name).is_file() for name in files), (args, files)
 
 
 # Runs `gravkick ARGS` through runpy as `python -m gravkick` does.  At exit it reports on

@@ -3,6 +3,7 @@ import math
 import types
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import gravkick.config
@@ -18,8 +19,8 @@ from gravkick.config import (
     validate_config,
 )
 from gravkick.feasibility import evaluate_case
-from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, RunConfig
-from gravkick.wavepacket import DEFAULT_GRID_POINTS
+from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS, RunConfig
+from gravkick.wavepacket import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, GridPacket
 
 from . import oracles
 from .refvals import AMP_GAIN, CASE_B_DOC, FIG2_ALPHA
@@ -153,6 +154,31 @@ class TestValidation:
         path.write_text(json.dumps(minimal_natural()).replace("0.7", literal))
         with pytest.raises(ConfigError, match=f"^invalid JSON: {literal} is not"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("section, key, last, past", [
+        ("probe", "grid_points", MIN_GRID_POINTS, MIN_GRID_POINTS - 1),
+        ("montecarlo", "trials", MAX_TRIALS, MAX_TRIALS + 1),
+        ("montecarlo", "seed", MAX_SEED, MAX_SEED + 1),
+    ])
+    def test_schema_bounds_are_the_library_bounds(self, section, key, last, past):
+        # the schema accepts the last value the library takes and refuses the next one
+        scenario = build_scenario(load_preset("fig2")).scenario
+        library = {
+            "grid_points": lambda n: GridPacket(p=np.linspace(-1.0, 1.0, n), amps=np.zeros(n)),
+            "trials": lambda n: RunConfig(scenario, trials=n, seed=0),
+            "seed": lambda n: RunConfig(scenario, trials=1, seed=n),
+        }[key]
+        doc = load_preset("fig2")
+        doc[section][key] = last
+        validate_config(doc)
+        library(last)
+        doc[section][key] = past
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert exc.value.field == f"{section}.{key}"
+        with pytest.raises(ValueError):
+            library(past)
+
 
 class TestAssembly:
     def test_alpha_derived_from_beta(self):
