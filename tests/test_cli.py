@@ -906,7 +906,7 @@ class TestErrorChannels:
         (["simulate", "cfg.json", "--scenario", "fig2"], "--scenario",
          "give either a config file or --scenario, not both"),
         (["simulate"], "--scenario", "a config file or --scenario preset is required"),
-    ])
+    ], ids=["solve-alone", "target-alone", "config-and-scenario", "neither"])
     def test_flag_refusal_names_its_flag(self, tmp_path, capsys, args, field, message):
         out = tmp_path / "bundle"
         code = main([*args, "--out", str(out)])
@@ -952,6 +952,11 @@ BUNDLE_COMMANDS = [
 
 
 class TestOutputDirDefaults:
+    def test_env_var_honored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAVKICK_OUT", str(tmp_path / "envout"))
+        assert main(["simulate", "--scenario", "fig2"]) == 0
+        assert (tmp_path / "envout" / "summary.csv").exists()
+
     @pytest.mark.parametrize("command, files", [
         (["simulate", "--scenario", "fig2"], ["summary.csv", "wavefunction.csv"]),
         (["fig2"], ["fig2.csv", "fig2.svg"]),

@@ -159,7 +159,7 @@ class TestValidation:
         ("probe", "grid_points", MIN_GRID_POINTS, MIN_GRID_POINTS - 1),
         ("montecarlo", "trials", MAX_TRIALS, MAX_TRIALS + 1),
         ("montecarlo", "seed", MAX_SEED, MAX_SEED + 1),
-    ])
+    ], ids=["grid_points", "trials", "seed"])
     def test_schema_bounds_are_the_library_bounds(self, section, key, last, past):
         # the schema accepts the last value the library takes and refuses the next one
         scenario = build_scenario(load_preset("fig2")).scenario
