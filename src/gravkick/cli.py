@@ -236,7 +236,7 @@ def cmd_feasibility(args) -> int:
 
     s = built.scenario
     cases = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
-    rows: list[tuple[str, object]] = list(zip(cases.dtype.names, cases.tolist()[0]))
+    rows: list[tuple[str, object]] = [(name, column.item()) for name, column in cases.items()]
     if args.solve is not None:
         solved = solve_parameter(built.params, args.solve, args.target)
         _warn_outside_domain(built.params, args.solve, solved)
@@ -305,22 +305,16 @@ def cmd_sweep(args) -> int:
     cases = sweep(built.params, axes, args.workers, s.post, (s.phi_a, s.phi_b))
 
     files = {"sweep.csv": sweep_csv(cases)}
-    rows: list[tuple[str, object]] = [("rows", len(cases))]
+    rows: list[tuple[str, object]] = [("rows", cases["M"].size)]
     for i, (field, start, stop, count) in enumerate(axes, start=1):
         rows.append((f"axis{i}", f"{field}={start:.8e}:{stop:.8e}:{count}"))
     files["summary.csv"] = summary_csv(rows)
 
     if args.svg:
-        (f1, s1, e1, c1), (f2, s2, e2, c2) = axes
-        z = np.abs(cases.ratio).reshape(c1, c2)
-        files["sweep.svg"] = svg.heatmap(
-            np.linspace(s1, e1, c1),
-            np.linspace(s2, e2, c2),
-            z,
-            title="|ratio| over the swept parameters",
-            xlabel=f1,
-            ylabel=f2,
-        )
+        (f1, _, _, c1), (f2, _, _, c2) = axes
+        z = np.abs(cases["ratio"]).reshape(c1, c2)
+        files["sweep.svg"] = svg.heatmap(cases[f1][::c2], cases[f2][:c2], z, xlabel=f1, ylabel=f2,
+                                         title="|ratio| over the swept parameters")
     return _emit_bundle(_bundle_dir(args), files)
 
 

@@ -24,8 +24,7 @@ from .wavepacket import _finite
 SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
 
 SWEEP_CSV_HEADER = "M,m,T,xA,xB,W,g,deltaA,deltaB,ratio,tau,ps_prob,valid_flag"
-# Record fields of `evaluate_case` and `sweep`, in sweep.csv column order.  `T` is read as
-# cases["T"]: the attribute `.T` of a record array is its transpose.
+# Column names of `evaluate_case` and `sweep`, in sweep.csv column order.
 CASE_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g",
                "delta_a", "delta_b", "ratio", "tau", "ps_prob", "valid_flag")
 SWEEP_FIELDS = CASE_FIELDS[:7]  # the parameters; the rest are computed
@@ -108,11 +107,11 @@ def evaluate_case(
     params: ProtocolParams,
     final: SourceState | None = None,
     phases: tuple[float, float] = (0.0, 0.0),
-) -> np.recarray:
-    """All derived quantities, one record per point of `params` (one for float fields).
+) -> dict[str, np.ndarray]:
+    """All derived quantities: a 1-D column per CASE_FIELDS name, an entry per point of `params`.
 
     ps_prob is the exact Gaussian-probe acceptance, in one column pass: `protocol.branch_weights`
-    weighs the column source state (alpha, beta) realising each record's gain with `final` and
+    weighs the column source state (alpha, beta) realising each point's gain with `final` and
     `phases`, the scenario's, and `protocol.gaussian_postselection` takes P from those weights.
     `final` defaults to the paper postselection with those phases.  A non-finite phase, and
     kicks, ratio or tau that overflow the double range at any point, raise ValueError.
@@ -127,12 +126,12 @@ def evaluate_case(
         if not np.all(np.isfinite(column)):
             raise ValueError(f"{name} overflows the double range; the inputs are too extreme")
     values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, *derived.values(), math.nan, p.separation_ok)
-    cases = np.rec.fromarrays(np.broadcast_arrays(*map(np.atleast_1d, values)), names=CASE_FIELDS)
-    pre = SourceState(*amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a))
+    cases = dict(zip(CASE_FIELDS, np.broadcast_arrays(*map(np.atleast_1d, values))))
+    pre = SourceState(*amplitudes_for_gain(cases["g"], cases["delta_b"] / cases["delta_a"]))
     weights = branch_weights(pre, final or paper_postselection(*phases), *phases)
     with np.errstate(over="ignore", invalid="ignore"):  # the unused mean and std may overflow
-        cases["ps_prob"] = gaussian_postselection(*weights, cases.delta_a, cases.delta_b,
-                                                  HBAR / cases.W)[0]
+        cases["ps_prob"] = gaussian_postselection(*weights, cases["delta_a"], cases["delta_b"],
+                                                  HBAR / cases["W"])[0]
     return cases
 
 
@@ -188,7 +187,7 @@ def sweep(
     workers: int = 1,
     final: SourceState | None = None,
     phases: tuple[float, float] = (0.0, 0.0),
-) -> np.recarray:
+) -> dict[str, np.ndarray]:
     """Dense 1- or 2-axis grid of cases, row-major over the axes (outer axis slowest).
 
     Each swept field becomes one column over the grid; the other fields,
@@ -203,5 +202,6 @@ def sweep(
     return evaluate_case(replace(base, **columns), final, phases)
 
 
-def sweep_csv(cases: np.recarray) -> str:
-    return table_csv(SWEEP_CSV_HEADER, _CSV_ROW, cases.tolist())
+def sweep_csv(cases: dict[str, np.ndarray]) -> str:
+    return table_csv(SWEEP_CSV_HEADER, _CSV_ROW,
+                     zip(*(column.tolist() for column in cases.values())))

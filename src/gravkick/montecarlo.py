@@ -36,9 +36,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 1 <= operator.index(self.trials) <= MAX_TRIALS:
             raise ValueError(f"trials must be in [1, 2**63), got {self.trials!r}")
-        if self.bins < 1:
+        if operator.index(self.bins) < 1:
             raise ValueError("bins must be >= 1")
-        if not 0 <= self.seed <= MAX_SEED:
+        if not 0 <= operator.index(self.seed) <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
 

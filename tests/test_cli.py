@@ -541,6 +541,13 @@ class TestSweep:
                      "--axis2", "x_A=2e-7:1e-6:5", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
         assert digest == SWEEP_CSV_SHA256_CASE_B
+        # rows is the point count, 6 x 5, not the number of columns
+        assert (out / "summary.csv").read_text() == (
+            "quantity,value\n"
+            "rows,30\n"
+            "axis1,M=1.00000000e-15:1.00000000e-13:6\n"
+            "axis2,x_A=2.00000000e-07:1.00000000e-06:5\n"
+        )
 
     def test_svg_bytes_frozen(self, tmp_path):
         out = tmp_path / "bundle"

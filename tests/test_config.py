@@ -269,8 +269,8 @@ class TestAssembly:
         s = built.scenario
         assert built.params.g == weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).gain > 0
         case = evaluate_case(built.params)
-        assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
-        assert case.ratio == pytest.approx(-built.params.g * s.delta_a / s.probe.sigma, rel=1e-12)
+        assert case["ps_prob"] == pytest.approx(protocol.run(s).probability, rel=1e-12)
+        assert case["ratio"] == pytest.approx(-built.params.g * s.delta_a / s.probe.sigma, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.7075, 0.9])
     def test_beta_source_gain_is_the_simulate_gain(self, beta):
@@ -287,8 +287,8 @@ class TestAssembly:
     def test_feasibility_weights_come_from_the_document(self, extra):
         built = build_scenario({**CASE_B_DOC, **extra})
         s = built.scenario
-        (case,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
-        assert case.ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
+        (ps_prob,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))["ps_prob"]
+        assert ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
 
     @pytest.mark.parametrize("source, reason", [
         ({"beta": 0.999}, "realises gain -0.05783339705044427"),

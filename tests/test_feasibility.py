@@ -64,6 +64,11 @@ def case_a_params() -> ProtocolParams:
     )
 
 
+def one_point(cases: dict[str, np.ndarray]) -> dict[str, object]:
+    """A one-point case's values by name; `.item()` raises unless the column holds one entry."""
+    return {name: column.item() for name, column in cases.items()}
+
+
 def random_params() -> ProtocolParams:
     x_a = 10.0 ** RNG.uniform(-7, -4)
     return ProtocolParams(
@@ -254,21 +259,21 @@ class TestParams:
 class TestSweep:
     def test_single_axis_linearity(self):
         cases = sweep(case_b_params(), [("M", 1e-15, 2e-15, 2)])
-        assert len(cases) == 2
-        assert cases[1].ratio == pytest.approx(2 * cases[0].ratio, rel=1e-12)
+        assert cases["M"].size == 2
+        assert cases["ratio"][1] == pytest.approx(2 * cases["ratio"][0], rel=1e-12)
 
     def test_two_axis_row_major_order(self):
         cases = sweep(case_b_params(), [("M", 1e-15, 1e-14, 10), ("x_A", 4e-7, 1.2e-6, 10)])
-        assert len(cases) == 100
-        ms = cases.M.tolist()
-        xs = cases.x_A.tolist()
+        assert cases["M"].size == 100
+        ms = cases["M"].tolist()
+        xs = cases["x_A"].tolist()
         assert ms == sorted(ms)  # outer axis slowest
         assert xs[:10] == sorted(xs[:10])  # inner axis fastest within a block
         assert ms[0] != ms[-1] and xs[0] == xs[10]
 
     def test_contains_case_b_point(self):
         cases = sweep(case_b_params(), [("M", 1e-15, 1e-14, 10)])
-        assert cases[-1].ratio == pytest.approx(CASE_B_RATIO, rel=1e-12)
+        assert cases["ratio"][-1] == pytest.approx(CASE_B_RATIO, rel=1e-12)
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError, match="sweep field"):
@@ -289,16 +294,16 @@ class TestSweep:
         monkeypatch.setattr(feasibility, "evaluate_case",
                             lambda *args: calls.append(args) or evaluate_case(*args))
         cases = sweep(case_b_params(), [("M", 1e-15, 1e-14, 4), ("g", 10.0, 1e3, 3)])
-        assert len(calls) == 1 and len(cases) == 12
+        assert len(calls) == 1 and cases["M"].size == 12
         assert cases["T"].tolist() == [case_b_params().T] * 12
 
     def test_columns_match_single_points(self):
-        # each record is the one-row case of its own point, field for field
+        # each grid point is the one-point case of its own fields, column for column
         base = case_a_params()
         cases = sweep(base, [("m", 1e-25, 4e-25, 5), ("g", 1e3, 1e7, 4)])
-        for case in cases:
-            point = replace(base, m=float(case.m), g=float(case.g))
-            assert case.tolist() == evaluate_case(point)[0].tolist()
+        for i in range(cases["M"].size):
+            case = {name: column[i].item() for name, column in cases.items()}
+            assert case == one_point(evaluate_case(replace(base, m=case["m"], g=case["g"])))
 
     @pytest.mark.parametrize("overrides, axes, column", [
         ({}, [("M", 1e300, 1e308, 3), ("x_A", 1e-150, 2e-150, 3)], "delta_a"),
@@ -328,13 +333,13 @@ class TestAcceptance:
         # (1 - 2 alpha beta I)/2 cancels as the gain grows; the reference takes
         # the paper weights (-alpha/sqrt(2), beta/sqrt(2)) at their float values.
         params = replace(make_params(), g=gain)
-        (case,) = evaluate_case(params)
-        alpha, beta = amplitudes_for_gain(gain, case.delta_b / case.delta_a)
+        case = one_point(evaluate_case(params))
+        alpha, beta = amplitudes_for_gain(gain, case["delta_b"] / case["delta_a"])
         reference, _, _ = oracles.two_gaussian_stats_mp(
-            -alpha / math.sqrt(2.0), beta / math.sqrt(2.0), case.delta_a, case.delta_b,
+            -alpha / math.sqrt(2.0), beta / math.sqrt(2.0), case["delta_a"], case["delta_b"],
             HBAR / params.W,
         )
-        assert case.ps_prob == pytest.approx(reference, rel=1e-9, abs=0.0)
+        assert case["ps_prob"] == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
     @pytest.mark.parametrize("post, phases", POSTSELECTIONS)
@@ -342,13 +347,13 @@ class TestAcceptance:
         cases = sweep(case_b_params(), [("g", 1.0, 1e4, 4), ("M", 1e-15, 1e-13, 3)],
                       final=post, phases=phases)
         final = post if post is not None else paper_postselection(*phases)
-        alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
-        for i in range(len(cases)):
+        alpha, beta = amplitudes_for_gain(cases["g"], cases["delta_b"] / cases["delta_a"])
+        for i in range(cases["M"].size):
             pre = SourceState(float(alpha[i]), float(beta[i]))
             w_a, w_b = branch_weights(pre, final, *phases)
-            expected = gaussian_postselection(w_a, w_b, cases.delta_a[i], cases.delta_b[i],
-                                              HBAR / cases.W[i])[0]
-            assert cases.ps_prob[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            expected = gaussian_postselection(w_a, w_b, cases["delta_a"][i], cases["delta_b"][i],
+                                              HBAR / cases["W"][i])[0]
+            assert cases["ps_prob"][i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("preset, axes, post, phases", [
         ("caseB", [("M", 1e-15, 1e-13, 200), ("x_A", 2e-7, 1e-6, 200)], None, (0.0, 0.0)),
@@ -362,14 +367,14 @@ class TestAcceptance:
         # bit for bit: the phased paper case by up to 8.2e-13 with numpy's AVX-512 kernels
         cases = sweep(build_scenario(load_preset(preset)).params, axes, 1, post, phases)
         final = post if post is not None else paper_postselection(*phases)
-        alpha, beta = amplitudes_for_gain(cases.g, cases.delta_b / cases.delta_a)
+        alpha, beta = amplitudes_for_gain(cases["g"], cases["delta_b"] / cases["delta_a"])
         column = gaussian_postselection(*branch_weights(SourceState(alpha, beta), final, *phases),
-                                        cases.delta_a, cases.delta_b, HBAR / cases.W)
+                                        cases["delta_a"], cases["delta_b"], HBAR / cases["W"])
         rows = [gaussian_postselection(*branch_weights(SourceState(a, b), final, *phases),
                                        d_a, d_b, HBAR / w)
                 for a, b, d_a, d_b, w in zip(*(c.tolist() for c in (
-                    alpha, beta, cases.delta_a, cases.delta_b, cases.W)))]
-        assert cases.ps_prob.tolist() == column[0].tolist()
+                    alpha, beta, cases["delta_a"], cases["delta_b"], cases["W"])))]
+        assert cases["ps_prob"].tolist() == column[0].tolist()
         np.testing.assert_allclose(column, np.transpose(rows), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("evaluate, points", [
@@ -383,7 +388,7 @@ class TestAcceptance:
                 calls[name] += 1
                 return call(*args)
             monkeypatch.setattr(feasibility, name, counted)
-        assert len(evaluate()) == points
+        assert evaluate()["M"].size == points
         assert calls == {"branch_weights": 1, "gaussian_postselection": 1}
 
 
@@ -411,8 +416,8 @@ class TestAcceptance:
         for offset in 10.0 ** rng.uniform(-9.0, -3.0, size=300):
             built = build_scenario({**doc, "source": {"beta": 1.0 / math.sqrt(2.0) + offset}})
             s = built.scenario
-            (case,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
-            assert case.ps_prob == pytest.approx(run(s).probability, rel=1e-9, abs=0.0)
+            case = one_point(evaluate_case(built.params, s.post, (s.phi_a, s.phi_b)))
+            assert case["ps_prob"] == pytest.approx(run(s).probability, rel=1e-9, abs=0.0)
 
 
 class TestCsvFormat:
@@ -430,9 +435,9 @@ class TestCsvFormat:
             assert len(mantissa.replace(".", "")) == 9
 
     def test_case_row_values(self):
-        (case,) = evaluate_case(case_b_params())
-        assert case.tau == pytest.approx(TAU_CASE_B, rel=1e-12)
-        assert case.ratio == pytest.approx(CASE_B_RATIO, rel=1e-12)
-        assert case.delta_a == pytest.approx(DELTA_KICK_EXAMPLE, rel=1e-12)
-        assert case.delta_b == pytest.approx(DELTA_KICK_EXAMPLE / 10.0, rel=1e-12)
-        assert 0.0 < case.ps_prob < 1.0
+        case = one_point(evaluate_case(case_b_params()))
+        assert case["tau"] == pytest.approx(TAU_CASE_B, rel=1e-12)
+        assert case["ratio"] == pytest.approx(CASE_B_RATIO, rel=1e-12)
+        assert case["delta_a"] == pytest.approx(DELTA_KICK_EXAMPLE, rel=1e-12)
+        assert case["delta_b"] == pytest.approx(DELTA_KICK_EXAMPLE / 10.0, rel=1e-12)
+        assert 0.0 < case["ps_prob"] < 1.0

@@ -149,9 +149,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="trials"):
             RunConfig(scenario=fig2_scenario(), trials=0, seed=1)
 
-    def test_trials_must_be_an_integer(self):
+    @pytest.mark.parametrize("overrides", [{"trials": 1000.5}, {"seed": 7.9}, {"bins": 64.0}],
+                             ids=["trials", "seed", "bins"])
+    def test_trials_must_be_an_integer(self, overrides):
+        # a float seed would run as its truncation, a float bins fail later inside numpy
         with pytest.raises(TypeError):
-            RunConfig(scenario=fig2_scenario(), trials=1000.5, seed=1)
+            RunConfig(**{"scenario": fig2_scenario(), "trials": 1000, "seed": 1, **overrides})
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_must_be_a_philox_key(self, seed):
