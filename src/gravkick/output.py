@@ -3,8 +3,8 @@
 All tabular output is UTF-8 with newline-terminated rows under a header line.  Table
 floats are in scientific notation with 9 significant digits, except in wavefunction.csv:
 it opens with a `# units=..., W=...` line and writes floats as %r, up to 17 significant
-digits.  summary.csv values may also be text, integers or n/a.  Files land via temp file
-+ rename so a crashed run never leaves a half-written bundle member.
+digits.  summary.csv values may also be text, integers or n/a.  Files land via temp
+file + rename so a crashed run never leaves a half-written bundle member.
 """
 
 from __future__ import annotations
