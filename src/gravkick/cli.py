@@ -108,15 +108,31 @@ def _emit_bundle(out: str, files: dict[str, str]) -> int:
     return 0
 
 
-def _resolve_doc(args) -> dict:
-    _out_dir(_bundle_dir(args))  # first: a long run must not end at a directory it cannot make
+# Each scenario command's bundle files, in the order its function returns their texts, and
+# the files that --svg adds (sweep refuses --svg without two axes)
+_BUNDLE_FILES = {
+    "simulate": (("summary.csv", "wavefunction.csv"), ("fig2.svg", "fig2_curves.csv")),
+    "feasibility": (("summary.csv", "sweep.csv"), ()),
+    "montecarlo": (("summary.csv", "histogram.csv"), ()),
+    "sweep": (("sweep.csv", "summary.csv"), ("sweep.svg",)),
+}
+
+
+def _run_scenario(args) -> int:
+    """A scenario command, in order: check every bundle path, so that a long run cannot end
+    at a file it cannot write; read and build the document; compute; write the bundle."""
+    plain, with_svg = _BUNDLE_FILES[args.command]
+    names = plain + with_svg if getattr(args, "svg", False) else plain
+    out = _out_dir(_bundle_dir(args), names)
     if args.scenario and args.config:
         raise ConfigError("give either a config file or --scenario, not both", field="--scenario")
-    if args.scenario:
-        return load_preset(args.scenario)
-    if args.config:
-        return load_config(args.config)
-    raise ConfigError("a config file or --scenario preset is required", field="--scenario")
+    if not (args.scenario or args.config):
+        raise ConfigError("a config file or --scenario preset is required", field="--scenario")
+    built = build_scenario(load_preset(args.scenario) if args.scenario
+                           else load_config(args.config))
+    if built.params is None and args.command in ("feasibility", "sweep"):
+        raise ConfigError(f"{args.command} needs physical (SI) kick parameters", field="kicks")
+    return _emit_bundle(out, dict(zip(names, args.compute(args, built), strict=True)))
 
 
 def _momentum_unit(built: BuiltScenario, display: str) -> float:
@@ -147,7 +163,7 @@ def _decomposition_curves(result: protocol.PostselectedResult):
 
 
 def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]:
-    """The fig2 curves CSV and SVG; warns when the window misses part of the state."""
+    """The fig2 SVG and curves CSV; warns when the window misses part of the state."""
     p, branch_b, branch_a, total = _decomposition_curves(result)
     share = float(np.trapezoid(total * total, p))
     if share < FIG2_WINDOW_SHARE:
@@ -166,11 +182,10 @@ def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]
         xlabel="p [hbar/W]",
         ylabel="amplitude",
     )
-    return curves_csv, image
+    return image, curves_csv
 
 
-def cmd_simulate(args) -> int:
-    built = build_scenario(_resolve_doc(args))
+def cmd_simulate(args, built: BuiltScenario) -> tuple[str, ...]:
     display = args.units or built.units
     unit = _momentum_unit(built, display)
 
@@ -201,12 +216,8 @@ def cmd_simulate(args) -> int:
     buf = io.StringIO()
     to_csv(shown, buf, units=display, width=built.scenario.probe.width)
 
-    files = {"summary.csv": summary_csv(rows), "wavefunction.csv": buf.getvalue()}
-    if args.svg:
-        curves_csv, image = _decomposition_files(result)
-        files["fig2.svg"] = image
-        files["fig2_curves.csv"] = curves_csv
-    return _emit_bundle(_bundle_dir(args), files)
+    texts = (summary_csv(rows), buf.getvalue())
+    return texts + _decomposition_files(result) if args.svg else texts
 
 
 def _warn_outside_domain(params: ProtocolParams, field: str, solved: float) -> None:
@@ -226,10 +237,7 @@ def _warn_outside_domain(params: ProtocolParams, field: str, solved: float) -> N
         _emit_record("warning", "solve-domain", message + "; ".join(broken), field=field)
 
 
-def cmd_feasibility(args) -> int:
-    built = build_scenario(_resolve_doc(args))
-    if built.params is None:
-        raise ConfigError("feasibility needs physical (SI) kick parameters", field="kicks")
+def cmd_feasibility(args, built: BuiltScenario) -> tuple[str, ...]:
     if (args.solve is None) != (args.target is None):
         raise ConfigError("--solve and --target must be given together",
                           field="--target" if args.target is not None else "--solve")
@@ -242,16 +250,10 @@ def cmd_feasibility(args) -> int:
         _warn_outside_domain(built.params, args.solve, solved)
         rows.append((f"solved_{args.solve}", solved))
         rows.append(("solve_target", args.target))
-
-    files = {
-        "summary.csv": summary_csv(rows),
-        "sweep.csv": sweep_csv(cases),
-    }
-    return _emit_bundle(_bundle_dir(args), files)
+    return summary_csv(rows), sweep_csv(cases)
 
 
-def cmd_montecarlo(args) -> int:
-    built = build_scenario(_resolve_doc(args))
+def cmd_montecarlo(args, built: BuiltScenario) -> tuple[str, ...]:
     if built.mc is None:
         raise ConfigError("montecarlo needs a montecarlo section (trials, seed)",
                           field="montecarlo")
@@ -267,11 +269,7 @@ def cmd_montecarlo(args) -> int:
         ("exact_probability", stats.exact.probability),
         ("exact_mean", stats.exact.mean_kick),
     ]
-    files = {
-        "summary.csv": summary_csv(rows),
-        "histogram.csv": stats.histogram_csv(),
-    }
-    return _emit_bundle(_bundle_dir(args), files)
+    return summary_csv(rows), stats.histogram_csv()
 
 
 def _parse_axis(text: str, flag: str):
@@ -287,10 +285,7 @@ def _parse_axis(text: str, flag: str):
     return axis
 
 
-def cmd_sweep(args) -> int:
-    built = build_scenario(_resolve_doc(args))
-    if built.params is None:
-        raise ConfigError("sweep needs physical (SI) kick parameters", field="kicks")
+def cmd_sweep(args, built: BuiltScenario) -> tuple[str, ...]:
     flags = ("--axis", "--axis2") if args.axis2 else ("--axis",)
     axes = []
     for text, flag in zip((args.axis, args.axis2), flags):
@@ -304,18 +299,16 @@ def cmd_sweep(args) -> int:
     s = built.scenario
     cases = sweep(built.params, axes, args.workers, s.post, (s.phi_a, s.phi_b))
 
-    files = {"sweep.csv": sweep_csv(cases)}
     rows: list[tuple[str, object]] = [("rows", cases["M"].size)]
     for i, (field, start, stop, count) in enumerate(axes, start=1):
         rows.append((f"axis{i}", f"{field}={start:.8e}:{stop:.8e}:{count}"))
-    files["summary.csv"] = summary_csv(rows)
-
-    if args.svg:
-        (f1, _, _, c1), (f2, _, _, c2) = axes
-        z = np.abs(cases["ratio"]).reshape(c1, c2)
-        files["sweep.svg"] = svg.heatmap(cases[f1][::c2], cases[f2][:c2], z, xlabel=f1, ylabel=f2,
-                                         title="|ratio| over the swept parameters")
-    return _emit_bundle(_bundle_dir(args), files)
+    texts = (sweep_csv(cases), summary_csv(rows))
+    if not args.svg:
+        return texts
+    (f1, _, _, c1), (f2, _, _, c2) = axes
+    z = np.abs(cases["ratio"]).reshape(c1, c2)
+    return *texts, svg.heatmap(cases[f1][::c2], cases[f2][:c2], z, xlabel=f1, ylabel=f2,
+                               title="|ratio| over the swept parameters")
 
 
 def cmd_fig2(args) -> int:
@@ -327,9 +320,8 @@ def cmd_fig2(args) -> int:
         raise ConfigError(f"--out {out!r} {problem}; give --out the SVG's file path",
                           field="--out")
     directory = _out_dir(directory or os.curdir, (svg_name, csv_name))
-    curves_csv, image = _decomposition_files(
-        protocol.run(build_scenario(load_preset("fig2")).scenario))
-    return _emit_bundle(directory, {svg_name: image, csv_name: curves_csv})
+    texts = _decomposition_files(protocol.run(build_scenario(load_preset("fig2")).scenario))
+    return _emit_bundle(directory, dict(zip((svg_name, csv_name), texts)))
 
 
 def cmd_presets(args) -> int:
@@ -338,7 +330,8 @@ def cmd_presets(args) -> int:
     return 0
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
+def _add_config_args(parser: argparse.ArgumentParser, compute) -> None:
+    parser.set_defaults(func=_run_scenario, compute=compute)
     parser.add_argument("config", nargs="?", help="scenario config JSON file")
     parser.add_argument(
         "--scenario",
@@ -353,29 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="exact + first-order postselected statistics")
-    _add_config_args(p_sim)
+    _add_config_args(p_sim, cmd_simulate)
     p_sim.add_argument("--units", choices=UNITS, help="unit system for the summary")
     p_sim.add_argument("--svg", action="store_true", help="also render the decomposition plot")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_feas = sub.add_parser("feasibility", help="kicks, ratio and spreading time from SI params")
-    _add_config_args(p_feas)
+    _add_config_args(p_feas, cmd_feasibility)
     p_feas.add_argument("--solve", choices=SOLVABLE_FIELDS, help="invert the ratio for one field")
     p_feas.add_argument("--target", type=float, help="target ratio for --solve")
-    p_feas.set_defaults(func=cmd_feasibility)
 
     p_mc = sub.add_parser("montecarlo", help="sample repeated postselected runs")
-    _add_config_args(p_mc)
+    _add_config_args(p_mc, cmd_montecarlo)
     p_mc.add_argument("--workers", type=int, default=1, help="accepted; the work runs serially")
-    p_mc.set_defaults(func=cmd_montecarlo)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep of feasibility cases")
-    _add_config_args(p_sweep)
+    _add_config_args(p_sweep, cmd_sweep)
     p_sweep.add_argument("--axis", required=True, help="FIELD=start:stop:count")
     p_sweep.add_argument("--axis2", help="second axis FIELD=start:stop:count")
     p_sweep.add_argument("--svg", action="store_true", help="heatmap of |ratio| (two axes)")
     p_sweep.add_argument("--workers", type=int, default=1, help="accepted; the work runs serially")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig2 = sub.add_parser("fig2", help="render the decomposition figure")
     p_fig2.add_argument("--out", help="output SVG path, the curves CSV next to it "

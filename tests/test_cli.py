@@ -555,6 +555,16 @@ class TestSweep:
                      "--axis2", "x_A=2e-7:1e-6:5", "--svg", "--out", str(out)]) == 0
         assert sha256(out / "sweep.svg") == SWEEP_SVG_SHA256_CASE_B
 
+    def test_ps_prob_past_the_overlap_overflow_leaves_stderr_empty(self, tmp_path, capsys):
+        # (gap / sigma)^2 overflows from M near 4.7e145: no numpy warning, and P is 1/2
+        out = tmp_path / "bundle"
+        assert main(["sweep", "--scenario", "caseB", "--axis", "M=1e-14:1e280:5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+        assert rows[0][11] == "ps_prob"
+        assert [row[11] for row in rows[2:]] == ["5.00000000e-01"] * 4
+
     @pytest.mark.parametrize("axis", ["g=10:inf:3", "g=nan:1e3:3", "M=-inf:1e-14:4"])
     def test_non_finite_bound_refused(self, tmp_path, capsys, axis):
         out = tmp_path / "bundle"
@@ -958,6 +968,19 @@ BUNDLE_COMMANDS = [
 ]
 
 
+# (label, command line, the files of its bundle) for every scenario command and flag
+BUNDLE_MEMBERS = [
+    ("simulate", ["simulate", "--scenario", "fig2"], ["summary.csv", "wavefunction.csv"]),
+    ("simulate-svg", ["simulate", "--scenario", "fig2", "--svg"],
+     ["fig2.svg", "fig2_curves.csv", "summary.csv", "wavefunction.csv"]),
+    ("feasibility", ["feasibility", "--scenario", "caseB"], ["summary.csv", "sweep.csv"]),
+    ("montecarlo", ["montecarlo", "--scenario", "fig2"], ["histogram.csv", "summary.csv"]),
+    ("sweep", ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:3"],
+     ["summary.csv", "sweep.csv"]),
+    ("sweep-svg", ["sweep", "--scenario", "caseB", "--axis", "M=1e-15:1e-13:3",
+                   "--axis2", "x_A=2e-7:1e-6:3", "--svg"], ["summary.csv", "sweep.csv", "sweep.svg"]),
+]
+
 class TestOutputDirDefaults:
     def test_env_var_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRAVKICK_OUT", str(tmp_path / "envout"))
@@ -1014,17 +1037,21 @@ class TestOutputDirDefaults:
         assert (tmp_path / "afile").read_text() == "kept\n"
 
 
-    @pytest.mark.parametrize("command, member", zip(
-        BUNDLE_COMMANDS, ["wavefunction.csv", "sweep.csv", "histogram.csv", "summary.csv"]),
-        ids=[command[0] for command in BUNDLE_COMMANDS])
+    @pytest.mark.parametrize("command, member", [
+        pytest.param(command, member, id=f"{label}-{member}")
+        for label, command, files in BUNDLE_MEMBERS for member in files])
     def test_member_that_is_a_directory_is_refused_before_any_write(self, tmp_path, capsys,
-                                                                     command, member):
-        # the member is written after another one, which must keep its old bytes
+                                                                     monkeypatch, command, member):
+        # refused before the document is built, with every other file of the bundle kept
+        import gravkick.cli
+
         out = tmp_path / "bundle"
         assert main([*command, "--out", str(out)]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         (out / member).unlink()
         (out / member).mkdir()
+        built = []
+        monkeypatch.setattr(gravkick.cli, "build_scenario", lambda doc: built.append(doc))
         capsys.readouterr()
         assert main([*command, "--out", str(out)]) == 2
         human, line = capsys.readouterr().err.strip().splitlines()
@@ -1033,9 +1060,39 @@ class TestOutputDirDefaults:
         assert record["message"] == (f"cannot write the bundle file {str(out / member)!r}: "
                                      "it is a directory")
         assert human == f"error: {record['message']}"
+        assert built == []
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == {
             name: data for name, data in before.items() if name != member}
         assert list((out / member).iterdir()) == []
+
+    @pytest.mark.parametrize("command, files", [
+        pytest.param(command, files, id=label) for label, command, files in [
+            *BUNDLE_MEMBERS,
+            ("simulate-natural-svg", ["simulate", "--scenario", "caseB", "--units", "natural",
+                                      "--svg"],
+             ["fig2.svg", "fig2_curves.csv", "summary.csv", "wavefunction.csv"]),
+            ("feasibility-solve", ["feasibility", "--scenario", "caseA", "--solve", "M",
+                                   "--target", "1e-3"], ["summary.csv", "sweep.csv"]),
+            ("fig2", ["fig2"], ["fig2.csv", "fig2.svg"]),
+        ]])
+    def test_checked_paths_are_the_written_files(self, tmp_path, monkeypatch, command, files):
+        # the paths checked before the work, and again before the first write, are the
+        # bundle's files: a member missing from the first check could end a long run
+        import gravkick.cli
+
+        checked = []
+        out_dir = gravkick.cli._out_dir
+
+        def recording(out, names=()):
+            checked.append(sorted(names))
+            return out_dir(out, names)
+
+        monkeypatch.setattr(gravkick.cli, "_out_dir", recording)
+        out = tmp_path / "bundle"
+        path = out / "fig2.svg" if command == ["fig2"] else out
+        assert main([*command, "--out", str(path)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == files
+        assert checked == [files, files]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -391,6 +392,20 @@ class TestAcceptance:
         assert evaluate()["M"].size == points
         assert calls == {"branch_weights": 1, "gaussian_postselection": 1}
 
+
+    def test_ps_prob_past_the_overlap_overflow_is_the_weight_sum(self):
+        # (gap / sigma)^2 overflows from M near 4.7e145 on caseB, and evaluate_case keeps numpy
+        # quiet there (the suite makes its RuntimeWarnings errors): the overlap's limit I = 0
+        # leaves P = |w_A|^2 + |w_B|^2, which is 1/2 for the paper postselection
+        cases = sweep(build_scenario(load_preset("caseB")).params, [("M", 1e-14, 1e280, 5)])
+        gap = np.abs(cases["delta_a"] - cases["delta_b"]) / (HBAR / cases["W"])
+        past = gap > math.sqrt(sys.float_info.max)  # where gap * gap overflows
+        assert past.tolist() == [False, True, True, True, True]
+        alpha, beta = amplitudes_for_gain(cases["g"], cases["delta_b"] / cases["delta_a"])
+        w_a, w_b = branch_weights(SourceState(alpha, beta), paper_postselection(0.0, 0.0))
+        weight_sum = np.abs(w_a) ** 2 + np.abs(w_b) ** 2
+        np.testing.assert_allclose(cases["ps_prob"][past], weight_sum[past], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cases["ps_prob"][past], 0.5, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
