@@ -2,15 +2,19 @@
 
 The accepted count is one Binomial(trials, P) draw at the exact postselection
 probability, and each accepted trial one momentum draw from the conditional
-distribution (inverse CDF on the grid).  Randomness is counter-based: block b
-draws from Philox(key=seed, counter=b << 64), so its stream depends only on
-the seed and b; block 0 draws the count, blocks 1, 2, ... the samples.
+distribution (inverse CDF on the grid).  Block b of the random stream is
+random.Random((seed << 64) | b), so it depends only on the seed and b; its
+uniforms are the top 53 bits of its little-endian 64-bit words.  Block 0 draws
+the count by summing geometric gaps between acceptances until they pass the
+trials; blocks 1, 2, ... draw BLOCK_SAMPLES samples each, one uniform per sample,
+sorted within the block before the inverse CDF (the samples are exchangeable).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +25,9 @@ from .wavepacket import DEFAULT_GRID_POINTS
 
 BLOCK_SAMPLES = 8192
 DEFAULT_HISTOGRAM_BINS = 64
-MAX_TRIALS = 2**63 - 1  # the int64 count of the binomial draw, which would truncate a float
-MAX_SEED = 2**128 - 1  # the Philox key
+MAX_TRIALS = 2**63 - 1  # the count's position sums reach 2 * it + 1, the uint64 top
+MAX_SEED = 2**128 - 1  # a 128-bit seed above the 64-bit block index
+_MAX_CHUNK = 1 << 14  # larger draws of bytes run slower, out of cache
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,39 @@ def _conditional_cdf(
     return result, grid.p, cdf, np.linspace(grid.p[0], grid.p[-1], cfg.bins + 1)
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+def _block_rng(seed: int, block: int) -> random.Random:
+    return random.Random((seed << 64) | block)
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The block's next n uniforms on [0, 1): the top 53 bits of each 64-bit word."""
+    return (np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> 11) * 2.0**-53
+
+
+def _binomial(trials: int, p: float, rng: random.Random) -> int:
+    """Binomial(trials, p) for 0 <= p <= 1, exactly: the number of geometric gaps
+    floor(log1p(-u) / log1p(-p)) + 1 whose running sum stays within `trials`.
+    Draws about min(k, trials - k) uniforms, in chunks sized to the expected count."""
+    if p > 0.5:
+        return trials - _binomial(trials, 1.0 - p, rng)  # 1 - p is exact here (Sterbenz)
+    if p == 0.0:
+        return 0
+    log_q = math.log1p(-p)
+    count, left = 0, trials  # left: the trials after the last acceptance
+    while True:
+        expected = left * p
+        size = min(int(expected + 3.0 * math.sqrt(expected)) + 8, _MAX_CHUNK)
+        # truncation floors the ratios, which are >= 0; a gap past the `left` trials is cut
+        # to left + 1, so each sum up to the first one past `left` is below 2**64
+        gaps = np.minimum(np.log1p(-_uniforms(rng, size)) / log_q, 2.0**63).astype(np.uint64)
+        np.minimum(gaps, left, out=gaps)
+        gaps += 1
+        past = np.cumsum(gaps, out=gaps) > left  # sums after that one may wrap
+        first = int(past.argmax())
+        if past[first]:
+            return count + first
+        count += size
+        left -= int(gaps[-1])
 
 
 def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
@@ -91,12 +127,13 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleStats:
     exact, p, cdf, edges = _conditional_cdf(cfg)
 
     # P rounds above 1 on a few documents whose postselection keeps the whole state
-    accepted = int(_block_rng(cfg.seed, 0).binomial(cfg.trials, min(exact.probability, 1.0)))
+    accepted = _binomial(cfg.trials, min(exact.probability, 1.0), _block_rng(cfg.seed, 0))
     # deviations from the exact mean: sums of raw kicks far from zero would cancel
     dev, dev_sq = 0.0, 0.0
     counts = np.zeros(cfg.bins, dtype=np.int64)
     for block, start in enumerate(range(0, accepted, BLOCK_SAMPLES), start=1):
-        u = _block_rng(cfg.seed, block).random(min(BLOCK_SAMPLES, accepted - start))
+        u = _uniforms(_block_rng(cfg.seed, block), min(BLOCK_SAMPLES, accepted - start))
+        u.sort()  # sorted, np.interp finds each sample's cell next to the last one
         samples = np.interp(u, cdf, p)
         deviations = samples - exact.mean_kick
         dev += float(deviations.sum())

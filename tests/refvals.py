@@ -64,11 +64,13 @@ SWEEP_CSV_SHA256_CASE_B = "3add0efc2cd48d3ef1319318dcafdedfcc6345961c26bcb019e0b
 # wavefunction.csv was re-taken when the Gaussian samples moved to `math.exp`: these
 # are the bytes numpy's non-AVX-512 `exp` wrote before, now written on every CPU.
 # histogram.csv was re-taken when the sampler moved to one binomial count followed by
-# the accepted samples only, a new random stream with the same law.
+# the accepted samples only, a new random stream with the same law, and again when the
+# blocks moved from numpy's Philox to random.Random((seed << 64) | block) with the count
+# summed from geometric gaps: another new stream with the same law.
 FIG2_SVG_SHA256 = "cae92cc77fa94d610efe5333298878f4234d82159b6499153f8d4c1510c32a3a"
 FIG2_CSV_SHA256 = "c4a5775818c5ab83460a0e9be7903ef1b22e2a6532a5b034c0c7386d8bd46f19"
 SWEEP_SVG_SHA256_CASE_B = "b6cf50a7e3857cce178efb85def9aa3c45712739d1e2a312b49cca8de9a8d21b"
-HISTOGRAM_CSV_SHA256_FIG2 = "031d92eb29ce1d0d7539043a36b6ce163f4e16448f33eb2918bdd831091fef85"
+HISTOGRAM_CSV_SHA256_FIG2 = "d95f08404ab32cb9e72642da0e9634e7b4897f6916978f915f769bedae0cea6c"
 WAVEFUNCTION_CSV_SHA256_FIG2 = "cf1cbd2df79d61b0b56e99bf1eaf9c8c7bcde5a719596915b8b36d5c9e891806"
 SOLVE_SUMMARY_SHA256_CASE_B = {
     "M": "8e760bfe60c845140b9477629cf9127ac2011e2e696c0f52f8bca0c43aca6131",

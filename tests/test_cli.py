@@ -425,6 +425,17 @@ class TestMontecarlo:
         assert main(["montecarlo", "--scenario", "fig2", "--out", str(out)]) == 0
         assert sha256(out / "histogram.csv") == HISTOGRAM_CSV_SHA256_FIG2
 
+    def test_montecarlo_process_imports_neither_numpy_random_nor_hashlib(self, tmp_path):
+        # the sampler's streams are stdlib random.Random; numpy.random adds about 6 MiB to the
+        # process's peak RSS, and hashlib's SHAKE-256 would load libcrypto
+        probe = ("import sys\nfrom gravkick import cli\n"
+                 "assert cli.main(['montecarlo', '--scenario', 'fig2', '--out', sys.argv[1]]) == 0\n"
+                 "print(sorted({'numpy.random', 'hashlib'} & sys.modules.keys()))")
+        result = run_child(["-c", probe, str(tmp_path / "bundle")])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "bundle" / "histogram.csv").is_file()
+
     def test_single_trial_marker(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -885,7 +896,7 @@ class TestErrorChannels:
         assert_refused(code, out, capsys, kind, message)
 
     @pytest.mark.parametrize("seed, code", [(2**128 - 1, 0), (2**128, 2)])
-    def test_seed_beyond_a_philox_key_is_a_config_error(self, tmp_path, capsys, seed, code):
+    def test_seed_beyond_128_bits_is_a_config_error(self, tmp_path, capsys, seed, code):
         doc = load_preset("fig2")
         doc["montecarlo"] = {**doc["montecarlo"], "trials": 1000, "seed": seed}
         out = tmp_path / "bundle"

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +12,10 @@ from gravkick.config import build_scenario, load_preset
 from gravkick.montecarlo import (
     BLOCK_SAMPLES,
     RunConfig,
+    _binomial,
     _block_rng,
     _conditional_cdf,
+    _uniforms,
     expected_bin_masses,
     run_ensemble,
 )
@@ -43,6 +47,49 @@ def fig2_scenario(**overrides):
 
 def fig2_config(trials=100000, seed=42, **kw):
     return RunConfig(scenario=fig2_scenario(), trials=trials, seed=seed, **kw)
+
+
+def documented_uniforms(seed, block, n):
+    """The first n uniforms of block `block`, as the module docstring states them."""
+    words = random.Random((seed << 64) | block).randbytes(8 * n)
+    return [(int.from_bytes(words[i:i + 8], "little") >> 11) * 2.0**-53
+            for i in range(0, 8 * n, 8)]
+
+
+def gap_walk_binomial(trials, p, seed):
+    """The count of block 0, one geometric gap at a time in Python integers: the number of
+    running sums of floor(log1p(-u) / log1p(-p)) + 1 within `trials`, with the failures
+    counted at 1 - p when p > 1/2."""
+    if p > 0.5:
+        return trials - gap_walk_binomial(trials, 1.0 - p, seed)
+    rng = random.Random(seed << 64)
+    count, position = 0, 0
+    while True:
+        u = (int.from_bytes(rng.randbytes(8), "little") >> 11) * 2.0**-53
+        position += math.floor(math.log1p(-u) / math.log1p(-p)) + 1
+        if position > trials:
+            return count
+        count += 1
+
+
+class CountingRandom(random.Random):
+    """A block's stream that records how many 64-bit words each draw takes."""
+
+    def __init__(self, seed, block, drawn):
+        super().__init__((seed << 64) | block)
+        self.words = drawn.setdefault(block, [])
+
+    def randbytes(self, n):
+        self.words.append(n // 8)
+        return super().randbytes(n)
+
+
+def count_draws(monkeypatch):
+    """Route every block through CountingRandom; returns {block: [words per draw]}."""
+    drawn = {}
+    monkeypatch.setattr(gravkick.montecarlo, "_block_rng",
+                        lambda seed, block: CountingRandom(seed, block, drawn))
+    return drawn
 
 
 def bundle_text(stats):
@@ -95,9 +142,10 @@ class TestStatistics:
         stats = run_ensemble(cfg)
         _, p, cdf, _ = _conditional_cdf(cfg)
         # block 0 draws the accepted count, blocks 1, 2, ... BLOCK_SAMPLES samples each
-        n = _block_rng(cfg.seed, 0).binomial(cfg.trials, stats.exact.probability)
-        u = [_block_rng(cfg.seed, 1 + start // BLOCK_SAMPLES).random(
-            min(BLOCK_SAMPLES, n - start)) for start in range(0, n, BLOCK_SAMPLES)]
+        n = gap_walk_binomial(cfg.trials, stats.exact.probability, cfg.seed)
+        u = [documented_uniforms(cfg.seed, 1 + start // BLOCK_SAMPLES,
+                                 min(BLOCK_SAMPLES, n - start))
+             for start in range(0, n, BLOCK_SAMPLES)]
         x = np.interp(np.concatenate(u), cdf, p)
         assert x.size == stats.accepted > 20000
         two_pass = math.sqrt(np.sum((x - x.mean()) ** 2) / (x.size - 1) / x.size)
@@ -157,7 +205,7 @@ class TestRunConfig:
             RunConfig(**{"scenario": fig2_scenario(), "trials": 1000, "seed": 1, **overrides})
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
-    def test_seed_must_be_a_philox_key(self, seed):
+    def test_seed_must_fit_in_128_bits(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
             RunConfig(scenario=fig2_scenario(), trials=1, seed=seed)
 
@@ -195,25 +243,97 @@ def test_amplified_scenario_rare_acceptance():
 
 
 def test_one_uniform_per_accepted_sample(monkeypatch):
-    # the accepted count is one binomial draw; no uniform is spent on a rejected trial
-    drawn = []
-
-    class Counting:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def random(self, size):
-            drawn.append(size)
-            return self.rng.random(size)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-    block_rng = _block_rng
-    monkeypatch.setattr(gravkick.montecarlo, "_block_rng",
-                        lambda seed, block: Counting(block_rng(seed, block)))
+    # no uniform is spent on a rejected trial: block 0 spends one per acceptance and stops
+    # in the chunk that passes the trials; blocks 1, 2, ... one per sample
+    drawn = count_draws(monkeypatch)
     stats = run_ensemble(fig2_config(trials=100000))
-    assert 10000 < stats.accepted == sum(drawn)
+    chunks = drawn.pop(0)
+    assert sum(chunks[:-1]) <= stats.accepted < sum(chunks) <= stats.accepted + chunks[-1]
+    assert sum(chunks) < 1.05 * stats.accepted  # chunks sized to the expected count
+    assert 10000 < stats.accepted == sum(map(sum, drawn.values()))
+    assert sorted(drawn) == list(range(1, 1 + math.ceil(stats.accepted / BLOCK_SAMPLES)))
+
+
+def test_binomial_block_uniforms_repeat_and_differ():
+    first = _uniforms(_block_rng(7, 3), 1000)
+    assert np.array_equal(first, _uniforms(_block_rng(7, 3), 1000))
+    assert first.tolist() == documented_uniforms(7, 3, 1000)
+    assert 0.0 <= first.min() and first.max() < 1.0
+    # a block is read in order, however its draws are chunked
+    rng = _block_rng(7, 3)
+    assert np.array_equal(first, np.concatenate([_uniforms(rng, n) for n in (1, 600, 399)]))
+    for seed, block in [(7, 0), (7, 2), (7, 4), (8, 3), (2**128 - 1, 3)]:
+        assert not np.array_equal(first, _uniforms(_block_rng(seed, block), 1000))
+
+
+@pytest.mark.parametrize("trials, p", [
+    (1, 0.3), (40, 0.25), (200, 0.9), (200000, 0.125), (2**63 - 1, 1e-16),
+    (2**63 - 1, 3e-18), (2**63 - 1, 1.0 - 2.0**-53), (2**63 - 1, 1e-30),
+])
+def test_binomial_is_the_gap_walk_in_python_integers(trials, p):
+    # the chunked, capped uint64 positions count exactly what unbounded integers count
+    for seed in (0, 1, 2**128 - 1):
+        assert _binomial(trials, p, _block_rng(seed, 0)) == gap_walk_binomial(trials, p, seed)
+
+
+@pytest.mark.parametrize("trials, p", [
+    (40, 0.25), (2**63 - 1, 3e-18), (100000, 0.1), (200, 0.9), (2**63 - 1, 1e-16),
+], ids=["np-10", "np-28-at-max-trials", "np-1e4", "p-above-half", "np-922-at-max-trials"])
+def test_binomial_follows_its_law(trials, p):
+    counts = [_binomial(trials, p, _block_rng(seed, 0)) for seed in range(2000)]
+    law = scipy_stats.binom(trials, p)
+    # about 20 bins of equal mass under the law; a bin [a, b] holds the counts a..b
+    inner = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1])) + 0.5
+    edges = np.concatenate(([-0.5], inner, [trials + 0.5]))
+    observed = np.histogram(counts, edges)[0]
+    assert observed.sum() == len(counts)
+    expected = len(counts) * np.diff(law.cdf(edges))
+    assert scipy_stats.chisquare(observed, expected).pvalue > 0.001
+
+
+def test_binomial_position_sums_stay_below_2_64():
+    # gaps that end exactly on trial 2**63 - 1, then one past 2**63 trials, all in the first
+    # chunk: uncut, that gap would take the sum to 2**64, 0 in uint64, and the count on
+    trials, p = 2**63 - 1, 2.0**-58
+
+    def gap(m):  # the gap of the uniform m / 2**53, computed as the count computes it
+        u = np.array([m], dtype=np.uint64) * 2.0**-53
+        return int(np.minimum(np.log1p(-u) / math.log1p(-p), 2.0**63)[0]) + 1
+
+    def largest_m_with_gap_within(n):
+        lo, hi = 0, 2**53 - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if gap(mid) <= n else (lo, mid - 1)
+        return lo
+
+    big = largest_m_with_gap_within(2**62)
+    medium = largest_m_with_gap_within(trials - 2 * gap(big))
+    within = [big, big, medium]
+    within += [0] * (trials - sum(map(gap, within)))  # gaps of 1
+    assert sum(map(gap, within)) == trials and len(within) < 40
+    words = within + [2**53 - 1] * 32  # gaps beyond 2**63
+
+    class Crafted(random.Random):
+        def randbytes(self, n):
+            drawn, words[:n // 8] = words[:n // 8], []
+            return b"".join((m << 11).to_bytes(8, "little") for m in drawn)
+
+    assert _binomial(trials, p, Crafted(0)) == len(within)
+
+
+def test_binomial_at_the_smallest_probability_accepts_nothing():
+    # P = 1e-30 is the smallest a run allows: gaps near 4e31 trials, capped, overflow nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert {_binomial(2**63 - 1, 1e-30, _block_rng(seed, 0)) for seed in range(200)} == {0}
+
+
+@pytest.mark.parametrize("trials", [1, 5000, 2**63 - 1])
+def test_binomial_at_p_one_accepts_every_trial_without_a_draw(trials):
+    rng = CountingRandom(3, 0, drawn := {})
+    assert _binomial(trials, 1.0, rng) == trials
+    assert drawn == {0: []}
 
 
 def test_amplification_witness_at_its_5_sigma_budget():
@@ -231,8 +351,8 @@ def test_amplification_witness_at_its_5_sigma_budget():
     assert abs(np.mean(z) - 5.0) < 0.7
 
 
-def test_postselection_that_keeps_the_whole_state_accepts_every_trial():
-    # post = pre with no kicks: P rounds to 1 + 4e-16, which a binomial draw would refuse
+def test_postselection_that_keeps_the_whole_state_accepts_every_trial(monkeypatch):
+    # post = pre with no kicks: P rounds to 1 + 4e-16, which the count clamps to 1
     alpha, beta = 0.8884398201263108, 0.4589931219679968
     built = build_scenario({
         "units": "natural",
@@ -242,8 +362,10 @@ def test_postselection_that_keeps_the_whole_state_accepts_every_trial():
         "montecarlo": {"trials": 5000, "seed": 4},
     })
     assert run(built.scenario, n=built.grid_points).probability > 1.0
+    drawn = count_draws(monkeypatch)
     stats = run_ensemble(built.mc)
     assert stats.accepted == stats.trials == 5000
+    assert drawn[0] == []  # the count at P clamped to 1 draws nothing
 
 
 @pytest.mark.parametrize("name", ["caseA", "caseB"])
