@@ -18,7 +18,7 @@ import jsonschema
 
 from . import protocol
 from .analysis import weak_value_report
-from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick
+from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick, spreading_time
 from .montecarlo import DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS, RunConfig
 from .units import HBAR, UNITS
 from .wavepacket import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, GaussianPacket
@@ -264,15 +264,12 @@ def build_scenario(doc: dict) -> BuiltScenario:
         if not kicks["x_A"] < kicks["x_B"]:
             raise ConfigError(f"config field kicks.x_B: x_B = {kicks['x_B']!r} must exceed "
                               f"x_A = {kicks['x_A']!r}", field="kicks.x_B")
-        params = ProtocolParams(
-            M=float(kicks["M"]),
-            m=float(kicks["m"]),
-            x_A=float(kicks["x_A"]),
-            x_B=float(kicks["x_B"]),
-            W=width,
-            g=float(gain if gain is not None else 0.0),  # a beta source sets g below
-            T=kicks.get("T"),
-        )
+        T = kicks.get("T") or spreading_time(float(kicks["m"]), width)  # the schema has T > 0
+        if T == math.inf:  # a config error, as the infinite kicks it makes are, not a point one
+            raise ConfigError("config field kicks: m W^2 / (2 hbar) gives T = inf, outside the "
+                              "double range", field="kicks")
+        params = ProtocolParams(*(float(kicks[name]) for name in ("M", "m", "x_A", "x_B")),
+                                W=width, g=float(gain or 0.0), T=T)  # a beta source sets g below
         delta_a = delta_kick(params.M, params.m, params.T, params.x_A)
         delta_b = delta_kick(params.M, params.m, params.T, params.x_B)
         if not (delta_a < math.inf and delta_b >= sys.float_info.min):  # delta_B < delta_A

@@ -68,11 +68,11 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.T is None:
             object.__setattr__(self, "T", spreading_time(self.m, self.W))
-        for name in ("M", "m", "x_A", "x_B", "W", "T"):
-            if np.any(getattr(self, name) <= 0):
-                raise ValueError(f"{name} must be positive")
-        if np.any(self.g < 0):
-            raise ValueError("amplification factor must be non-negative")
+        for name in ("M", "m", "x_A", "x_B", "W", "T"):  # NaN fails every comparison
+            if not np.all((getattr(self, name) > 0) & (getattr(self, name) < math.inf)):
+                raise ValueError(f"{name} must be positive and finite")
+        if not np.all((self.g >= 0) & (self.g < math.inf)):
+            raise ValueError("amplification factor must be non-negative and finite")
         if np.any(self.x_B <= self.x_A):
             raise ValueError("x_B must exceed x_A")
 
@@ -170,6 +170,9 @@ Axis = tuple[str, float, float, int]  # (field, start, stop, count)
 
 def check_axes(axes: list[Axis]) -> None:
     """Refuse with ValueError an axis list `sweep` cannot grid, before any point is built."""
+    for field, *bounds, _ in axes:  # bounds first: the order the command line refuses in
+        for end, bound in zip(("start", "stop"), bounds):
+            _finite(f"{field} axis {end}", bound)
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
     if len({a[0] for a in axes}) != len(axes):

@@ -881,18 +881,26 @@ class TestErrorChannels:
         # G M m T / x^2 underflows to 0 on both branches
         ("feasibility", '"M": 1e-14, "m": 1e-20', '"M": 1e-300, "m": 1e-300', "config",
          "config field kicks: "),
+        # the default T = m W^2 / (2 hbar) overflows, so both kicks would be infinite
+        ("sweep", '"m": 1e-20, "T": 0.5', '"m": 1e300', "config",
+         "config field kicks: m W^2 / (2 hbar) gives T = inf"),
+        # the default T underflows to 0: a non-positive field, as a point of the sweep
+        ("sweep", '"W": 1e-07}, "kicks": {"M": 1e-14, "m": 1e-20, "T": 0.5',
+         '"W": 1e-100}, "kicks": {"M": 1e-14, "m": 1e-300', "runtime", "T must be positive"),
     ], ids=["tiny-separation", "huge-integer", "wide-probe", "reversed-distances", "narrow-probe",
-            "huge-distances", "zero-amplitudes", "huge-kicks", "huge-masses", "tiny-masses"])
+            "huge-distances", "zero-amplitudes", "huge-kicks", "huge-masses", "tiny-masses",
+            "huge-spreading-time", "zero-spreading-time"])
     def test_out_of_range_document_is_refused(self, tmp_path, capsys, command, literal, edited,
                                               kind, message):
         natural = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 1.0},
                    "kicks": {"delta_A": 0.3, "delta_B": 0.05}}
-        text = json.dumps(CASE_B_DOC if command == "feasibility" else natural)
+        text = json.dumps(natural if command == "simulate" else CASE_B_DOC)
         assert literal in text
         config = tmp_path / "cfg.json"
         config.write_text(text.replace(literal, edited))
         out = tmp_path / "bundle"
-        code = main([command, str(config), "--out", str(out)])
+        axis = ["--axis", "M=1e-15:1e-14:3"] if command == "sweep" else []
+        code = main([command, str(config), *axis, "--out", str(out)])
         assert_refused(code, out, capsys, kind, message)
 
     @pytest.mark.parametrize("seed, code", [(2**128 - 1, 0), (2**128, 2)])

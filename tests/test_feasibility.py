@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from gravkick.feasibility import (
     SWEEP_CSV_HEADER,
     ProtocolParams,
     amplitudes_for_gain,
+    check_axes,
     delta_kick,
     evaluate_case,
     feasibility_ratio,
@@ -256,6 +258,24 @@ class TestParams:
         wide = replace(case_b_params(), x_A=2e-6, x_B=4e-6)
         assert wide.separation_ok
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, message", [
+        ("M", "M must be positive and finite"), ("x_B", "x_B must be positive and finite"),
+        ("g", "amplification factor must be non-negative and finite"),
+    ])
+    @pytest.mark.parametrize("column", [False, True], ids=["scalar", "column"])
+    def test_non_finite_field_refused(self, field, message, value, column):
+        # NaN passes every `<= 0` test, so a range check alone lets it through
+        if column:  # one bad point among good ones
+            value = np.array([getattr(case_b_params(), field)] * 2 + [value])
+        with pytest.raises(ValueError, match=message):
+            replace(case_b_params(), **{field: value})
+
+    def test_overflowing_default_interaction_time_refused(self):
+        # m W^2 / (2 hbar) overflows to inf
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            ProtocolParams(M=1e-14, m=1e300, x_A=4e-6, x_B=8e-6, W=1e-7, g=10.0)
+
 
 class TestSweep:
     def test_single_axis_linearity(self):
@@ -283,6 +303,29 @@ class TestSweep:
     def test_duplicate_axes_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             sweep(case_b_params(), [("M", 1, 2, 2), ("M", 1, 2, 2)])
+
+    @pytest.mark.parametrize("field", ["M", "g", "x_A"])
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    def test_non_finite_bound_refused_by_name(self, field, bound, end):
+        base = getattr(case_b_params(), field)
+        axis = (field, bound, base, 3) if end == "start" else (field, base, bound, 3)
+        with warnings.catch_warnings():  # refused before np.linspace sees the bound
+            warnings.simplefilter("error")
+            for grid in (check_axes, lambda axes: sweep(case_b_params(), axes)):
+                with pytest.raises(ValueError, match=f"^{field} axis {end} must be finite"):
+                    grid([axis])
+
+    @pytest.mark.parametrize("axes, field", [
+        ([("Q", 1.0, math.inf, 3)], "Q"),
+        ([("M", 1e-15, math.nan, 1)], "M"),
+        ([("M", 1e-15, 1e-14, 3), ("M", -math.inf, 1e-14, 3)], "M"),
+        ([("M", 1e-15, 1e-14, 3), ("g", 1.0, 2.0, 3), ("W", math.inf, 1.0, 3)], "W"),
+    ], ids=["unknown-field", "one-point", "same-field", "three-axes"])
+    def test_non_finite_bound_refused_before_other_axis_checks(self, axes, field):
+        # the order the command line refuses in: each axis's bounds as it is read
+        with pytest.raises(ValueError, match=f"^{field} axis st(art|op) must be finite"):
+            check_axes(axes)
 
     def test_parallel_matches_serial(self):
         axes = [("M", 1e-15, 1e-14, 6), ("W", 5e-8, 5e-7, 5)]
