@@ -18,7 +18,7 @@ import jsonschema
 
 from . import protocol
 from .analysis import weak_value_report
-from .feasibility import ProtocolParams, amplitudes_for_gain, delta_kick, spreading_time
+from .feasibility import ProtocolParams, amplitudes_for_gain, evaluate_case
 from .montecarlo import DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS, RunConfig
 from .units import HBAR, UNITS
 from .wavepacket import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, GaussianPacket
@@ -264,18 +264,14 @@ def build_scenario(doc: dict) -> BuiltScenario:
         if not kicks["x_A"] < kicks["x_B"]:
             raise ConfigError(f"config field kicks.x_B: x_B = {kicks['x_B']!r} must exceed "
                               f"x_A = {kicks['x_A']!r}", field="kicks.x_B")
-        T = kicks.get("T") or spreading_time(float(kicks["m"]), width)  # the schema has T > 0
-        if T == math.inf:  # a config error, as the infinite kicks it makes are, not a point one
-            raise ConfigError("config field kicks: m W^2 / (2 hbar) gives T = inf, outside the "
-                              "double range", field="kicks")
-        params = ProtocolParams(*(float(kicks[name]) for name in ("M", "m", "x_A", "x_B")),
-                                W=width, g=float(gain or 0.0), T=T)  # a beta source sets g below
-        delta_a = delta_kick(params.M, params.m, params.T, params.x_A)
-        delta_b = delta_kick(params.M, params.m, params.T, params.x_B)
-        if not (delta_a < math.inf and delta_b >= sys.float_info.min):  # delta_B < delta_A
-            raise ConfigError(f"config field kicks: G M m T / x^2 gives delta_A = {delta_a!r} "
-                              f"and delta_B = {delta_b!r}, outside the double range",
-                              field="kicks")
+        point = {name: float(kicks[name]) for name in ("M", "m", "T", "x_A", "x_B")
+                 if kicks.get(name) is not None}  # without T, ProtocolParams takes m W^2 / (2 hbar)
+        try:  # feasibility owns the point's domain, so a sweep's point is refused by the same rule
+            params = ProtocolParams(**point, W=width, g=float(gain or 0.0))  # beta sets g below
+            case = evaluate_case(params)
+        except ValueError as exc:
+            raise ConfigError(f"config field kicks: {exc}", field="kicks") from None
+        delta_a, delta_b = case["delta_a"].item(), case["delta_b"].item()
 
     if gain is not None:
         if delta_a == 0.0 or not 0.0 < delta_b / delta_a < 1.0:

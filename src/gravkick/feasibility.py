@@ -12,6 +12,7 @@ either.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,11 +114,12 @@ def evaluate_case(
     ps_prob is the exact Gaussian-probe acceptance, in one column pass: `protocol.branch_weights`
     weighs the column source state (alpha, beta) realising each point's gain with `final` and
     `phases`, the scenario's, and `protocol.gaussian_postselection` takes P from those weights.
-    `final` defaults to the paper postselection with those phases.  A non-finite phase, and
-    kicks, ratio or tau that overflow the double range at any point, raise ValueError.
+    `final` defaults to the paper postselection with those phases; a scalar point is a column
+    of one.  A non-finite phase, and at any point kicks outside the normal doubles or a ratio
+    or tau that overflows, raise ValueError.
     """
     phases = tuple(_finite(f"phase phi_{x}", phi) for x, phi in zip("ab", phases))
-    p = params
+    p = replace(params, **{name: np.atleast_1d(getattr(params, name)) for name in SWEEP_FIELDS})
     with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
         derived = {"delta_a": delta_kick(p.M, p.m, p.T, p.x_A),
                    "delta_b": delta_kick(p.M, p.m, p.T, p.x_B),
@@ -125,8 +127,10 @@ def evaluate_case(
     for name, column in derived.items():
         if not np.all(np.isfinite(column)):
             raise ValueError(f"{name} overflows the double range; the inputs are too extreme")
+    if not np.all(derived["delta_b"] >= sys.float_info.min):  # delta_b < delta_a, as x_A < x_B
+        raise ValueError("delta_b underflows the double range; the inputs are too extreme")
     values = (p.M, p.m, p.T, p.x_A, p.x_B, p.W, p.g, *derived.values(), math.nan, p.separation_ok)
-    cases = dict(zip(CASE_FIELDS, np.broadcast_arrays(*map(np.atleast_1d, values))))
+    cases = dict(zip(CASE_FIELDS, np.broadcast_arrays(*values)))
     pre = SourceState(*amplitudes_for_gain(cases["g"], cases["delta_b"] / cases["delta_a"]))
     weights = branch_weights(pre, final or paper_postselection(*phases), *phases)
     with np.errstate(over="ignore", invalid="ignore"):  # the unused mean and std may overflow
@@ -170,9 +174,10 @@ Axis = tuple[str, float, float, int]  # (field, start, stop, count)
 
 def check_axes(axes: list[Axis]) -> None:
     """Refuse with ValueError an axis list `sweep` cannot grid, before any point is built."""
-    for field, *bounds, _ in axes:  # bounds first: the order the command line refuses in
-        for end, bound in zip(("start", "stop"), bounds):
+    for field, start, stop, _ in axes:  # bounds first: the order the command line refuses in
+        for end, bound in (("start", start), ("stop", stop)):
             _finite(f"{field} axis {end}", bound)
+        _finite(f"{field} axis span stop - start", stop - start)  # np.linspace steps by it
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
     if len({a[0] for a in axes}) != len(axes):

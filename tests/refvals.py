@@ -84,11 +84,15 @@ SOLVE_SUMMARY_SHA256_CASE_B = {
 # sha256 of `simulate` summary.csv, frozen from the code before the weak values
 # were formed in one pass: the fig2 and amplification presets, and PHASED_DOC, whose
 # first-order rows leave out the interaction phases (delta_ef +2.59782390e-03
-# against exact_mean -4.63502851e-03).
+# against exact_mean -4.63502851e-03).  caseA and caseB are CASE_A_DOC and CASE_B_DOC,
+# frozen while config still formed their kicks G M m T / x^2 in Python floats, before
+# feasibility.evaluate_case formed them in numpy.
 SIMULATE_SUMMARY_SHA256 = {
     "fig2": "89b4571b28d7f39f70496e01a3e07a7718ac70b602ab38c983250275e89c5795",
     "amplification": "b5c6de437f5de05d21a763982e7d51753d1259fe96257ae8b730fc22d33a11e6",
     "phased": "07ace634000a9b21dcf53528756801883572953a6d3d8f1590babd6a34ebd4fa",
+    "caseA": "17c272f0b4a4934ffbeb3f6b6cc086e4f1db10a5cd5713a06c45ad8d412c9315",
+    "caseB": "6ccc062482737a93cccf766d7ba43a5654457567bdac8b038cf72ba4f89372a6",
 }
 PHASED_DOC = {
     "units": "natural",

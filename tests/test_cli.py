@@ -95,7 +95,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", sorted(SIMULATE_SUMMARY_SHA256))
     def test_summary_bytes_frozen(self, tmp_path, name):
-        source = [doc_path(tmp_path, PHASED_DOC)] if name == "phased" else ["--scenario", name]
+        doc = {"phased": PHASED_DOC, "caseA": CASE_A_DOC, "caseB": CASE_B_DOC}.get(name)
+        source = [doc_path(tmp_path, doc)] if doc else ["--scenario", name]
         out = tmp_path / "bundle"
         assert main(["simulate", *source, "--out", str(out)]) == 0
         assert sha256(out / "summary.csv") == SIMULATE_SUMMARY_SHA256[name]
@@ -881,12 +882,13 @@ class TestErrorChannels:
         # G M m T / x^2 underflows to 0 on both branches
         ("feasibility", '"M": 1e-14, "m": 1e-20', '"M": 1e-300, "m": 1e-300', "config",
          "config field kicks: "),
-        # the default T = m W^2 / (2 hbar) overflows, so both kicks would be infinite
+        # the default T = m W^2 / (2 hbar) overflows: ProtocolParams refuses it for the document
         ("sweep", '"m": 1e-20, "T": 0.5', '"m": 1e300', "config",
-         "config field kicks: m W^2 / (2 hbar) gives T = inf"),
-        # the default T underflows to 0: a non-positive field, as a point of the sweep
+         "config field kicks: T must be positive and finite"),
+        # the default T underflows to 0: the same rule, and a config error as well
         ("sweep", '"W": 1e-07}, "kicks": {"M": 1e-14, "m": 1e-20, "T": 0.5',
-         '"W": 1e-100}, "kicks": {"M": 1e-14, "m": 1e-300', "runtime", "T must be positive"),
+         '"W": 1e-100}, "kicks": {"M": 1e-14, "m": 1e-300', "config",
+         "config field kicks: T must be positive and finite"),
     ], ids=["tiny-separation", "huge-integer", "wide-probe", "reversed-distances", "narrow-probe",
             "huge-distances", "zero-amplitudes", "huge-kicks", "huge-masses", "tiny-masses",
             "huge-spreading-time", "zero-spreading-time"])
@@ -901,7 +903,20 @@ class TestErrorChannels:
         out = tmp_path / "bundle"
         axis = ["--axis", "M=1e-15:1e-14:3"] if command == "sweep" else []
         code = main([command, str(config), *axis, "--out", str(out)])
-        assert_refused(code, out, capsys, kind, message)
+        record = assert_refused(code, out, capsys, kind, message)
+        if message.startswith("config field kicks: "):
+            assert record["field"] == "kicks"
+
+    def test_underflowing_document_is_refused_as_its_sweep_point(self, tmp_path, capsys):
+        # one rule refuses both: a sweep's point as a runtime error, a document's as a config one
+        out = tmp_path / "bundle"
+        code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-300:2e-300:3",
+                     "--out", str(out)])
+        point = assert_refused(code, out, capsys, "runtime", "delta_b underflows")["message"]
+        doc = {**CASE_B_DOC, "kicks": {**CASE_B_DOC["kicks"], "M": 1e-300, "m": 1e-300}}
+        code = main(["feasibility", doc_path(tmp_path, doc), "--out", str(out)])
+        record = assert_refused(code, out, capsys, "config", "config field kicks: ")
+        assert record["message"] == f"config field kicks: {point}"
 
     @pytest.mark.parametrize("seed, code", [(2**128 - 1, 0), (2**128, 2)])
     def test_seed_beyond_128_bits_is_a_config_error(self, tmp_path, capsys, seed, code):
@@ -1225,6 +1240,26 @@ def run_child(args):
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+@pytest.mark.parametrize("axis, code, kind, message, field", [
+    ("M=-1e308:1e308:3", 2, "config", "M axis span stop - start must be finite, got inf",
+     "--axis"),
+    ("M=1e-300:2e-300:3", 1, "runtime",
+     "delta_b underflows the double range; the inputs are too extreme", None),
+], ids=["overflowing-span", "underflowing-kicks"])
+def test_sweep_refusal_warns_nothing(tmp_path, axis, code, kind, message, field):
+    # numpy would warn before the record; a RuntimeWarning raised as an error would end in a
+    # traceback with no record
+    out = tmp_path / "bundle"
+    result = run_child(["-W", "error::RuntimeWarning", "-m", "gravkick", "sweep", "--scenario",
+                        "caseB", "--axis", axis, "--out", str(out)])
+    assert (result.returncode, result.stdout) == (code, "")
+    assert not out.exists()
+    human, line = result.stderr.strip().splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["message"], record.get("field")) == (kind, message, field)
+    assert human == f"error: {message}"
 
 
 def test_cli_module_is_not_an_entry_point(tmp_path):

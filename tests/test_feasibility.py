@@ -327,6 +327,15 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{field} axis st(art|op) must be finite"):
             check_axes(axes)
 
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (1.5e308, -1e308)])
+    def test_overflowing_span_refused_by_name(self, start, stop):
+        # finite bounds whose difference is not: np.linspace would warn and make NaN points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in (check_axes, lambda axes: sweep(case_b_params(), axes)):
+                with pytest.raises(ValueError, match="^M axis span stop - start must be finite"):
+                    grid([("M", start, stop, 3)])
+
     def test_parallel_matches_serial(self):
         axes = [("M", 1e-15, 1e-14, 6), ("W", 5e-8, 5e-7, 5)]
         serial = sweep(case_b_params(), axes, workers=1)
@@ -348,6 +357,24 @@ class TestSweep:
         for i in range(cases["M"].size):
             case = {name: column[i].item() for name, column in cases.items()}
             assert case == one_point(evaluate_case(replace(base, m=case["m"], g=case["g"])))
+
+    def test_scalar_point_is_refused_in_numpy_arithmetic(self):
+        # x_A^2 underflows to 0: a scalar point divides by it in numpy, as a column does
+        params = ProtocolParams(M=1e-14, m=1e-20, x_A=1e-170, x_B=1e-160, W=1e-7, g=10.0, T=0.5)
+        for point in (params, replace(params, M=np.array([params.M] * 2))):
+            with pytest.raises(ValueError, match="^delta_a overflows the double range"):
+                evaluate_case(point)
+
+    @pytest.mark.parametrize("axes", [
+        [("M", 1e-300, 2e-300, 3)],  # both kicks underflow to 0
+        [("x_B", 1e132, 2e132, 3)],  # delta_b is subnormal, but not 0
+        [("M", 1e-14, 1e-300, 3), ("m", 1e-20, 1e-25, 2)],  # only the last points
+    ])
+    def test_underflowing_kicks_rejected(self, axes):
+        with warnings.catch_warnings():  # the kick ratio 0/0 is never formed
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^delta_b underflows the double range"):
+                sweep(case_b_params(), axes)
 
     @pytest.mark.parametrize("overrides, axes, column", [
         ({}, [("M", 1e300, 1e308, 3), ("x_A", 1e-150, 2e-150, 3)], "delta_a"),
