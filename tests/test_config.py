@@ -319,26 +319,6 @@ class TestAssembly:
         assert built.scenario.delta_a == pytest.approx(2.08571875e-32, rel=1e-12)
         assert built.scenario.delta_b == pytest.approx(2.08571875e-33, rel=1e-12)
 
-    @pytest.mark.parametrize("probe, kicks, field", [
-        ({}, {"x_A": 1e-170, "x_B": 1e-160}, "kicks.x_A"),
-        ({}, {"x_B": 1e-170}, "kicks.x_B"),
-        ({}, {"x_A": 1e-6, "x_B": 5e-7}, "kicks.x_B"),
-        ({"W": 1e-300}, {}, "probe.W"),
-        ({}, {"M": 1e300, "m": 1e300}, "kicks"),
-        ({}, {"M": 1e-300, "m": 1e-300}, "kicks"),
-        ({}, {"m": 1e300, "T": None}, "kicks"),
-        ({"W": 1e-100}, {"m": 1e-300, "T": None}, "kicks"),
-    ], ids=["tiny-x_A", "tiny-x_B", "reversed-distances", "narrow-probe", "huge-kicks",
-            "tiny-kicks", "huge-default-T", "zero-default-T"])
-    def test_si_point_refusal_names_its_field(self, probe, kicks, field):
-        # the squares and the order of the distances name their field; the point's domain,
-        # the default T and the kicks' range, is feasibility's and is refused on `kicks`
-        doc = {**CASE_B_DOC, "probe": {**CASE_B_DOC["probe"], **probe},
-               "kicks": {**CASE_B_DOC["kicks"], **kicks}}
-        with pytest.raises(ConfigError, match=f"^config field {field}: ") as exc:
-            build_scenario(doc)
-        assert exc.value.field == field
-
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             load_preset("fig3")
