@@ -36,7 +36,6 @@ from .feasibility import (
     SOLVABLE_FIELDS,
     ProtocolParams,
     check_axes,
-    evaluate_case,
     solve_parameter,
     sweep,
     sweep_csv,
@@ -242,15 +241,13 @@ def cmd_feasibility(args, built: BuiltScenario) -> tuple[str, ...]:
         raise ConfigError("--solve and --target must be given together",
                           field="--target" if args.target is not None else "--solve")
 
-    s = built.scenario
-    cases = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
-    rows: list[tuple[str, object]] = [(name, column.item()) for name, column in cases.items()]
+    rows: list[tuple[str, object]] = [(name, column.item()) for name, column in built.case.items()]
     if args.solve is not None:
         solved = solve_parameter(built.params, args.solve, args.target)
         _warn_outside_domain(built.params, args.solve, solved)
         rows.append((f"solved_{args.solve}", solved))
         rows.append(("solve_target", args.target))
-    return summary_csv(rows), sweep_csv(cases)
+    return summary_csv(rows), sweep_csv(built.case)
 
 
 def cmd_montecarlo(args, built: BuiltScenario) -> tuple[str, ...]:

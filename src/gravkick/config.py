@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -223,6 +223,15 @@ def _as_complex(entry) -> complex:
     return complex(entry[0], entry[1])
 
 
+def _evaluate_point(post, phases, **point) -> tuple[ProtocolParams, dict]:
+    """An SI point and its case, refused by feasibility's rule: the one a sweep's point meets."""
+    try:  # without T, ProtocolParams takes m W^2 / (2 hbar)
+        params = ProtocolParams(**point)
+        return params, evaluate_case(params, post, phases)
+    except ValueError as exc:
+        raise ConfigError(f"config field kicks: {exc}", field="kicks") from None
+
+
 @dataclass(frozen=True)
 class BuiltScenario:
     """A validated config resolved into protocol-ready objects."""
@@ -232,6 +241,7 @@ class BuiltScenario:
     grid_points: int
     params: ProtocolParams | None  # physical parameters for SI scenarios
     mc: RunConfig | None
+    case: dict | None = field(compare=False)  # evaluate_case of `params`; numpy columns
 
 
 def build_scenario(doc: dict) -> BuiltScenario:
@@ -253,7 +263,22 @@ def build_scenario(doc: dict) -> BuiltScenario:
     _refuse_square_out_of_range(hbar / width, "probe.W", "hbar/W")
     probe = GaussianPacket(0.0, width, hbar)
 
-    params: ProtocolParams | None = None
+    phases = doc.get("phases", {})
+    phi_a = float(phases.get("phi_A", 0.0))
+    phi_b = float(phases.get("phi_B", 0.0))
+
+    post_sec = doc.get("postselection", "paper-default")
+    if post_sec == "paper-default":
+        post = protocol.paper_postselection(phi_a, phi_b)
+    else:
+        try:
+            post = protocol.SourceState.from_amplitudes(_as_complex(post_sec["amp_A"]),
+                                                        _as_complex(post_sec["amp_B"]))
+        except ValueError as exc:  # both zero: the schema admits only finite numbers
+            raise ConfigError(f"config field postselection: {exc}",
+                              field="postselection") from None
+
+    params = case = None
     gain = doc["source"].get("gain")
     if units == "natural":
         delta_a = float(kicks["delta_A"])
@@ -265,12 +290,9 @@ def build_scenario(doc: dict) -> BuiltScenario:
             raise ConfigError(f"config field kicks.x_B: x_B = {kicks['x_B']!r} must exceed "
                               f"x_A = {kicks['x_A']!r}", field="kicks.x_B")
         point = {name: float(kicks[name]) for name in ("M", "m", "T", "x_A", "x_B")
-                 if kicks.get(name) is not None}  # without T, ProtocolParams takes m W^2 / (2 hbar)
-        try:  # feasibility owns the point's domain, so a sweep's point is refused by the same rule
-            params = ProtocolParams(**point, W=width, g=float(gain or 0.0))  # beta sets g below
-            case = evaluate_case(params)
-        except ValueError as exc:
-            raise ConfigError(f"config field kicks: {exc}", field="kicks") from None
+                 if kicks.get(name) is not None}
+        # a beta source takes its kicks at g = 0, and its point is evaluated at its gain below
+        params, case = _evaluate_point(post, (phi_a, phi_b), **point, W=width, g=float(gain or 0.0))
         delta_a, delta_b = case["delta_a"].item(), case["delta_b"].item()
 
     if gain is not None:
@@ -298,22 +320,6 @@ def build_scenario(doc: dict) -> BuiltScenario:
         alpha = math.sqrt(1.0 - beta * beta)
     pre = protocol.SourceState(complex(alpha), complex(beta))
 
-    phases = doc.get("phases", {})
-    phi_a = float(phases.get("phi_A", 0.0))
-    phi_b = float(phases.get("phi_B", 0.0))
-
-    post_sec = doc.get("postselection", "paper-default")
-    if post_sec == "paper-default":
-        post = protocol.paper_postselection(phi_a, phi_b)
-    else:
-        try:
-            post = protocol.SourceState.from_amplitudes(
-                _as_complex(post_sec["amp_A"]), _as_complex(post_sec["amp_B"])
-            )
-        except ValueError as exc:  # both zero: the schema admits only finite numbers
-            raise ConfigError(f"config field postselection: {exc}",
-                              field="postselection") from None
-
     if params is not None and gain is None:
         try:  # the phase-free paper postselection's gain, what `simulate` prints without phases
             gain = weak_value_report(pre, protocol.paper_postselection(), delta_a, delta_b).gain
@@ -324,7 +330,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
         if not 0.0 <= gain < math.inf:
             raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",
                               field="source.beta")
-        params = replace(params, g=gain)
+        params, case = _evaluate_point(post, (phi_a, phi_b), **point, W=width, g=gain)
 
     scenario = protocol.Scenario(
         pre=pre,
@@ -342,4 +348,4 @@ def build_scenario(doc: dict) -> BuiltScenario:
                        bins=int(sec.get("bins", DEFAULT_HISTOGRAM_BINS)), grid_points=grid_points)
 
     return BuiltScenario(scenario=scenario, units=units, grid_points=grid_points, params=params,
-                         mc=mc)
+                         mc=mc, case=case)

@@ -227,6 +227,9 @@ class TestGridRenders:
                                       "message": human.removeprefix("warning: ")}
 
 
+# the commands that build an SI document
+SI_COMMANDS = ("simulate", "feasibility", "montecarlo", "sweep")
+
 # non-paper postselections of an SI document: real, and complex with interaction phases
 DOCUMENT_WEIGHTS = [
     {"postselection": {"amp_A": 0.6, "amp_B": 0.8}},
@@ -284,6 +287,27 @@ class TestFeasibility:
                      "--out", str(out)]) == 0
         solved = as_float(read_summary(out / "summary.csv"), "solved_g")
         assert solved == pytest.approx(100 * 1e-3 / abs(CASE_B_RATIO), rel=1e-8)
+
+    @pytest.mark.parametrize("command", SI_COMMANDS)
+    @pytest.mark.parametrize("source, evaluations", [({"gain": 100}, 1), ({"beta": 0.7075}, 2)],
+                             ids=["gain", "beta"])
+    def test_an_si_document_is_evaluated_once_at_its_gain(self, tmp_path, monkeypatch, command,
+                                                          source, evaluations):
+        # a gain source is evaluated once; a beta source at g = 0 for its kicks, then at its
+        # gain; a sweep evaluates its grid besides
+        original, seen = gravkick.feasibility.evaluate_case, []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # wherever a caller looks it up
+            if name.startswith("gravkick") and getattr(module, "evaluate_case", None) is original:
+                monkeypatch.setattr(module, "evaluate_case", counted)
+        axis = ["--axis", "M=1e-15:1e-14:3"] if command == "sweep" else []
+        doc = doc_path(tmp_path, {**CASE_B_DOC, "source": source})
+        assert main([command, doc, *axis, "--out", str(tmp_path / "bundle")]) == 0
+        assert len(seen) == evaluations + (command == "sweep")
 
     @pytest.mark.parametrize("field", sorted(SOLVE_SUMMARY_SHA256_CASE_B))
     def test_solve_summary_bytes_frozen(self, tmp_path, field):
@@ -889,15 +913,28 @@ class TestErrorChannels:
         ("sweep", '"W": 1e-07}, "kicks": {"M": 1e-14, "m": 1e-20, "T": 0.5',
          '"W": 1e-100}, "kicks": {"M": 1e-14, "m": 1e-300', "config",
          "config field kicks: T must be positive and finite"),
+        # at M = 1e300 the ratio overflows at the gain either source realises: a beta source's
+        # point is held to the rule at its own gain, as its gain twin's is
+        *[(command, '"source": {"gain": 100}, "probe": {"W": 1e-07}, "kicks": {"M": 1e-14',
+           f'"source": {source}, "probe": {{"W": 1e-07}}, "kicks": {{"M": 1e300', "config",
+           "config field kicks: ratio overflows the double range; the inputs are too extreme")
+          for source in ('{"gain": 100}', '{"beta": 0.9}') for command in SI_COMMANDS],
+        # the postselection is read before the point: its zero pair is refused first
+        ("feasibility", '"T": 0.5, "x_A": 4e-07, "x_B": 1.2649110640673517e-06}, '
+         '"postselection": "paper-default"', '"T": 1e-320, "x_A": 4e-07, "x_B": '
+         '1.2649110640673517e-06}, "postselection": {"amp_A": 0, "amp_B": 0}', "config",
+         "config field postselection: amplitudes must be finite and not both zero"),
     ], ids=["tiny-separation", "huge-integer", "wide-probe", "reversed-distances", "narrow-probe",
             "huge-distances", "zero-amplitudes", "huge-kicks", "huge-masses", "tiny-masses",
-            "huge-spreading-time", "zero-spreading-time"])
+            "huge-spreading-time", "zero-spreading-time",
+            *[f"{source}-huge-ratio-{command}" for source in ("gain", "beta")
+              for command in SI_COMMANDS], "zero-amplitudes-first"])
     def test_out_of_range_document_is_refused(self, tmp_path, capsys, command, literal, edited,
                                               kind, message):
         natural = {"units": "natural", "source": {"beta": 0.9}, "probe": {"W": 1.0},
                    "kicks": {"delta_A": 0.3, "delta_B": 0.05}}
-        text = json.dumps(natural if command == "simulate" else CASE_B_DOC)
-        assert literal in text
+        # the document holding the literal: simulate also takes the natural one
+        (text,) = [text for text in map(json.dumps, (natural, CASE_B_DOC)) if literal in text]
         config = tmp_path / "cfg.json"
         config.write_text(text.replace(literal, edited))
         out = tmp_path / "bundle"

@@ -26,6 +26,14 @@ from . import oracles
 from .refvals import AMP_GAIN, CASE_B_DOC, FIG2_ALPHA
 
 
+def assert_case_is_fresh(built):
+    """`built.case` is, bit for bit, a fresh evaluation of its point and the document's weights."""
+    s = built.scenario
+    fresh = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))
+    assert ({name: (column.dtype, column.tobytes()) for name, column in built.case.items()}
+            == {name: (column.dtype, column.tobytes()) for name, column in fresh.items()})
+
+
 def minimal_natural(**overrides):
     doc = {
         "units": "natural",
@@ -268,7 +276,8 @@ class TestAssembly:
         built = build_scenario({**CASE_B_DOC, "source": {"beta": 0.9}})
         s = built.scenario
         assert built.params.g == weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).gain > 0
-        case = evaluate_case(built.params)
+        assert_case_is_fresh(built)
+        case = built.case
         assert case["ps_prob"] == pytest.approx(protocol.run(s).probability, rel=1e-12)
         assert case["ratio"] == pytest.approx(-built.params.g * s.delta_a / s.probe.sigma, rel=1e-12)
 
@@ -286,9 +295,23 @@ class TestAssembly:
     ], ids=["real", "complex-phased"])
     def test_feasibility_weights_come_from_the_document(self, extra):
         built = build_scenario({**CASE_B_DOC, **extra})
-        s = built.scenario
-        (ps_prob,) = evaluate_case(built.params, s.post, (s.phi_a, s.phi_b))["ps_prob"]
-        assert ps_prob == pytest.approx(protocol.run(s).probability, rel=1e-12)
+        assert_case_is_fresh(built)
+        (ps_prob,) = built.case["ps_prob"]
+        assert ps_prob == pytest.approx(protocol.run(built.scenario).probability, rel=1e-12)
+
+    @pytest.mark.parametrize("doc", [
+        load_preset("caseA"),
+        load_preset("caseB"),
+        {**CASE_B_DOC, "kicks": {**CASE_B_DOC["kicks"], "T": None}},
+        {**CASE_B_DOC, "source": {"alpha": 0.7067133, "beta": 0.7075}},
+        {**CASE_B_DOC, "source": {"beta": 0.7075}, "phases": {"phi_A": 0.4, "phi_B": -0.3}},
+    ], ids=["caseA", "caseB", "default-T", "alpha-beta", "phased-beta"])
+    def test_built_case_is_a_fresh_evaluation(self, doc):
+        # feasibility writes this case; its gain is the point's final one
+        built = build_scenario(doc)
+        assert_case_is_fresh(built)
+        assert built.case["g"].tolist() == [built.params.g]
+        assert build_scenario(minimal_natural()).case is None
 
     @pytest.mark.parametrize("source, reason", [
         ({"beta": 0.999}, "realises gain -0.05783339705044427"),
