@@ -307,10 +307,8 @@ class TestAssembly:
         {**CASE_B_DOC, "source": {"beta": 0.7075}, "phases": {"phi_A": 0.4, "phi_B": -0.3}},
     ], ids=["caseA", "caseB", "default-T", "alpha-beta", "phased-beta"])
     def test_built_case_is_a_fresh_evaluation(self, doc):
-        # feasibility writes this case; its gain is the point's final one
-        built = build_scenario(doc)
-        assert_case_is_fresh(built)
-        assert built.case["g"].tolist() == [built.params.g]
+        # feasibility writes this case; a natural document has none
+        assert_case_is_fresh(build_scenario(doc))
         assert build_scenario(minimal_natural()).case is None
 
     @pytest.mark.parametrize("source, reason", [
