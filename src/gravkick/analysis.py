@@ -7,7 +7,8 @@ diagnostic comparing first-order predictions against the exact protocol.
 Every weak value here is a ratio of the phase-free weights
 `protocol.branch_weights(pre, post)`, without the interaction phases that
 `protocol.run` applies; the README's "Gain against acceptance" says where
-that misses the exact mean.
+that misses the exact mean.  `run_first_order` takes a run's own phased
+weights instead.
 """
 
 from __future__ import annotations
@@ -55,6 +56,23 @@ def weak_value_report(
     d_ef = ((w_a * delta_a + w_b * delta_b) / overlap).real
     return WeakValueReport(w_a / overlap, d_ef, -d_ef / delta_a if delta_a != 0.0 else math.nan,
                            overlap)
+
+
+def run_first_order(exact: protocol.PostselectedResult) -> tuple[float | None, float | None]:
+    """A run's first-order mean and the exact mean's relative miss of it.
+
+    The mean is Re[(w_A delta_A + w_B delta_B) / (w_A + w_B)] with the run's phased weights,
+    the slope in the kicks at zero of the exact mean of a probe centred at 0; the miss is
+    |exact mean - it| / max(|exact mean|, |delta_A - delta_B|).  Both are None where
+    |w_A + w_B| <= OVERLAP_FLOOR.
+    """
+    (w_a, w_b), (d_a, d_b) = exact.weights, exact.kicks
+    overlap = w_a + w_b
+    if abs(overlap) <= OVERLAP_FLOOR:
+        return None, None
+    mean = ((w_a * d_a + w_b * d_b) / overlap).real
+    scale = max(abs(exact.mean_kick), abs(d_a - d_b))  # 0 only where both kicks are 0
+    return mean, abs(exact.mean_kick - mean) / scale if scale else 0.0
 
 
 @dataclass

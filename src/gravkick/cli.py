@@ -18,10 +18,10 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, montecarlo, protocol, svg
 from .config import (
     PRESET_NAMES,
     BuiltScenario,
@@ -31,19 +31,12 @@ from .config import (
     load_preset,
     preset_descriptions,
 )
-from .feasibility import (
-    SEPARATION_FACTOR,
-    SOLVABLE_FIELDS,
-    ProtocolParams,
-    check_axes,
-    solve_parameter,
-    sweep,
-    sweep_csv,
-)
 from .output import summary_csv, table_csv, write_bundle
-from .protocol import PostselectionImpossible
-from .units import UNITS
-from .wavepacket import GridPacket, moments, to_csv
+from .units import SOLVABLE_FIELDS, UNITS
+
+if TYPE_CHECKING:  # each command imports the modules it runs; svg only for a figure
+    from .feasibility import ProtocolParams
+    from .protocol import PostselectedResult
 
 FIG2_SAMPLES = 401
 FIG2_WINDOW_SHARE = 0.99  # of the postselected state's squared norm inside p in [-4, 4] sigma
@@ -68,9 +61,11 @@ def _emit_record(level: str, kind: str, message: str, **extra) -> None:
     print(json.dumps({level: kind, "message": message, **extra}), file=sys.stderr)
 
 
-def _warn_grid_resolution(result: protocol.PostselectedResult, use: str) -> None:
+def _warn_grid_resolution(result: PostselectedResult, use: str) -> None:
     """Warn when the rendered conditional state misses the exact mean or std by over
     GRID_TOLERANCE std; the run still succeeds."""
+    from .wavepacket import moments
+
     grid = moments(result.conditional)
     miss = max(abs(grid.mean - result.mean_kick), abs(grid.std - result.std)) / result.std
     if miss > GRID_TOLERANCE:
@@ -144,7 +139,7 @@ def _momentum_unit(built: BuiltScenario, display: str) -> float:
     return built.scenario.probe.sigma  # one natural momentum unit, hbar/W in SI
 
 
-def _decomposition_curves(result: protocol.PostselectedResult):
+def _decomposition_curves(result: PostselectedResult):
     """A run's two branch pointers and their sum over sqrt(2 P), in natural units.
 
     Each Gaussian psi_X is read at p sigma and scaled by sqrt(sigma).  The branches are
@@ -161,8 +156,10 @@ def _decomposition_curves(result: protocol.PostselectedResult):
     return p, *(np.copysign(np.abs(z), z.real) for z in (branch_b, branch_a, total))
 
 
-def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]:
+def _decomposition_files(result: PostselectedResult) -> tuple[str, str]:
     """The fig2 SVG and curves CSV; warns when the window misses part of the state."""
+    from . import svg
+
     p, branch_b, branch_a, total = _decomposition_curves(result)
     share = float(np.trapezoid(total * total, p))
     if share < FIG2_WINDOW_SHARE:
@@ -185,11 +182,15 @@ def _decomposition_files(result: protocol.PostselectedResult) -> tuple[str, str]
 
 
 def cmd_simulate(args, built: BuiltScenario) -> tuple[str, ...]:
+    from . import analysis
+    from .wavepacket import GridPacket, to_csv
+
     display = args.units or built.units
     unit = _momentum_unit(built, display)
 
     validity = analysis.validity_check(built.scenario, n=built.grid_points)
     result, report = validity.exact, validity.report
+    first_order, first_order_error = analysis.run_first_order(result)
 
     rows: list[tuple[str, object]] = [("units", display)]
     rows += [
@@ -200,6 +201,8 @@ def cmd_simulate(args, built: BuiltScenario) -> tuple[str, ...]:
         ("postselection_probability", result.probability),
         ("delta_ef", report.effective_kick / unit),
         ("gain", report.gain),
+        ("first_order_mean", None if first_order is None else first_order / unit),
+        ("first_order_error", first_order_error),
         ("projector_weak_value_re", report.projector_weak_value.real),
         ("projector_weak_value_im", report.projector_weak_value.imag),
         ("postselection_overlap_re", report.postselection_overlap.real),
@@ -224,6 +227,8 @@ def _warn_outside_domain(params: ProtocolParams, field: str, solved: float) -> N
 
     The fields are compared directly: a ProtocolParams at the solved point would raise.
     """
+    from .feasibility import SEPARATION_FACTOR
+
     point = {**vars(params), field: solved}
     x_a, x_b, limit = point["x_A"], point["x_B"], SEPARATION_FACTOR * point["W"]
     broken = []
@@ -237,6 +242,8 @@ def _warn_outside_domain(params: ProtocolParams, field: str, solved: float) -> N
 
 
 def cmd_feasibility(args, built: BuiltScenario) -> tuple[str, ...]:
+    from .feasibility import solve_parameter, sweep_csv
+
     if (args.solve is None) != (args.target is None):
         raise ConfigError("--solve and --target must be given together",
                           field="--target" if args.target is not None else "--solve")
@@ -251,6 +258,8 @@ def cmd_feasibility(args, built: BuiltScenario) -> tuple[str, ...]:
 
 
 def cmd_montecarlo(args, built: BuiltScenario) -> tuple[str, ...]:
+    from . import montecarlo
+
     if built.mc is None:
         raise ConfigError("montecarlo needs a montecarlo section (trials, seed)",
                           field="montecarlo")
@@ -280,6 +289,8 @@ def _parse_axis(text: str, flag: str):
 
 
 def cmd_sweep(args, built: BuiltScenario) -> tuple[str, ...]:
+    from .feasibility import check_axes, sweep, sweep_csv
+
     flags = ("--axis", "--axis2") if args.axis2 else ("--axis",)
     axes = []
     for text, flag in zip((args.axis, args.axis2), flags):
@@ -299,6 +310,8 @@ def cmd_sweep(args, built: BuiltScenario) -> tuple[str, ...]:
     texts = (sweep_csv(cases), summary_csv(rows))
     if not args.svg:
         return texts
+    from . import svg
+
     (f1, _, _, c1), (f2, _, _, c2) = axes
     z = np.abs(cases["ratio"]).reshape(c1, c2)
     return *texts, svg.heatmap(cases[f1][::c2], cases[f2][:c2], z, xlabel=f1, ylabel=f2,
@@ -306,6 +319,8 @@ def cmd_sweep(args, built: BuiltScenario) -> tuple[str, ...]:
 
 
 def cmd_fig2(args) -> int:
+    from . import protocol
+
     out = args.out or os.path.join(_bundle_dir(args), "fig2.svg")
     directory, svg_name = os.path.split(out)
     csv_name = os.path.splitext(svg_name)[0] + ".csv"
@@ -380,11 +395,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_record("error", "config", str(exc), field=exc.field)
         return 2
-    except PostselectionImpossible as exc:
-        _emit_record("error", "postselection-impossible", str(exc))
-        return 1
     except (ValueError, OSError, MemoryError) as exc:  # numpy's names the array it cannot make
-        _emit_record("error", "runtime", str(exc))
+        from .protocol import PostselectionImpossible  # loaded by the run that raised it
+
+        impossible = isinstance(exc, PostselectionImpossible)
+        _emit_record("error", "postselection-impossible" if impossible else "runtime", str(exc))
         return 1
     except ArithmeticError as exc:  # an intermediate over- or underflowed
         _emit_record("error", "runtime", f"{type(exc).__name__}: {exc}")

@@ -13,15 +13,17 @@ import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import jsonschema
 
-from . import protocol
-from .analysis import weak_value_report
-from .feasibility import ProtocolParams, amplitudes_for_gain, evaluate_case
-from .montecarlo import DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS, RunConfig
-from .units import HBAR, UNITS
-from .wavepacket import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, GaussianPacket
+from .units import (DEFAULT_GRID_POINTS, DEFAULT_HISTOGRAM_BINS, HBAR, MAX_SEED, MAX_TRIALS,
+                    MIN_GRID_POINTS, UNITS)
+
+if TYPE_CHECKING:  # build_scenario imports each module on the branch that needs it
+    from .feasibility import ProtocolParams
+    from .montecarlo import RunConfig
+    from .protocol import Scenario
 
 _COMPLEX_ENTRY = {
     "oneOf": [
@@ -225,6 +227,8 @@ def _as_complex(entry) -> complex:
 
 def _evaluate_point(post, phases, **point) -> tuple[ProtocolParams, dict]:
     """An SI point and its case, refused by feasibility's rule: the one a sweep's point meets."""
+    from .feasibility import ProtocolParams, evaluate_case
+
     try:  # without T, ProtocolParams takes m W^2 / (2 hbar)
         params = ProtocolParams(**point)
         return params, evaluate_case(params, post, phases)
@@ -236,7 +240,7 @@ def _evaluate_point(post, phases, **point) -> tuple[ProtocolParams, dict]:
 class BuiltScenario:
     """A validated config resolved into protocol-ready objects."""
 
-    scenario: protocol.Scenario
+    scenario: Scenario
     units: str  # "si" or "natural"
     grid_points: int
     params: ProtocolParams | None  # physical parameters for SI scenarios
@@ -244,9 +248,53 @@ class BuiltScenario:
     case: dict | None = field(compare=False)  # evaluate_case of `params`; numpy columns
 
 
+def _source_amplitudes(source: dict) -> tuple[float, float]:
+    """The real (alpha, beta) of a source given by beta, or by alpha and beta."""
+    if "alpha" in source:
+        alpha, beta = float(source["alpha"]), float(source["beta"])
+        norm = alpha * alpha + beta * beta
+        if abs(norm - 1.0) > 1e-6:
+            raise ConfigError(
+                f"source amplitudes have |alpha|^2+|beta|^2 = {norm!r}, expected 1",
+                field="source.alpha",
+            )
+        scale = math.sqrt(norm)
+        return alpha / scale, beta / scale
+    beta = float(source["beta"])
+    if not -1.0 <= beta <= 1.0:
+        raise ConfigError("beta must be in [-1, 1] when alpha is derived", field="source.beta")
+    return math.sqrt(1.0 - beta * beta), beta
+
+
+def _realised_gain(pre, kick_ratio: float) -> float:
+    """The gain that `pre` realises with the phase-free paper postselection, what `simulate`
+    prints without phases.  It depends on the kicks only through kick_ratio = delta_B/delta_A."""
+    from . import protocol
+    from .analysis import weak_value_report
+
+    try:
+        gain = weak_value_report(pre, protocol.paper_postselection(), 1.0, kick_ratio).gain
+    except ValueError:
+        raise ConfigError("source.beta = alpha leaves the source orthogonal to the paper "
+                          "postselection; SI scenarios need gain >= 0",
+                          field="source.beta") from None
+    if not 0.0 <= gain < math.inf:
+        raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",
+                          field="source.beta")
+    return gain
+
+
 def build_scenario(doc: dict) -> BuiltScenario:
-    """Validate and assemble a scenario document."""
+    """Validate and assemble a scenario document.
+
+    Each module loads on the branch that needs it: `protocol` and `wavepacket` for every
+    document, `feasibility` for SI kicks or a `gain` source, `analysis` for an SI `beta`
+    source and `montecarlo` for a `montecarlo` section.
+    """
     validate_config(doc)
+
+    from . import protocol
+    from .wavepacket import GaussianPacket
 
     kicks = doc["kicks"]
     units = "natural" if "delta_A" in kicks else "si"  # explicit kicks, or physical parameters
@@ -278,8 +326,11 @@ def build_scenario(doc: dict) -> BuiltScenario:
             raise ConfigError(f"config field postselection: {exc}",
                               field="postselection") from None
 
+    source = doc["source"]
+    gain = source.get("gain")
+    pre = None if gain is not None else protocol.SourceState(
+        *map(complex, _source_amplitudes(source)))
     params = case = None
-    gain = doc["source"].get("gain")
     if units == "natural":
         delta_a = float(kicks["delta_A"])
         delta_b = float(kicks["delta_B"])
@@ -291,46 +342,22 @@ def build_scenario(doc: dict) -> BuiltScenario:
                               f"x_A = {kicks['x_A']!r}", field="kicks.x_B")
         point = {name: float(kicks[name]) for name in ("M", "m", "T", "x_A", "x_B")
                  if kicks.get(name) is not None}
-        # a beta source takes its kicks at g = 0, and its point is evaluated at its gain below
-        params, case = _evaluate_point(post, (phi_a, phi_b), **point, W=width, g=float(gain or 0.0))
+        # kicks go as 1/x^2, so a beta source's gain is known before its one evaluation
+        g = float(gain) if pre is None else _realised_gain(
+            pre, (point["x_A"] / point["x_B"]) ** 2)
+        params, case = _evaluate_point(post, (phi_a, phi_b), **point, W=width, g=g)
         delta_a, delta_b = case["delta_a"].item(), case["delta_b"].item()
 
-    if gain is not None:
+    if pre is None:
+        from .feasibility import amplitudes_for_gain
+
         if delta_a == 0.0 or not 0.0 < delta_b / delta_a < 1.0:
             raise ConfigError(
                 "gain-specified sources need kicks with 0 < delta_B/delta_A < 1",
                 field="source.gain",
             )
-        alpha, beta = amplitudes_for_gain(float(gain), delta_b / delta_a)
-    elif "alpha" in doc["source"]:
-        alpha, beta = float(doc["source"]["alpha"]), float(doc["source"]["beta"])
-        norm = alpha * alpha + beta * beta
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigError(
-                f"source amplitudes have |alpha|^2+|beta|^2 = {norm!r}, expected 1",
-                field="source.alpha",
-            )
-        scale = math.sqrt(norm)
-        alpha, beta = alpha / scale, beta / scale
-    else:
-        beta = float(doc["source"]["beta"])
-        if not -1.0 <= beta <= 1.0:
-            raise ConfigError("beta must be in [-1, 1] when alpha is derived",
-                              field="source.beta")
-        alpha = math.sqrt(1.0 - beta * beta)
-    pre = protocol.SourceState(complex(alpha), complex(beta))
-
-    if params is not None and gain is None:
-        try:  # the phase-free paper postselection's gain, what `simulate` prints without phases
-            gain = weak_value_report(pre, protocol.paper_postselection(), delta_a, delta_b).gain
-        except ValueError:
-            raise ConfigError("source.beta = alpha leaves the source orthogonal to the paper "
-                              "postselection; SI scenarios need gain >= 0",
-                              field="source.beta") from None
-        if not 0.0 <= gain < math.inf:
-            raise ConfigError(f"source.beta realises gain {gain!r}; SI scenarios need gain >= 0",
-                              field="source.beta")
-        params, case = _evaluate_point(post, (phi_a, phi_b), **point, W=width, g=gain)
+        pre = protocol.SourceState(*map(complex, amplitudes_for_gain(float(gain),
+                                                                     delta_b / delta_a)))
 
     scenario = protocol.Scenario(
         pre=pre,
@@ -343,6 +370,8 @@ def build_scenario(doc: dict) -> BuiltScenario:
     )
     mc = None
     if "montecarlo" in doc:
+        from .montecarlo import RunConfig
+
         sec = doc["montecarlo"]
         mc = RunConfig(scenario=scenario, trials=int(sec["trials"]), seed=int(sec["seed"]),
                        bins=int(sec.get("bins", DEFAULT_HISTOGRAM_BINS)), grid_points=grid_points)

@@ -19,10 +19,8 @@ import numpy as np
 
 from .output import table_csv
 from .protocol import SourceState, branch_weights, gaussian_postselection, paper_postselection
-from .units import G, HBAR
+from .units import G, HBAR, SOLVABLE_FIELDS
 from .wavepacket import _finite
-
-SOLVABLE_FIELDS = ("M", "m", "W", "T", "x_A", "g")
 
 SWEEP_CSV_HEADER = "M,m,T,xA,xB,W,g,deltaA,deltaB,ratio,tau,ps_prob,valid_flag"
 # Column names of `evaluate_case` and `sweep`, in sweep.csv column order.

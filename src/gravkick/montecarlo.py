@@ -21,12 +21,9 @@ import numpy as np
 
 from . import protocol
 from .output import table_csv
-from .wavepacket import DEFAULT_GRID_POINTS
+from .units import DEFAULT_GRID_POINTS, DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS
 
 BLOCK_SAMPLES = 8192
-DEFAULT_HISTOGRAM_BINS = 64
-MAX_TRIALS = 2**63 - 1  # the count's position sums reach 2 * it + 1, the uint64 top
-MAX_SEED = 2**128 - 1  # a 128-bit seed above the 64-bit block index
 _MAX_CHUNK = 1 << 14  # larger draws of bytes run slower, out of cache
 
 

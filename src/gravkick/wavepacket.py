@@ -17,10 +17,7 @@ from typing import TextIO, Union
 import numpy as np
 
 from .output import table_csv
-from .units import UNITS
-
-DEFAULT_GRID_POINTS = 2048
-MIN_GRID_POINTS = 16
+from .units import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, UNITS
 DEFAULT_HALFSPAN_SIGMAS = 10.0  # Gaussian mass outside +/-10 sigma < 1e-22
 
 

@@ -81,18 +81,19 @@ SOLVE_SUMMARY_SHA256_CASE_B = {
     "g": "fba0118a738a92e0e877104aabc5abbae7d5ab810113105eeeb1a62922470b32",
 }
 
-# sha256 of `simulate` summary.csv, frozen from the code before the weak values
-# were formed in one pass: the fig2 and amplification presets, and PHASED_DOC, whose
-# first-order rows leave out the interaction phases (delta_ef +2.59782390e-03
-# against exact_mean -4.63502851e-03).  caseA and caseB are CASE_A_DOC and CASE_B_DOC,
-# frozen while config still formed their kicks G M m T / x^2 in Python floats, before
-# feasibility.evaluate_case formed them in numpy.
+# sha256 of `simulate` summary.csv: the fig2 and amplification presets, and PHASED_DOC, whose
+# phase-free first-order rows leave out the interaction phases (delta_ef +2.59782390e-03
+# against exact_mean -4.63502851e-03, first_order_mean -4.63517005e-03).  caseA and caseB
+# are CASE_A_DOC and CASE_B_DOC.  Re-pinned when the first_order_mean and first_order_error
+# rows were added after `gain`; without those two rows every file is the one pinned before,
+# frozen from the code before the weak values were formed in one pass (caseA and caseB
+# while config still formed their kicks G M m T / x^2 in Python floats).
 SIMULATE_SUMMARY_SHA256 = {
-    "fig2": "89b4571b28d7f39f70496e01a3e07a7718ac70b602ab38c983250275e89c5795",
-    "amplification": "b5c6de437f5de05d21a763982e7d51753d1259fe96257ae8b730fc22d33a11e6",
-    "phased": "07ace634000a9b21dcf53528756801883572953a6d3d8f1590babd6a34ebd4fa",
-    "caseA": "17c272f0b4a4934ffbeb3f6b6cc086e4f1db10a5cd5713a06c45ad8d412c9315",
-    "caseB": "6ccc062482737a93cccf766d7ba43a5654457567bdac8b038cf72ba4f89372a6",
+    "fig2": "090ae6af6e5d5de9019ae9b0bb955eea860c83dfab7bea3cf0ad75b68815779e",
+    "amplification": "ca5df90c3d52b6e4fc03a86d41e538ad621ee5a45431463417231c89918c951d",
+    "phased": "0f4bf4fe250b1a4de20c8bed7adf3bfa4c341f9f70d96d377c21cfd9b62ea28f",
+    "caseA": "0685d655509556914d81dbbee8e80617e0a97b050ebca1f27eee7a77f81cfe7c",
+    "caseB": "93152be84dde568f6c1b9ae753aa11d558f7ba122c3ecc7e2dad85c52faa81e2",
 }
 PHASED_DOC = {
     "units": "natural",

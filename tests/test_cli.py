@@ -1,7 +1,9 @@
+import cmath
 import hashlib
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -124,6 +126,88 @@ class TestSimulate:
         rows = read_summary(out / "summary.csv")
         assert as_float(rows, "exact_mean") == pytest.approx(0.25, abs=1e-10)
         assert as_float(rows, "delta_ef") == pytest.approx(0.25, abs=1e-10)
+
+    @staticmethod
+    def summary_rows(tmp_path, monkeypatch, doc, *flags):
+        """The (name, value) rows that `simulate` formats into summary.csv for `doc`."""
+        import gravkick.cli
+
+        written, original = [], gravkick.cli.summary_csv
+
+        def capture(rows):
+            written.append(dict(rows))
+            return original(rows)
+
+        monkeypatch.setattr(gravkick.cli, "summary_csv", capture)
+        assert main(["simulate", doc_path(tmp_path, doc), *flags,
+                     "--out", str(tmp_path / "bundle")]) == 0
+        (rows,) = written
+        return rows
+
+    @staticmethod
+    def random_phased_doc(rng):
+        """A natural document with random amplitudes, phases and kicks, and the oracle's
+        (pre, post) amplitude pairs for it."""
+        beta, phases = rng.uniform(-1.0, 1.0), (rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+        pre = (math.sqrt(1.0 - beta * beta), beta)  # the derived alpha, as the config takes it
+        doc = {"units": "natural", "source": {"beta": beta},
+               "kicks": {f"delta_{x}": rng.choice((-1, 1)) * 10 ** rng.uniform(-4.0, 0.5)
+                         for x in "AB"},
+               "phases": {"phi_A": phases[0], "phi_B": phases[1]}}
+        if rng.random() < 0.5:
+            post = tuple(-cmath.exp(1j * phi) if x == "A" else cmath.exp(1j * phi)
+                         for x, phi in zip("AB", phases))  # paper-default, up to its norm
+        else:
+            post = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in "AB")
+            doc["postselection"] = {f"amp_{x}": [a.real, a.imag] for x, a in zip("AB", post)}
+        return doc, pre, post, phases
+
+    def test_first_order_mean_is_the_exact_slope(self, tmp_path, monkeypatch):
+        # the phased first-order rows against mpmath's d(exact mean)/d lambda at lambda = 0
+        rng = random.Random(41)
+        for _ in range(40):
+            doc, pre, post, phases = self.random_phased_doc(rng)
+            rows = self.summary_rows(tmp_path, monkeypatch, doc)
+            monkeypatch.undo()
+            kicks = doc["kicks"]["delta_A"], doc["kicks"]["delta_B"]
+            slope = oracles.first_order_slope_mp(pre, post, phases, *kicks)
+            assert rows["first_order_mean"] == pytest.approx(slope, rel=1e-10, abs=0), doc
+            exact = rows["exact_mean"]
+            error = abs(exact - slope) / max(abs(exact), abs(kicks[0] - kicks[1]))
+            assert rows["first_order_error"] == pytest.approx(error, rel=1e-6, abs=1e-12), doc
+
+    def test_delta_ef_misses_the_phased_slope(self, tmp_path, monkeypatch):
+        # PHASED_DOC: the first-order mean has the exact mean's sign, repulsion; delta_ef, of
+        # the phase-free weights, reads attraction
+        rows = self.summary_rows(tmp_path, monkeypatch, PHASED_DOC)
+        phases = (1.0, -1.0)
+        post = (-cmath.exp(1j), cmath.exp(-1j))
+        slope = oracles.first_order_slope_mp((math.sqrt(1 - 0.81), 0.9), post, phases,
+                                             0.007, 0.001)
+        assert slope == pytest.approx(-4.635e-3, rel=1e-3)
+        assert rows["first_order_mean"] == pytest.approx(slope, rel=1e-10, abs=0)
+        assert rows["first_order_error"] < 1e-4
+        assert rows["delta_ef"] == pytest.approx(2.598e-3, rel=1e-3)
+        assert abs(rows["delta_ef"] - slope) > abs(slope)
+
+    def test_first_order_rows_without_overlap_are_na(self, tmp_path):
+        # alpha = beta: the phased weights cancel in the paper postselection, which carries the
+        # phases; the phase-free weak values, which do not, still exist
+        doc = {**PHASED_DOC, "source": {"alpha": 0.7071067811865476, "beta": 0.7071067811865476}}
+        out = tmp_path / "bundle"
+        assert main(["simulate", doc_path(tmp_path, doc), "--out", str(out)]) == 0
+        rows = read_summary(out / "summary.csv")
+        assert rows["first_order_mean"] == rows["first_order_error"] == "n/a"
+        assert rows["delta_ef"] != "n/a"
+
+    def test_first_order_mean_is_in_display_units(self, tmp_path, monkeypatch):
+        si = self.summary_rows(tmp_path, monkeypatch, CASE_B_DOC)
+        monkeypatch.undo()
+        natural = self.summary_rows(tmp_path, monkeypatch, CASE_B_DOC, "--units", "natural")
+        sigma = 1.054571817e-34 / CASE_B_DOC["probe"]["W"]
+        assert natural["first_order_mean"] == pytest.approx(si["first_order_mean"] / sigma,
+                                                            rel=1e-15)
+        assert natural["first_order_error"] == si["first_order_error"]
 
     @pytest.mark.parametrize("gain, regime", [(1e3, "weak"), (1e5, "marginal"), (1e7, "strong")])
     def test_regime_reads_the_amplified_kick(self, tmp_path, gain, regime):
@@ -289,12 +373,11 @@ class TestFeasibility:
         assert solved == pytest.approx(100 * 1e-3 / abs(CASE_B_RATIO), rel=1e-8)
 
     @pytest.mark.parametrize("command", SI_COMMANDS)
-    @pytest.mark.parametrize("source, evaluations", [({"gain": 100}, 1), ({"beta": 0.7075}, 2)],
-                             ids=["gain", "beta"])
+    @pytest.mark.parametrize("source", [{"gain": 100}, {"beta": 0.7075}], ids=["gain", "beta"])
     def test_an_si_document_is_evaluated_once_at_its_gain(self, tmp_path, monkeypatch, command,
-                                                          source, evaluations):
-        # a gain source is evaluated once; a beta source at g = 0 for its kicks, then at its
-        # gain; a sweep evaluates its grid besides
+                                                          source):
+        # a beta source's gain is known from its amplitudes and x_A / x_B before the one
+        # evaluation, as a gain source's is; a sweep evaluates its grid besides
         original, seen = gravkick.feasibility.evaluate_case, []
 
         def counted(*args, **kwargs):
@@ -307,7 +390,7 @@ class TestFeasibility:
         axis = ["--axis", "M=1e-15:1e-14:3"] if command == "sweep" else []
         doc = doc_path(tmp_path, {**CASE_B_DOC, "source": source})
         assert main([command, doc, *axis, "--out", str(tmp_path / "bundle")]) == 0
-        assert len(seen) == evaluations + (command == "sweep")
+        assert len(seen) == 1 + (command == "sweep")
 
     @pytest.mark.parametrize("field", sorted(SOLVE_SUMMARY_SHA256_CASE_B))
     def test_solve_summary_bytes_frozen(self, tmp_path, field):
@@ -675,10 +758,10 @@ class TestSweep:
 
     def test_svg_with_one_axis_is_refused_before_the_sweep(self, tmp_path, capsys,
                                                            monkeypatch):
-        import gravkick.cli
+        import gravkick.feasibility
 
-        swept = []
-        monkeypatch.setattr(gravkick.cli, "sweep", lambda *args: swept.append(args))
+        swept = []  # cli imports sweep from feasibility when the command runs
+        monkeypatch.setattr(gravkick.feasibility, "sweep", lambda *args: swept.append(args))
         out = tmp_path / "bundle"
         code = main(["sweep", doc_path(tmp_path, CASE_B_DOC), "--axis", "M=1e-15:1e-13:3",
                      "--svg", "--out", str(out)])
@@ -1002,12 +1085,12 @@ class TestErrorChannels:
         assert (record["message"], record["field"]) == (message, field)
 
     def test_memory_error_is_a_runtime_record(self, tmp_path, capsys, monkeypatch):
-        import gravkick.cli
+        import gravkick.analysis
 
         def refuse(*args, **kwargs):  # what numpy raises for an array it cannot allocate
             raise MemoryError("Unable to allocate 8.00 PiB for an array with shape (2**50,)")
 
-        monkeypatch.setattr(gravkick.cli.analysis, "validity_check", refuse)
+        monkeypatch.setattr(gravkick.analysis, "validity_check", refuse)
         out = tmp_path / "bundle"
         code = main(["simulate", "--scenario", "fig2", "--out", str(out)])
         record = assert_refused(code, out, capsys, "runtime", "Unable to allocate")
@@ -1277,6 +1360,38 @@ def run_child(args):
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+# Runs `gravkick ARGS` as `python -m gravkick` does; at exit it prints on stderr the gravkick
+# modules the process loaded.
+MODULES_PROBE = """
+import atexit, json, runpy, sys
+
+atexit.register(lambda: print(json.dumps(sorted(
+    name.removeprefix("gravkick.") for name in sys.modules if name.startswith("gravkick."))),
+    file=sys.stderr))
+sys.argv = ["gravkick", *sys.argv[1:]]
+runpy.run_module("gravkick", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("command, doc, loaded, absent", [
+    ("presets", None, [], ["protocol", "wavepacket", "feasibility", "montecarlo", "analysis",
+                           "svg"]),
+    ("feasibility", {k: v for k, v in CASE_B_DOC.items() if k != "montecarlo"},
+     ["protocol", "wavepacket", "feasibility"], ["analysis", "montecarlo", "svg"]),
+    ("simulate", PHASED_DOC, ["protocol", "wavepacket", "analysis"],
+     ["feasibility", "montecarlo", "svg"]),
+], ids=["presets-list", "feasibility-gain", "simulate-natural"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, doc, loaded, absent):
+    # a gain source without a montecarlo section, and a natural one, reach neither the
+    # modules of the other commands nor the figure's
+    args = ["list"] if doc is None else [doc_path(tmp_path, doc), "--out", str(tmp_path / "out")]
+    result = run_child(["-c", MODULES_PROBE, command, *args])
+    assert result.returncode == 0, result.stderr
+    modules = set(json.loads(result.stderr.splitlines()[-1]))
+    assert {"cli", "config", "output", "units"} | set(loaded) <= modules
+    assert not modules & set(absent)
 
 
 @pytest.mark.parametrize("axis, code, kind, message, field", [

@@ -312,7 +312,7 @@ class TestAssembly:
         assert build_scenario(minimal_natural()).case is None
 
     @pytest.mark.parametrize("source, reason", [
-        ({"beta": 0.999}, "realises gain -0.05783339705044427"),
+        ({"beta": 0.999}, "realises gain -0.05783339705044428"),
         ({"alpha": 0.7071067811865476, "beta": 0.7071067811865476},
          "= alpha leaves the source orthogonal to the paper postselection"),
     ], ids=["source0", "source1"])
