@@ -31,7 +31,7 @@ from .config import (
     load_preset,
     preset_descriptions,
 )
-from .output import summary_csv, table_csv, write_bundle
+from .output import format_value, summary_csv, table_csv, write_bundle
 from .units import SOLVABLE_FIELDS, UNITS
 
 if TYPE_CHECKING:  # each command imports the modules it runs; svg only for a figure
@@ -166,8 +166,8 @@ def _decomposition_files(result: PostselectedResult) -> tuple[str, str]:
         _emit_record("warning", "fig2-window",
                      f"the fig2 window p in [{p[0]:g}, {p[-1]:g}] sigma holds {share:.3g} of the "
                      "postselected state's squared norm; the curves show only part of it")
-    curves_csv = table_csv("p,beta_branch,neg_alpha_branch,postselected", "%.8e,%.8e,%.8e,%.8e",
-                           zip(p.tolist(), branch_b.tolist(), branch_a.tolist(), total.tolist()))
+    curves_csv = table_csv("p,beta_branch,neg_alpha_branch,postselected",
+                           (p, branch_b, branch_a, total))
     image = svg.line_plot(
         [
             ("beta branch", p, branch_b),
@@ -306,7 +306,7 @@ def cmd_sweep(args, built: BuiltScenario) -> tuple[str, ...]:
 
     rows: list[tuple[str, object]] = [("rows", cases["M"].size)]
     for i, (field, start, stop, count) in enumerate(axes, start=1):
-        rows.append((f"axis{i}", f"{field}={start:.8e}:{stop:.8e}:{count}"))
+        rows.append((f"axis{i}", f"{field}={format_value(start)}:{format_value(stop)}:{count}"))
     texts = (sweep_csv(cases), summary_csv(rows))
     if not args.svg:
         return texts

@@ -12,13 +12,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import TYPE_CHECKING
 
 import jsonschema
 
-from .units import (DEFAULT_GRID_POINTS, DEFAULT_HISTOGRAM_BINS, HBAR, MAX_SEED, MAX_TRIALS,
-                    MIN_GRID_POINTS, UNITS)
+from .units import DEFAULT_GRID_POINTS, HBAR, MAX_SEED, MAX_TRIALS, MIN_GRID_POINTS, UNITS
 
 if TYPE_CHECKING:  # build_scenario imports each module on the branch that needs it
     from .feasibility import ProtocolParams
@@ -244,8 +244,18 @@ class BuiltScenario:
     units: str  # "si" or "natural"
     grid_points: int
     params: ProtocolParams | None  # physical parameters for SI scenarios
-    mc: RunConfig | None
+    mc_section: dict | None = field(hash=False)  # the document's montecarlo section
     case: dict | None = field(compare=False)  # evaluate_case of `params`; numpy columns
+
+    @cached_property
+    def mc(self) -> RunConfig | None:
+        """The montecarlo section's run, built on first read, so that only the montecarlo
+        command loads `montecarlo`; the schema refuses each value that RunConfig refuses."""
+        from .montecarlo import RunConfig
+
+        sec = self.mc_section  # trials, seed and bins, RunConfig's names
+        return None if sec is None else RunConfig(self.scenario, grid_points=self.grid_points,
+                                                  **{k: int(v) for k, v in sec.items()})
 
 
 def _source_amplitudes(source: dict) -> tuple[float, float]:
@@ -288,8 +298,8 @@ def build_scenario(doc: dict) -> BuiltScenario:
     """Validate and assemble a scenario document.
 
     Each module loads on the branch that needs it: `protocol` and `wavepacket` for every
-    document, `feasibility` for SI kicks or a `gain` source, `analysis` for an SI `beta`
-    source and `montecarlo` for a `montecarlo` section.
+    document, `feasibility` for SI kicks or a `gain` source and `analysis` for an SI `beta`
+    source; `montecarlo` loads when `BuiltScenario.mc` is first read.
     """
     validate_config(doc)
 
@@ -368,13 +378,5 @@ def build_scenario(doc: dict) -> BuiltScenario:
         phi_a=phi_a,
         phi_b=phi_b,
     )
-    mc = None
-    if "montecarlo" in doc:
-        from .montecarlo import RunConfig
-
-        sec = doc["montecarlo"]
-        mc = RunConfig(scenario=scenario, trials=int(sec["trials"]), seed=int(sec["seed"]),
-                       bins=int(sec.get("bins", DEFAULT_HISTOGRAM_BINS)), grid_points=grid_points)
-
     return BuiltScenario(scenario=scenario, units=units, grid_points=grid_points, params=params,
-                         mc=mc, case=case)
+                         mc_section=doc.get("montecarlo"), case=case)

@@ -27,7 +27,6 @@ SWEEP_CSV_HEADER = "M,m,T,xA,xB,W,g,deltaA,deltaB,ratio,tau,ps_prob,valid_flag"
 CASE_FIELDS = ("M", "m", "T", "x_A", "x_B", "W", "g",
                "delta_a", "delta_b", "ratio", "tau", "ps_prob", "valid_flag")
 SWEEP_FIELDS = CASE_FIELDS[:7]  # the parameters; the rest are computed
-_CSV_ROW = ",".join(["%.8e"] * 12) + ",%d"
 
 # Below x_A = 10 W the "separations much larger than packet widths" modeling
 # assumption starts to fail; cases are flagged, not rejected.
@@ -114,10 +113,10 @@ def evaluate_case(
     `phases`, the scenario's, and `protocol.gaussian_postselection` takes P from those weights.
     `final` defaults to the paper postselection with those phases; a scalar point is a column
     of one.  A non-finite phase, and at any point kicks outside the normal doubles or a ratio
-    or tau that overflows, raise ValueError.
+    or tau that overflows, raise ValueError.  valid_flag is bool, every other column float64.
     """
     phases = tuple(_finite(f"phase phi_{x}", phi) for x, phi in zip("ab", phases))
-    p = replace(params, **{name: np.atleast_1d(getattr(params, name)) for name in SWEEP_FIELDS})
+    p = replace(params, **{f: np.array(getattr(params, f), float, ndmin=1) for f in SWEEP_FIELDS})
     with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
         derived = {"delta_a": delta_kick(p.M, p.m, p.T, p.x_A),
                    "delta_b": delta_kick(p.M, p.m, p.T, p.x_B),
@@ -209,5 +208,4 @@ def sweep(
 
 
 def sweep_csv(cases: dict[str, np.ndarray]) -> str:
-    return table_csv(SWEEP_CSV_HEADER, _CSV_ROW,
-                     zip(*(column.tolist() for column in cases.values())))
+    return table_csv(SWEEP_CSV_HEADER, cases.values())

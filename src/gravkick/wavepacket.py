@@ -268,6 +268,5 @@ def to_csv(psi: GridPacket, dest: TextIO, units: str = "natural", width: float =
     metadata comment."""
     if units not in UNITS:
         raise ValueError(f"units must be 'natural' or 'si', got {units!r}")
-    rows = table_csv("p,re,im", "%r,%r,%r",
-                     zip(psi.p.tolist(), psi.amps.real.tolist(), psi.amps.imag.tolist()))
+    rows = table_csv("p,re,im", (psi.p, psi.amps.real, psi.amps.imag), float_format="%r")
     dest.write(f"# units={units}, W={float(width)!r}\n" + rows)

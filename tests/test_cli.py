@@ -1375,23 +1375,48 @@ runpy.run_module("gravkick", run_name="__main__", alter_sys=True)
 """
 
 
-@pytest.mark.parametrize("command, doc, loaded, absent", [
-    ("presets", None, [], ["protocol", "wavepacket", "feasibility", "montecarlo", "analysis",
-                           "svg"]),
-    ("feasibility", {k: v for k, v in CASE_B_DOC.items() if k != "montecarlo"},
+@pytest.mark.parametrize("args, loaded, absent", [
+    (["presets", "list"], [], ["protocol", "wavepacket", "feasibility", "montecarlo", "analysis",
+                               "svg"]),
+    (["feasibility", {k: v for k, v in CASE_B_DOC.items() if k != "montecarlo"}],
      ["protocol", "wavepacket", "feasibility"], ["analysis", "montecarlo", "svg"]),
-    ("simulate", PHASED_DOC, ["protocol", "wavepacket", "analysis"],
+    (["simulate", PHASED_DOC], ["protocol", "wavepacket", "analysis"],
      ["feasibility", "montecarlo", "svg"]),
-], ids=["presets-list", "feasibility-gain", "simulate-natural"])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, doc, loaded, absent):
+    (["simulate", "--scenario", "fig2"], ["protocol", "wavepacket", "analysis"],
+     ["feasibility", "montecarlo", "svg"]),
+    (["fig2"], ["protocol", "wavepacket", "svg"], ["analysis", "feasibility", "montecarlo"]),
+], ids=["presets-list", "feasibility-gain", "simulate-natural", "simulate-fig2", "fig2"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, args, loaded, absent):
     # a gain source without a montecarlo section, and a natural one, reach neither the
-    # modules of the other commands nor the figure's
-    args = ["list"] if doc is None else [doc_path(tmp_path, doc), "--out", str(tmp_path / "out")]
-    result = run_child(["-c", MODULES_PROBE, command, *args])
+    # modules of the other commands nor the figure's; nor does a preset's montecarlo section,
+    # which only the montecarlo command reads
+    args = [doc_path(tmp_path, arg) if isinstance(arg, dict) else arg for arg in args]
+    if args[0] != "presets":
+        args += ["--out", str(tmp_path / "out")]
+    result = run_child(["-c", MODULES_PROBE, *args])
     assert result.returncode == 0, result.stderr
     modules = set(json.loads(result.stderr.splitlines()[-1]))
     assert {"cli", "config", "output", "units"} | set(loaded) <= modules
     assert not modules & set(absent)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("trials", 0, "0 is less than the minimum of 1"),
+    ("trials", 2**63, f"{2**63} is greater than the maximum of {2**63 - 1}"),
+    ("seed", -1, "-1 is less than the minimum of 0"),
+    ("seed", 2**128, f"{2**128} is greater than the maximum of {2**128 - 1}"),
+    ("bins", 0, "0 is less than the minimum of 1"),
+], ids=["trials-0", "trials-2**63", "seed-negative", "seed-2**128", "bins-0"])
+def test_simulate_refuses_an_out_of_range_montecarlo_section(tmp_path, capsys, key, value,
+                                                             message):
+    # simulate never builds the run configuration; the schema refuses what RunConfig would
+    doc = load_preset("fig2")
+    doc["montecarlo"][key] = value
+    out = tmp_path / "out"
+    code = main(["simulate", doc_path(tmp_path, doc), "--out", str(out)])
+    record = assert_refused(code, out, capsys, "config", message)
+    assert record == {"error": "config", "message": f"config field montecarlo.{key}: {message}",
+                      "field": f"montecarlo.{key}"}
 
 
 @pytest.mark.parametrize("axis, code, kind, message, field", [

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import types
 from importlib import resources
 
@@ -18,12 +19,12 @@ from gravkick.config import (
     preset_descriptions,
     validate_config,
 )
-from gravkick.feasibility import evaluate_case
+from gravkick.feasibility import amplitudes_for_gain, evaluate_case
 from gravkick.montecarlo import DEFAULT_HISTOGRAM_BINS, MAX_SEED, MAX_TRIALS, RunConfig
 from gravkick.wavepacket import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, GridPacket
 
 from . import oracles
-from .refvals import AMP_GAIN, CASE_B_DOC, FIG2_ALPHA
+from .refvals import AMP_GAIN, CASE_A_DOC, CASE_B_DOC, FIG2_ALPHA
 
 
 def assert_case_is_fresh(built):
@@ -283,10 +284,28 @@ class TestAssembly:
 
     @pytest.mark.parametrize("beta", [0.7075, 0.9])
     def test_beta_source_gain_is_the_simulate_gain(self, beta):
-        # bit for bit the `gain` row of `simulate`, which reads the same report
+        # for these two sources, g is bit for bit the `gain` row of `simulate`, which reads
+        # the same report
         built = build_scenario({**CASE_B_DOC, "source": {"beta": beta}})
         s = built.scenario
         assert built.params.g == weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).gain
+
+    def test_random_beta_source_gains_are_the_simulate_gain_to_rounding(self):
+        # g takes delta_B/delta_A as (x_A/x_B)^2, the `gain` row from the kicks G M m T / x^2;
+        # those ratios differ in their last bit.  The gap reached 3 ulp over 6,000 documents
+        # drawn as these are; near zero gain with x_B close to x_A, the gain's cancellation in
+        # alpha - beta delta_B/delta_A takes it past 20 ulp.
+        rng = random.Random(4200)
+        for _ in range(240):
+            base = rng.choice((CASE_A_DOC, CASE_B_DOC))
+            kicks = {**base["kicks"], "M": base["kicks"]["M"] * 10 ** rng.uniform(-1.0, 1.0)}
+            kicks["x_B"] = kicks["x_A"] * rng.uniform(2.0, 5.0)  # sqrt(10) in both presets
+            gain = 10 ** rng.uniform(1.0, 4.0)  # caseB's 100 and caseA's 1000 included
+            _, beta = amplitudes_for_gain(gain, (kicks["x_A"] / kicks["x_B"]) ** 2)
+            built = build_scenario({**base, "kicks": kicks, "source": {"beta": float(beta)}})
+            s = built.scenario
+            row = weak_value_report(s.pre, s.post, s.delta_a, s.delta_b).gain
+            assert abs(built.params.g - row) <= 4 * math.ulp(row), (kicks, beta)
 
     @pytest.mark.parametrize("extra", [
         {"postselection": {"amp_A": 0.6, "amp_B": 0.8}},

@@ -519,6 +519,16 @@ class TestCsvFormat:
             mantissa = cell.lstrip("-").split("e")[0]
             assert len(mantissa.replace(".", "")) == 9
 
+    def test_integer_fields_write_as_their_floats(self):
+        # evaluate_case makes each parameter column float64, so sweep_csv writes an integer
+        # field in the float format, not as %d
+        ints = ProtocolParams(M=1, m=1, T=2, x_A=10**12, x_B=3 * 10**12, W=1, g=100)
+        floats = ProtocolParams(M=1.0, m=1.0, T=2.0, x_A=1e12, x_B=3e12, W=1.0, g=100.0)
+        cases = evaluate_case(ints)
+        assert {column.dtype for name, column in cases.items() if name != "valid_flag"} == {
+            np.dtype(np.float64)}
+        assert sweep_csv(cases) == sweep_csv(evaluate_case(floats))
+
     def test_case_row_values(self):
         case = one_point(evaluate_case(case_b_params()))
         assert case["tau"] == pytest.approx(TAU_CASE_B, rel=1e-12)
