@@ -7,8 +7,8 @@ diagnostic comparing first-order predictions against the exact protocol.
 Every weak value here is a ratio of the phase-free weights
 `protocol.branch_weights(pre, post)`, without the interaction phases that
 `protocol.run` applies; the README's "Gain against acceptance" says where
-that misses the exact mean.  `run_first_order` takes a run's own phased
-weights instead.
+that misses the exact mean.  `run_first_order` and `validity_check`'s regime
+take a run's own phased weights instead.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ def validity_check(
     scenario: protocol.Scenario,
     n: int = DEFAULT_GRID_POINTS,
 ) -> ValidityReport:
-    """One `protocol.run` (exact mean) vs one `weak_value_report` (first order)."""
+    """One `protocol.run` (exact mean) vs one `weak_value_report` (first order); the regime
+    reads the kicks and the run's projector weak value w_A / (w_A + w_B)."""
     s = scenario
     sigma = s.probe.sigma if isinstance(s.probe, GaussianPacket) else moments(s.probe).std
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -117,7 +118,9 @@ def validity_check(
     exact = protocol.run(s, n=n)
     report = weak_value_report(s.pre, s.post, s.delta_a, s.delta_b)
     ratio_a, ratio_b = abs(s.delta_a) / sigma, abs(s.delta_b) / sigma
-    # the first-order expansion is in the kick amplified by the projector weak value
-    amplified = abs(report.projector_weak_value) * abs(s.delta_a - s.delta_b) / sigma
+    # the first-order expansion is in the kick amplified by the run's projector weak value
+    w_a, w_b = exact.weights
+    pi_w = abs(w_a / (w_a + w_b)) if w_a + w_b else math.inf
+    amplified = pi_w * abs(s.delta_a - s.delta_b) / sigma
     return ValidityReport(ratio_a, ratio_b, classify_regime(max(ratio_a, ratio_b, amplified)),
                           exact, report)

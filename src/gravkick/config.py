@@ -204,10 +204,9 @@ def preset_descriptions() -> list[tuple[str, str]]:
 
 
 def validate_config(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: len(list(e.absolute_path)))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
+    errors = jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(doc)
+    err = jsonschema.exceptions.best_match(errors)  # it ranks the shallowest errors first
+    if err is not None:
         path = ".".join(str(part) for part in err.absolute_path) or "(root)"
         raise ConfigError(f"config field {path}: {err.message}", field=path)
 

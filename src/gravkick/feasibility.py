@@ -143,7 +143,7 @@ def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -
     |target_ratio|; every other field is read from `params`.  |ratio| is
     linear in M, m, W, T and g and goes as x_A^-2, so the field is rescaled by
     the target over `feasibility_ratio`, taken at g = 1 so that the gain stays
-    solvable at g = 0.
+    solvable at g = 0.  A ratio that underflows to 0 is refused.
     """
     if unknown not in SOLVABLE_FIELDS:
         raise ValueError(f"cannot solve for {unknown!r}; solvable fields: {SOLVABLE_FIELDS}")
@@ -154,12 +154,13 @@ def solve_parameter(params: ProtocolParams, unknown: str, target_ratio: float) -
     if params.g == 0.0 and unknown != "g":
         raise ValueError(f"the ratio vanishes at g = 0; no {unknown} reaches the target")
     unit_gain_ratio = abs(feasibility_ratio(replace(params, g=1.0)))
-    if unknown == "g":
-        solved = abs(target_ratio) / unit_gain_ratio
-    else:
-        scale = abs(target_ratio) / (params.g * unit_gain_ratio)
-        solved = (params.x_A / math.sqrt(scale) if unknown == "x_A"
-                  else getattr(params, unknown) * scale)
+    divisor = unit_gain_ratio if unknown == "g" else params.g * unit_gain_ratio
+    if divisor == 0.0:
+        raise ValueError(f"the ratio underflows to 0 at these inputs; no {unknown} reaches "
+                         f"target {target_ratio!r}")
+    scale = abs(target_ratio) / divisor
+    solved = (params.x_A / math.sqrt(scale) if unknown == "x_A"
+              else scale if unknown == "g" else getattr(params, unknown) * scale)
     if not 0.0 < solved < math.inf:
         raise ValueError(f"solved {unknown} = {solved!r} is outside the positive double range; "
                          f"target {target_ratio!r} is too extreme")

@@ -28,7 +28,7 @@ from gravkick.protocol import (
 from gravkick.wavepacket import GaussianPacket
 
 from . import oracles
-from .probes import grid_probe
+from .probes import fig2_scenario, grid_probe
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -46,18 +46,6 @@ RNG = np.random.default_rng(20251231)
 def check(criterion: int, description: str, passed: bool) -> None:
     print(f"[acceptance {criterion:02d}] {'PASS' if passed else 'FAIL'}: {description}")
     assert passed, f"criterion {criterion} failed: {description}"
-
-
-def fig2_scenario(**overrides) -> Scenario:
-    kwargs = dict(
-        pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-        post=paper_postselection(),
-        probe=GaussianPacket(0.0, 1.0, 1.0),
-        delta_a=FIG2_DELTA_A,
-        delta_b=FIG2_DELTA_B,
-    )
-    kwargs.update(overrides)
-    return Scenario(**kwargs)
 
 
 def test_criterion_01_amplification_factor():

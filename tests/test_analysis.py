@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravkick import protocol
 from gravkick.analysis import (
     WeakValueReport,
     classify_regime,
@@ -18,12 +19,13 @@ from gravkick.protocol import (
     SourceState,
     branch_weights,
     paper_postselection,
+    postselect,
     run,
 )
 from gravkick.wavepacket import GaussianPacket, GridPacket, Moments, moments
 
 from . import oracles
-from .probes import grid_probe
+from .probes import fig2_scenario, grid_probe
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -191,27 +193,13 @@ class TestWeakValueReport:
 
 class TestValidity:
     def test_fig2_is_strong_regime(self):
-        scenario = Scenario(
-            pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-            post=paper_postselection(),
-            probe=GaussianPacket(0.0, 1.0, 1.0),
-            delta_a=FIG2_DELTA_A,
-            delta_b=FIG2_DELTA_B,
-        )
-        report = validity_check(scenario)
+        report = validity_check(fig2_scenario())
         assert report.regime == "strong"
         assert abs(report.exact_mean - report.first_order_mean) == pytest.approx(
             FIG2_ABS_ERROR, abs=1e-9)
 
     def test_weak_kicks_agree_within_percent(self):
-        scenario = Scenario(
-            pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-            post=paper_postselection(),
-            probe=GaussianPacket(0.0, 1.0, 1.0),
-            delta_a=7e-3,
-            delta_b=1e-3,
-        )
-        report = validity_check(scenario)
+        report = validity_check(fig2_scenario(delta_a=7e-3, delta_b=1e-3))
         assert report.regime == "weak"
         error = abs(report.exact_mean - report.first_order_mean)
         assert error / abs(report.first_order_mean) < 1e-2
@@ -222,8 +210,7 @@ class TestValidity:
         monkeypatch.setattr(GridPacket, "_trapezoid",
                             lambda self, y: passes.append(self) or original(self, y))
         probe = grid_probe(GaussianPacket(0.0, 1.0), -12.0, 12.0, n=512)
-        scenario = Scenario(pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-                            post=paper_postselection(), probe=probe, delta_a=0.3, delta_b=0.1)
+        scenario = fig2_scenario(probe=probe, delta_a=0.3, delta_b=0.1)
         first = validity_check(scenario)
         assert [p is probe for p in passes] == [True] * 3 + [False] * 3
         passes.clear()
@@ -237,23 +224,21 @@ class TestValidity:
         monkeypatch.setattr(Moments, "__init__",
                             lambda self, *args, **kwargs: built.append(1)
                             or original(self, *args, **kwargs))
-        scenario = Scenario(pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-                            post=paper_postselection(), probe=GaussianPacket(0.0, 1.3),
-                            delta_a=0.3, delta_b=0.1)
+        scenario = fig2_scenario(probe=GaussianPacket(0.0, 1.3), delta_a=0.3, delta_b=0.1)
         report = validity_check(scenario)
         assert built == []
         assert report.kick_ratio_a == 0.3 / moments(scenario.probe).std
         assert built == [1]  # the counter sees a Gaussian's `moments`
 
+    def test_probe_without_spread_refused(self):
+        amps = np.zeros(64)
+        amps[20] = 1.0  # one sample: std 0
+        probe = GridPacket(p=np.linspace(-4.0, 4.0, 64), amps=amps)
+        with pytest.raises(ValueError, match="^probe must have a finite positive momentum spread$"):
+            validity_check(fig2_scenario(probe=probe))
+
     def test_no_branch_contrast_no_error(self):
-        scenario = Scenario(
-            pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-            post=paper_postselection(),
-            probe=GaussianPacket(0.0, 1.0, 1.0),
-            delta_a=0.25,
-            delta_b=0.25,
-        )
-        report = validity_check(scenario)
+        report = validity_check(fig2_scenario(delta_a=0.25, delta_b=0.25))
         assert abs(report.exact_mean - report.first_order_mean) < 1e-12
 
     def test_weak_limit_convergence_slope(self):
@@ -262,13 +247,7 @@ class TestValidity:
         first_order_unit = effective_kick(FIG2_ALPHA, FIG2_BETA, FIG2_DELTA_A, FIG2_DELTA_B)
         errors = []
         for s in scales:
-            scenario = Scenario(
-                pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-                post=paper_postselection(),
-                probe=GaussianPacket(0.0, 1.0, 1.0),
-                delta_a=s * FIG2_DELTA_A,
-                delta_b=s * FIG2_DELTA_B,
-            )
+            scenario = fig2_scenario(delta_a=s * FIG2_DELTA_A, delta_b=s * FIG2_DELTA_B)
             errors.append(abs(run(scenario).mean_kick - s * first_order_unit))
         slope = np.polyfit(np.log(scales), np.log(errors), 1)[0]
         assert slope >= 1.9
@@ -290,8 +269,7 @@ class TestValidity:
             assert validity.first_order_mean == first
 
     def test_reports_whose_means_differ_compare_unequal(self):
-        s = Scenario(SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)), paper_postselection(),
-                     GaussianPacket(0.0, 1.0), 0.3, 0.1)
+        s = fig2_scenario(delta_a=0.3, delta_b=0.1)
         first, phased = validity_check(s), validity_check(replace(s, phi_a=0.4))
         # the phase moves only the exact mean: the first-order report is phase-free
         assert phased.exact_mean != first.exact_mean
@@ -313,11 +291,17 @@ class TestValidity:
                                 built.append(type(self)) or _init(self, *args, **kwargs))
         psi = GaussianPacket(0.0, 1.0)
         probe = psi if kind == "gaussian" else grid_probe(psi, -12.0, 12.0, n=512)
-        validity = validity_check(Scenario(SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-                                           paper_postselection(), probe, 0.3, 0.1))
+        validity = validity_check(fig2_scenario(probe=probe, delta_a=0.3, delta_b=0.1))
         assert built == [PostselectedResult, WeakValueReport]
         validity.exact_mean, validity.first_order_mean, repr(validity)
         assert built == [PostselectedResult, WeakValueReport]
+
+    def test_weights_that_cancel_read_strong(self, monkeypatch):
+        # a run whose weights sum to 0 has an unbounded projector weak value; the phase-free
+        # report of the same scenario reads its kicks as weak
+        monkeypatch.setattr(protocol, "run", lambda s, n: postselect(
+            0.5, -0.5, s.probe, s.delta_a, s.delta_b, n))
+        assert validity_check(fig2_scenario(delta_a=7e-3, delta_b=1e-3)).regime == "strong"
 
     def test_regime_thresholds(self):
         assert classify_regime(0.05) == "weak"

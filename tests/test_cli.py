@@ -18,6 +18,7 @@ from gravkick.cli import main
 from gravkick.config import load_preset
 
 from . import oracles
+from .probes import child_env
 from .refvals import (
     AMP_GAIN,
     CASE_A_DOC,
@@ -209,10 +210,14 @@ class TestSimulate:
                                                             rel=1e-15)
         assert natural["first_order_error"] == si["first_order_error"]
 
-    @pytest.mark.parametrize("gain, regime", [(1e3, "weak"), (1e5, "marginal"), (1e7, "strong")])
-    def test_regime_reads_the_amplified_kick(self, tmp_path, gain, regime):
-        # caseB's kicks are at most 3.2e-6 sigma, but the amplified kick is 3.2e-6 gain sigma
-        doc = {**load_preset("caseB"), "source": {"gain": gain}}
+    @pytest.mark.parametrize("gain, regime, extra", [
+        pytest.param(gain, regime, extra, id=f"{gain}-{regime}{suffix}")
+        for extra, suffix in (({}, ""), ({"phases": {"phi_A": 1, "phi_B": -1}}, "-phased"))
+        for gain, regime in ((1e3, "weak"), (1e5, "marginal"), (1e7, "strong"))])
+    def test_regime_reads_the_amplified_kick(self, tmp_path, gain, regime, extra):
+        # caseB's kicks are at most 3.2e-6 sigma, but the amplified kick is 3.2e-6 gain sigma;
+        # the paper postselection cancels the phases from the run whose regime this labels
+        doc = {**load_preset("caseB"), "source": {"gain": gain}, **extra}
         out = tmp_path / "bundle"
         assert main(["simulate", doc_path(tmp_path, doc), "--units", "natural",
                      "--out", str(out)]) == 0
@@ -434,6 +439,18 @@ class TestFeasibility:
         code = main(["feasibility", "--scenario", "caseB", "--solve", field, "--target", target,
                      "--out", str(out)])
         assert_refused(code, out, capsys, "runtime", f"solved {field} = {solved} is outside")
+
+    @pytest.mark.parametrize("field", ["M", "g"])
+    def test_solve_on_an_underflowed_ratio_refused(self, tmp_path, capsys, field):
+        # kicks of 6.67e-303 and 6.52e-304 are normal doubles, but the ratio underflows to -0
+        doc = {"units": "si", "source": {"gain": 100}, "probe": {"W": 1e-100},
+               "kicks": {"M": 1e-14, "m": 1e-20, "T": 1e-270, "x_A": 1e-6, "x_B": 3.2e-6}}
+        out = tmp_path / "bundle"
+        code = main(["feasibility", doc_path(tmp_path, doc), "--solve", field, "--target", "1e-3",
+                     "--out", str(out)])
+        record = assert_refused(code, out, capsys, "runtime", "the ratio underflows to 0")
+        assert record["message"] == (f"the ratio underflows to 0 at these inputs; no {field} "
+                                     "reaches target 0.001")
 
     def test_beta_source_realises_its_gain(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -1096,6 +1113,18 @@ class TestErrorChannels:
         record = assert_refused(code, out, capsys, "runtime", "Unable to allocate")
         assert record["message"] == "Unable to allocate 8.00 PiB for an array with shape (2**50,)"
 
+    def test_arithmetic_error_is_a_runtime_record(self, tmp_path, capsys, monkeypatch):
+        import gravkick.analysis
+
+        def overflow(*args, **kwargs):  # what math raises for a result past the doubles
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(gravkick.analysis, "validity_check", overflow)
+        out = tmp_path / "bundle"
+        code = main(["simulate", "--scenario", "fig2", "--out", str(out)])
+        record = assert_refused(code, out, capsys, "runtime", "OverflowError")
+        assert record["message"] == "OverflowError: math range error"
+
     def test_impossible_postselection_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -1335,15 +1364,7 @@ runpy.run_module("gravkick", run_name="__main__", alter_sys=True)
 
 
 def test_module_entry_point(capsys):
-    # run the copy of the package these tests import, whether or not PYTHONPATH names it
-    src = str(Path(gravkick.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", ENTRY_PROBE, "presets", "list"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
+    result = run_child(["-c", ENTRY_PROBE, "presets", "list"])
     assert result.returncode == 0
     assert main(["presets", "list"]) == 0
     assert result.stdout == capsys.readouterr().out
@@ -1356,10 +1377,8 @@ def test_module_entry_point(capsys):
 def run_child(args):
     """`python args...` on the copy of the package these tests import, whether or not
     PYTHONPATH names it."""
-    src = str(Path(gravkick.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+                          env=child_env())
 
 
 # Runs `gravkick ARGS` as `python -m gravkick` does; at exit it prints on stderr the gravkick

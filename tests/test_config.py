@@ -341,6 +341,16 @@ class TestAssembly:
         assert str(exc.value) == f"source.beta {reason}; SI scenarios need gain >= 0"
         assert exc.value.field == "source.beta"
 
+    @pytest.mark.parametrize("overrides, field, message", [
+        ({"source": {"beta": 1.5}}, "source.beta", "beta must be in [-1, 1] when alpha is derived"),
+        ({"source": {"gain": 10}, "kicks": {"delta_A": 0.1, "delta_B": 0.7}}, "source.gain",
+         "gain-specified sources need kicks with 0 < delta_B/delta_A < 1"),
+    ], ids=["beta-above-1", "gain-with-delta_B-above-delta_A"])
+    def test_natural_source_refusal_names_its_field(self, overrides, field, message):
+        with pytest.raises(ConfigError) as exc:
+            build_scenario(minimal_natural(**overrides))
+        assert (str(exc.value), exc.value.field) == (message, field)
+
     @pytest.mark.parametrize("source", [
         {"beta": 0.999},
         {"alpha": 0.7071067811865476, "beta": 0.7071067811865476},

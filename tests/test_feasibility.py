@@ -177,6 +177,10 @@ class TestAmplitudesForGain:
         with pytest.raises(ValueError, match="ratio"):
             amplitudes_for_gain(10.0, 1.5)
 
+    def test_negative_gain_refused(self):
+        with pytest.raises(ValueError, match="^gain must be non-negative$"):
+            amplitudes_for_gain(-1.0, 0.5)
+
 
 class TestSolve:
     def test_case_a_source_mass(self):
@@ -226,6 +230,17 @@ class TestSolve:
     def test_solution_outside_double_range_rejected(self, field, target, solved):
         with pytest.raises(ValueError, match=f"solved {field} = {solved} is outside"):
             solve_parameter(case_b_params(), field, target)
+
+    @pytest.mark.parametrize("field", ["M", "g"])
+    def test_underflowed_ratio_refused(self, field):
+        # kicks of 6.67e-303 and 6.52e-304 are normal doubles, but the ratio underflows to -0
+        params = ProtocolParams(M=1e-14, m=1e-20, x_A=1e-6, x_B=3.2e-6, W=1e-100, g=100.0,
+                                T=1e-270)
+        assert feasibility_ratio(params) == 0.0
+        with pytest.raises(ValueError) as exc:
+            solve_parameter(params, field, 1e-3)
+        assert str(exc.value) == (f"the ratio underflows to 0 at these inputs; no {field} "
+                                  "reaches target 0.001")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -299,6 +314,12 @@ class TestSweep:
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError, match="sweep field"):
             sweep(case_b_params(), [("mass", 1e-15, 1e-14, 5)])
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_axis_count_refused(self, count):
+        axes = [("M", 1e-15, 1e-14, 2), ("m", 1e-20, 2e-20, 2), ("W", 1e-7, 2e-7, 2)][:count]
+        with pytest.raises(ValueError, match="^sweep takes one or two axes$"):
+            check_axes(axes)
 
     def test_duplicate_axes_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -20,29 +20,16 @@ from gravkick.montecarlo import (
     run_ensemble,
 )
 from gravkick.output import summary_csv
-from gravkick.protocol import Scenario, SourceState, paper_postselection, run
+from gravkick.protocol import Scenario, SourceState, run
 from gravkick.wavepacket import GaussianPacket
 
+from .probes import fig2_scenario
 from .refvals import (
-    FIG2_ALPHA,
-    FIG2_BETA,
     FIG2_DELTA_A,
     FIG2_DELTA_B,
     FIG2_MEAN,
     FIG2_PROBABILITY,
 )
-
-
-def fig2_scenario(**overrides):
-    kwargs = dict(
-        pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-        post=paper_postselection(),
-        probe=GaussianPacket(0.0, 1.0, 1.0),
-        delta_a=FIG2_DELTA_A,
-        delta_b=FIG2_DELTA_B,
-    )
-    kwargs.update(overrides)
-    return Scenario(**kwargs)
 
 
 def fig2_config(trials=100000, seed=42, **kw):
@@ -203,6 +190,10 @@ class TestRunConfig:
         # a float seed would run as its truncation, a float bins fail later inside numpy
         with pytest.raises(TypeError):
             RunConfig(**{"scenario": fig2_scenario(), "trials": 1000, "seed": 1, **overrides})
+
+    def test_bins_must_be_positive(self):
+        with pytest.raises(ValueError, match="^bins must be >= 1$"):
+            RunConfig(scenario=fig2_scenario(), trials=1000, seed=1, bins=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_must_fit_in_128_bits(self, seed):

@@ -4,14 +4,14 @@ leaves numpy, jsonschema and the caller's garbage collector alone."""
 import importlib
 import inspect
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import gravkick
+
+from .probes import child_env
 
 # Each name `gravkick` re-exports, by the module that defines it.
 EXPORTS = {
@@ -31,10 +31,8 @@ ORIGIN = {name: module for module, names in EXPORTS.items() for name in names}
 
 def run_child(code: str) -> str:
     """stdout of `python -c code` on the copy of the package these tests import."""
-    src = str(Path(gravkick.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": pythonpath}, check=True)
+                            env=child_env(), check=True)
     return result.stdout
 
 

@@ -23,7 +23,7 @@ from gravkick.protocol import (
 from gravkick.wavepacket import GaussianPacket, GridPacket, displace, moments, superpose
 
 from . import oracles
-from .probes import grid_probe
+from .probes import fig2_scenario, grid_probe
 from .refvals import (
     AMP_ALPHA,
     AMP_BETA,
@@ -41,18 +41,6 @@ RNG = np.random.default_rng(20260810)
 
 
 BRANCH_BASIS = (SourceState(1.0, 0.0), SourceState(0.0, 1.0))
-
-
-def fig2_scenario(**overrides):
-    kwargs = dict(
-        pre=SourceState(complex(FIG2_ALPHA), complex(FIG2_BETA)),
-        post=paper_postselection(),
-        probe=GaussianPacket(0.0, 1.0, 1.0),
-        delta_a=FIG2_DELTA_A,
-        delta_b=FIG2_DELTA_B,
-    )
-    kwargs.update(overrides)
-    return Scenario(**kwargs)
 
 
 def random_source(rng) -> SourceState:

@@ -5,14 +5,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import gravkick
+from .probes import child_env
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -73,11 +72,8 @@ def test_traced_argument_position(module, attr, index, name):
 def test_cli_import_lists_numpy_and_jsonschema():
     """tracing.import_times takes the median of the `-X importtime` lines of both top-level
     imports under `import gravkick.cli`, and raises when either is missing."""
-    src = str(Path(gravkick.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import gravkick.cli"],
-                            capture_output=True, text=True, check=True,
-                            env={**os.environ, "PYTHONPATH": pythonpath})
+                            capture_output=True, text=True, check=True, env=child_env())
     pattern = load_tracing()._IMPORT_LINE
     imported = {m[4] for m in map(pattern.match, result.stderr.splitlines()) if m}
     assert {"numpy", "jsonschema"} <= imported

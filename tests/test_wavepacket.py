@@ -288,6 +288,10 @@ class TestSuperpose:
                                              r"sum grid packets with displace\(psi, shifts, "):
             superpose([(1.0, packets[kind]) for kind in kinds])
 
+    def test_needs_a_term(self):
+        with pytest.raises(ValueError, match="^superpose needs at least one term$"):
+            superpose([])
+
     @pytest.mark.parametrize("n", [8, 15, 2048.5, pytest.param("16", id="str-16")])
     def test_grid_size_refused(self, n):
         with pytest.raises(ValueError, match=r"^n must be an integer of at least 16, got "):
@@ -358,6 +362,10 @@ class TestGridValidation:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="16"):
             GridPacket(p=np.linspace(0, 1, 8), amps=np.zeros(8, dtype=complex))
+
+    def test_amplitudes_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="^amplitude array must match the momentum grid$"):
+            GridPacket(p=np.linspace(-1.0, 1.0, 16), amps=np.zeros(17, dtype=complex))
 
     def test_nonuniform_grid(self):
         p = np.array([0.0, 0.1, 0.3, 0.35] + list(np.linspace(0.4, 2.0, 14)))
